@@ -1,8 +1,10 @@
 """Command-line surface: impact, scenario, schedule, frontier, decision-map,
 mechanism, anchors.
 
-Exit codes: 0 success, 2 flag/config validation, 3 unknown entity, 4
-computation error. Output is deterministic for identical (config, seed)
+Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
+ValueError, a missing config file, a malformed index:hex share line); 3 an
+unknown or missing scenario; 4 a computed value that is NaN or infinite, of
+which nothing is printed. Output is deterministic for identical (config, seed)
 pairs; the seed comes from --seed or the OVERHANG_SEED environment variable.
 """
 
@@ -10,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import math
 import os
 import random
 import sys
 from typing import Optional, Sequence
 
 from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule
-from overhang.config import ConfigError, load_config, parse_quality, scenario_to_json
+from overhang.config import RunConfig, load_config, parse_quality, scenario_to_json
 from overhang.ledger import ShareBasis, format_percent
 
 EXIT_OK = 0
@@ -27,15 +31,28 @@ EXIT_COMPUTATION = 4
 
 A2_EPSILONS = (1.5, 0.7, 0.3)
 
+TERMINALS = {
+    "dormancy": decisions.TerminalStateKind.DORMANCY_NON_RECOVERY,
+    "burn": decisions.TerminalStateKind.SILENT_BURN,
+    "adversarial": decisions.TerminalStateKind.ADVERSARIAL_SWITCH,
+    "liquidation": decisions.TerminalStateKind.PATIENT_LIQUIDATION,
+}
+
 
 class UnknownEntityError(ValueError):
     pass
+
+
+class NonFiniteError(ArithmeticError):
+    """A value to be printed is NaN or infinite."""
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
     """Render rows as an aligned table, CSV, JSON, or a markdown table."""
     if not rows:
         return
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row.values()):
+        raise NonFiniteError("a computed value is not finite; nothing printed")
     if fmt == "json":
         json.dump(rows, out, indent=2)
         out.write("\n")
@@ -68,25 +85,28 @@ def _cell(value) -> str:
 
 
 def _format_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit JSON")
-    parser.add_argument("--csv", action="store_true", help="emit CSV")
-    parser.add_argument("--markdown", action="store_true", help="emit a markdown table")
+    group = parser.add_mutually_exclusive_group()
+    for fmt, text in (("json", "JSON"), ("csv", "CSV"), ("markdown", "a markdown table")):
+        group.add_argument(f"--{fmt}", dest="fmt", action="store_const", const=fmt,
+                           default=argparse.SUPPRESS, help=f"emit {text}")
 
 
-def _chosen_format(args: argparse.Namespace) -> str:
-    if getattr(args, "json", False):
-        return "json"
-    if getattr(args, "csv", False):
-        return "csv"
-    if getattr(args, "markdown", False):
-        return "markdown"
-    return "table"
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(","))
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return int(os.environ.get("OVERHANG_SEED", "0"))
+def _share(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"share must be finite and nonnegative, got {text}")
+    return value
+
+
+def _elasticity(text: str) -> float:
+    try:
+        return impact.ElasticityModel(float(text)).epsilon
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,26 +115,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Disposition-space scenario toolkit for a large dormant position.",
     )
     parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
+    parser.set_defaults(fmt="table")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_impact = sub.add_parser("impact", help="permanent impact and friction bands")
-    p_impact.add_argument("--share", type=float, default=0.07)
-    p_impact.add_argument("--epsilon", type=float, default=0.7)
+    p_impact.add_argument("--share", type=_share, default=0.07)
+    p_impact.add_argument("--epsilon", type=_elasticity, default=0.7)
     p_impact.add_argument("--quality", default="disciplined-otc")
     p_impact.add_argument("--participation", type=float, default=0.0017)
     p_impact.add_argument("--table", action="store_true", help="all reference elasticities")
+    p_impact.set_defaults(run=_cmd_impact)
     _format_flag(p_impact)
 
     p_scen = sub.add_parser("scenario", help="run a named scenario or a sweep")
     p_scen.add_argument("name", nargs="?", default=None, help="A, B, C, or 'sweep'")
     p_scen.add_argument("--config", help="config file (INI sections or JSON)")
-    p_scen.add_argument("--volume", type=float, default=schedule.DEFAULT_DAILY_VOLUME_USD)
+    p_scen.add_argument("--volume", type=float, default=None,
+                        help="reference daily volume, USD; overrides the config's [run] volume")
     p_scen.add_argument("--nominal", action="store_true", help="use the nominal share basis")
-    p_scen.add_argument("--default-grid", action="store_true")
-    p_scen.add_argument("--epsilons", help="comma-separated elasticity grid")
-    p_scen.add_argument("--horizons", help="comma-separated horizon grid (years)")
+    p_scen.add_argument("--epsilons", type=_float_list, default=scenarios.DEFAULT_EPSILON_GRID,
+                        help="comma-separated elasticity grid")
+    p_scen.add_argument("--horizons", type=_float_list, default=scenarios.DEFAULT_HORIZON_GRID,
+                        help="comma-separated horizon grid (years)")
     p_scen.add_argument("--allow-out-of-range", action="store_true")
     p_scen.add_argument("--emit-config", action="store_true", help="emit the run as JSON config")
+    p_scen.set_defaults(run=_cmd_scenario)
     _format_flag(p_scen)
 
     p_sched = sub.add_parser("schedule", help="uniform selldown schedule and tranches")
@@ -124,28 +149,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--price", type=float, default=ledger.DEFAULT_REFERENCE_PRICE_USD)
     p_sched.add_argument("--tranches-per-year", type=int, default=None)
     p_sched.add_argument("--start", type=int, default=0, help="first unlock epoch")
+    p_sched.set_defaults(run=_cmd_schedule)
     _format_flag(p_sched)
 
     p_front = sub.add_parser("frontier", help="optimal-execution frontier")
-    p_front.add_argument("--lambdas", default="0", help="comma-separated risk aversions")
+    p_front.add_argument("--lambdas", type=_float_list, default="0",
+                         help="comma-separated risk aversions")
     p_front.add_argument("--total", type=float, default=100.0)
     p_front.add_argument("--periods", type=int, default=10)
     p_front.add_argument("--tau", type=float, default=1.0)
     p_front.add_argument("--sigma", type=float, default=1600.0)
     p_front.add_argument("--gamma", type=float, default=0.1)
     p_front.add_argument("--eta", type=float, default=1.0)
+    p_front.set_defaults(run=_cmd_frontier)
     _format_flag(p_front)
 
     p_dec = sub.add_parser("decision-map", help="terminal-state ranking and matrix")
     p_dec.add_argument("--retention-variant", action="store_true")
     p_dec.add_argument("--bear-bound", type=float, default=None)
+    p_dec.set_defaults(run=_cmd_decision_map)
     _format_flag(p_dec)
 
     p_mech = sub.add_parser("mechanism", help="disposition mechanism simulation")
     mech_sub = p_mech.add_subparsers(dest="action", required=True)
     p_sim = mech_sub.add_parser("simulate")
-    p_sim.add_argument("--terminal", required=True,
-                       choices=["dormancy", "burn", "adversarial", "liquidation"])
+    p_sim.add_argument("--terminal", required=True, choices=list(TERMINALS))
     p_sim.add_argument("--retention", type=float, default=0.0)
     p_sim.add_argument("--interval", type=int, default=30)
     p_sim.add_argument("--grace", type=int, default=3)
@@ -153,28 +181,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--horizon", type=int, default=3650, help="clock horizon, epochs")
     p_sim.add_argument("--program-years", type=float, default=10)
     p_sim.add_argument("--tranches-per-year", type=int, default=1)
+    p_sim.set_defaults(run=_cmd_simulate)
     p_split = mech_sub.add_parser("split")
     p_split.add_argument("--secret-hex", required=True)
     p_split.add_argument("--threshold", "-k", type=int, required=True)
     p_split.add_argument("--shares", "-n", type=int, required=True)
+    p_split.set_defaults(run=_cmd_split)
     p_rec = mech_sub.add_parser("reconstruct")
     p_rec.add_argument("--threshold", "-k", type=int, required=True)
     p_rec.add_argument("share_lines", nargs="+", help="shares as index:hex")
+    p_rec.set_defaults(run=_cmd_reconstruct)
 
     p_anchors = sub.add_parser("anchors", help="built-in empirical anchor events")
+    p_anchors.set_defaults(run=_cmd_anchors)
     _format_flag(p_anchors)
 
     return parser
 
 
-def _impact_rows(share: float, epsilon: float, quality_text: str,
-                 participation: float, table: bool) -> list[dict]:
-    quality = parse_quality(quality_text)
-    epsilons = A2_EPSILONS if table else (epsilon,)
+def _cmd_impact(args: argparse.Namespace, out, seed: int) -> None:
+    band = impact.friction_band(parse_quality(args.quality), args.participation)
     rows = []
-    for eps in epsilons:
-        permanent = impact.permanent_impact(share, impact.ElasticityModel(eps))
-        band = impact.friction_band(quality, participation)
+    for eps in A2_EPSILONS if args.table else (args.epsilon,):
+        permanent = impact.permanent_impact(args.share, impact.ElasticityModel(eps))
         result = impact.combine(permanent, band)
         rows.append({
             "epsilon": eps,
@@ -186,7 +215,7 @@ def _impact_rows(share: float, epsilon: float, quality_text: str,
             "total_high": result.total_high,
             "total_pct": f"{format_percent(result.total_low)} to {format_percent(result.total_high)}",
         })
-    return rows
+    _emit(rows, args.fmt, out)
 
 
 def _scenario_row(result: scenarios.ScenarioResult) -> dict:
@@ -206,50 +235,32 @@ def _scenario_row(result: scenarios.ScenarioResult) -> dict:
     }
 
 
-def _cmd_scenario(args: argparse.Namespace, out) -> int:
-    run_ledger = ledger.SupplyLedger.from_btc()
-    scenario = None
-    volume = args.volume
+def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
+    cfg = RunConfig()
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             cfg = load_config(handle.read())
-        run_ledger = cfg.ledger
-        scenario = cfg.scenario
-        if cfg.volume != schedule.DEFAULT_DAILY_VOLUME_USD:
-            volume = cfg.volume
+    volume = cfg.volume if args.volume is None else args.volume
 
     if args.name == "sweep":
-        eps_grid = scenarios.DEFAULT_EPSILON_GRID
-        horizon_grid = scenarios.DEFAULT_HORIZON_GRID
-        if args.epsilons:
-            eps_grid = tuple(float(v) for v in args.epsilons.split(","))
-        if args.horizons:
-            horizon_grid = tuple(float(v) for v in args.horizons.split(","))
         summary = scenarios.sensitivity_sweep(
-            run_ledger,
-            epsilon_grid=eps_grid,
-            horizon_grid=horizon_grid,
+            cfg.ledger,
+            epsilon_grid=args.epsilons,
+            horizon_grid=args.horizons,
             volume=volume,
             allow_out_of_range=args.allow_out_of_range,
         )
         rows = [_scenario_row(r) for r in summary.results]
-        rows.append({
+        rows.append(dict.fromkeys(rows[0], "") | {
             "scenario": "BOUNDS",
-            "annual_btc": "",
-            "daily_btc": "",
-            "daily_usd": "",
-            "participation": "",
-            "participation_pct": "",
-            "permanent": "",
-            "friction_pp": "",
             "total_low": -summary.max_abs_total,
             "total_high": -summary.min_abs_total,
             "total_pct": f"max |total| {format_percent(summary.max_abs_total)}",
-            "anchor_class": "",
         })
-        _emit(rows, _chosen_format(args), out)
-        return EXIT_OK
+        _emit(rows, args.fmt, out)
+        return
 
+    scenario = cfg.scenario
     if scenario is None:
         if args.name is None:
             raise UnknownEntityError("no scenario name or config given")
@@ -259,16 +270,15 @@ def _cmd_scenario(args: argparse.Namespace, out) -> int:
         scenario = by_name[args.name]
 
     if args.emit_config:
-        out.write(scenario_to_json(scenario, run_ledger) + "\n")
-        return EXIT_OK
+        out.write(scenario_to_json(scenario, cfg.ledger) + "\n")
+        return
 
     basis = ShareBasis.NOMINAL if args.nominal else ShareBasis.EFFECTIVE
-    result = scenarios.run_scenario(scenario, run_ledger, volume, basis=basis)
-    _emit([_scenario_row(result)], _chosen_format(args), out)
-    return EXIT_OK
+    result = scenarios.run_scenario(scenario, cfg.ledger, volume, basis=basis)
+    _emit([_scenario_row(result)], args.fmt, out)
 
 
-def _cmd_schedule(args: argparse.Namespace, out) -> int:
+def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
     params = schedule.ScheduleParams(
         position=args.position,
         horizon=args.horizon,
@@ -290,12 +300,10 @@ def _cmd_schedule(args: argparse.Namespace, out) -> int:
         ]
     else:
         rows = schedule.schedule_rows(sched)
-    _emit(rows, _chosen_format(args), out)
-    return EXIT_OK
+    _emit(rows, args.fmt, out)
 
 
-def _cmd_frontier(args: argparse.Namespace, out) -> int:
-    lambdas = [float(v) for v in args.lambdas.split(",")]
+def _cmd_frontier(args: argparse.Namespace, out, seed: int) -> None:
     model = frontier.ExecutionModel(
         total_units=args.total,
         periods=args.periods,
@@ -304,41 +312,22 @@ def _cmd_frontier(args: argparse.Namespace, out) -> int:
         permanent_coeff=args.gamma,
         temporary_coeff=args.eta,
     )
-    points = frontier.frontier(model, lambdas)
-    rows = [
-        {
-            "risk_aversion": p.risk_aversion,
-            "expected_cost": p.expected_cost,
-            "cost_variance": p.cost_variance,
-        }
-        for p in points
-    ]
-    _emit(rows, _chosen_format(args), out)
-    if len(lambdas) == 1:
-        variant = frontier.ExecutionModel(
-            total_units=args.total,
-            periods=args.periods,
-            period_length=args.tau,
-            volatility=args.sigma,
-            permanent_coeff=args.gamma,
-            temporary_coeff=args.eta,
-            risk_aversion=lambdas[0],
-        )
+    points = frontier.frontier(model, args.lambdas)
+    _emit([dataclasses.asdict(p) for p in points], args.fmt, out)
+    if len(args.lambdas) == 1:
+        variant = dataclasses.replace(model, risk_aversion=args.lambdas[0])
         trajectory = frontier.optimal_trajectory(variant)
         out.write("holdings: " + ", ".join(f"{x:.6g}" for x in trajectory.holdings) + "\n")
-    return EXIT_OK
 
 
-def _cmd_decision_map(args: argparse.Namespace, out) -> int:
+def _cmd_decision_map(args: argparse.Namespace, out, seed: int) -> None:
     matrix = decisions.consistency_matrix(retention_variant=args.retention_variant)
-    ranking = decisions.rank_terminal_states(matrix)
     run_ledger = ledger.SupplyLedger.from_btc()
-    bear_bound = args.bear_bound
-    if bear_bound is None:
-        builtin = {s.name: s for s in scenarios.builtin_scenarios()}
-        bear_bound = scenarios.run_scenario(builtin["C"], run_ledger).total[0]
+    builtin = [scenarios.run_scenario(s, run_ledger) for s in scenarios.builtin_scenarios()]
+    summary = decisions.bear_case_summary(matrix, run_ledger, builtin)
+    bear_bound = summary.worst_case_bound[0] if args.bear_bound is None else args.bear_bound
     rows = []
-    for rank, kind in enumerate(ranking, start=1):
+    for rank, kind in enumerate(summary.ranking, start=1):
         effect = decisions.supply_effect(
             decisions.TerminalState(kind=kind), run_ledger, bear_bound
         )
@@ -349,7 +338,7 @@ def _cmd_decision_map(args: argparse.Namespace, out) -> int:
             "market_sign": effect.market_sign.value,
             "bound": "" if effect.bound is None else effect.bound,
         })
-    _emit(rows, _chosen_format(args), out)
+    _emit(rows, args.fmt, out)
     out.write("\n")
     matrix_rows = []
     for preference in decisions.PreferenceSet:
@@ -357,30 +346,23 @@ def _cmd_decision_map(args: argparse.Namespace, out) -> int:
         for kind in decisions.TerminalStateKind:
             row[kind.value] = matrix.mark(preference, kind).value
         matrix_rows.append(row)
-    _emit(matrix_rows, _chosen_format(args), out)
-    return EXIT_OK
+    _emit(matrix_rows, args.fmt, out)
 
 
-def _cmd_mechanism(args: argparse.Namespace, out, seed: int) -> int:
-    if args.action == "split":
-        secret = bytes.fromhex(args.secret_hex)
-        shares = mechanisms.split(secret, args.threshold, args.shares, random.Random(seed))
-        for share in shares:
-            out.write(share.serialize() + "\n")
-        return EXIT_OK
-    if args.action == "reconstruct":
-        shares = [mechanisms.Share.deserialize(line) for line in args.share_lines]
-        secret = mechanisms.reconstruct(shares, args.threshold)
-        out.write(secret.hex() + "\n")
-        return EXIT_OK
+def _cmd_split(args: argparse.Namespace, out, seed: int) -> None:
+    secret = bytes.fromhex(args.secret_hex)
+    shares = mechanisms.split(secret, args.threshold, args.shares, random.Random(seed))
+    for share in shares:
+        out.write(share.serialize() + "\n")
 
-    terminal_map = {
-        "dormancy": decisions.TerminalStateKind.DORMANCY_NON_RECOVERY,
-        "burn": decisions.TerminalStateKind.SILENT_BURN,
-        "adversarial": decisions.TerminalStateKind.ADVERSARIAL_SWITCH,
-        "liquidation": decisions.TerminalStateKind.PATIENT_LIQUIDATION,
-    }
-    kind = terminal_map[args.terminal]
+
+def _cmd_reconstruct(args: argparse.Namespace, out, seed: int) -> None:
+    shares = [mechanisms.Share.deserialize(line) for line in args.share_lines]
+    out.write(mechanisms.reconstruct(shares, args.threshold).hex() + "\n")
+
+
+def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
+    kind = TERMINALS[args.terminal]
     retention = args.retention if kind is decisions.TerminalStateKind.SILENT_BURN else 0.0
     terminal = decisions.TerminalState(kind=kind, retention_fraction=retention)
     action = (
@@ -407,10 +389,9 @@ def _cmd_mechanism(args: argparse.Namespace, out, seed: int) -> int:
     for event in events:
         out.write(event.to_json() + "\n")
     out.write(f"# events: {len(events)}\n")
-    return EXIT_OK
 
 
-def _cmd_anchors(args: argparse.Namespace, out) -> int:
+def _cmd_anchors(args: argparse.Namespace, out, seed: int) -> None:
     rows = []
     for anchor in scenarios.builtin_anchors():
         band = anchor.observed_impact
@@ -422,50 +403,24 @@ def _cmd_anchors(args: argparse.Namespace, out) -> int:
             "execution_class": anchor.execution_class.value,
             "note": anchor.note,
         })
-    _emit(rows, _chosen_format(args), out)
-    return EXIT_OK
+    _emit(rows, args.fmt, out)
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    seed = _resolve_seed(args)
-    header_fmt = _chosen_format(args)
+    args = build_parser().parse_args(argv)
     try:
-        if header_fmt not in ("json", "csv"):
+        seed = args.seed if args.seed is not None else int(os.environ.get("OVERHANG_SEED", "0"))
+        if args.fmt not in ("json", "csv"):
             out.write(f"# seed {seed}\n")
-        if args.command == "impact":
-            if args.epsilon <= 0 or not 0 <= args.share:
-                parser.error(f"invalid impact flags: epsilon={args.epsilon}")
-            rows = _impact_rows(
-                args.share, args.epsilon, args.quality, args.participation, args.table
-            )
-            _emit(rows, header_fmt, out)
-            return EXIT_OK
-        if args.command == "scenario":
-            return _cmd_scenario(args, out)
-        if args.command == "schedule":
-            return _cmd_schedule(args, out)
-        if args.command == "frontier":
-            return _cmd_frontier(args, out)
-        if args.command == "decision-map":
-            return _cmd_decision_map(args, out)
-        if args.command == "mechanism":
-            return _cmd_mechanism(args, out, seed)
-        if args.command == "anchors":
-            return _cmd_anchors(args, out)
-        parser.error(f"unknown command {args.command}")
+        args.run(args, out, seed)
     except UnknownEntityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except (ConfigError,) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     return EXIT_OK

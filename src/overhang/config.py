@@ -32,8 +32,7 @@ _KNOWN_KEYS = {
         "overshoot_magnitude",
         "overshoot_half_life",
     },
-    "sweep": {"epsilons", "horizons", "qualities", "allow_out_of_range"},
-    "run": {"seed", "volume", "format"},
+    "run": {"volume"},
 }
 
 _QUALITIES = {q.value: q for q in ExecutionQuality}
@@ -43,13 +42,7 @@ _QUALITIES = {q.value: q for q in ExecutionQuality}
 class RunConfig:
     ledger: SupplyLedger = field(default_factory=SupplyLedger.from_btc)
     scenario: Optional[Scenario] = None
-    sweep_epsilons: Optional[list[float]] = None
-    sweep_horizons: Optional[list[float]] = None
-    sweep_qualities: Optional[list[ExecutionQuality]] = None
-    allow_out_of_range: bool = False
-    seed: int = 0
     volume: float = DEFAULT_DAILY_VOLUME_USD
-    output_format: str = "table"
 
 
 def parse_quality(text: str) -> ExecutionQuality:
@@ -61,10 +54,6 @@ def parse_quality(text: str) -> ExecutionQuality:
         ) from None
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.replace(",", " ").split()]
-
-
 def load_config(text: str) -> RunConfig:
     """Parse a config document (INI-style sections or a JSON object)."""
     stripped = text.lstrip()
@@ -73,6 +62,10 @@ def load_config(text: str) -> RunConfig:
             sections = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
+        if not isinstance(sections, dict) or not all(
+            isinstance(body, dict) for body in sections.values()
+        ):
+            raise ConfigError("JSON config must be an object of section objects")
         sections = {
             name: {k: str(v) for k, v in body.items()}
             for name, body in sections.items()
@@ -92,49 +85,18 @@ def load_config(text: str) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
 
-    config = RunConfig()
     try:
-        config.ledger = _build_ledger(sections.get("ledger", {}))
-        if "scenario" in sections:
-            config.scenario = _build_scenario(sections["scenario"])
-        if "sweep" in sections:
-            sweep = sections["sweep"]
-            if "epsilons" in sweep:
-                config.sweep_epsilons = _float_list(sweep["epsilons"])
-            if "horizons" in sweep:
-                config.sweep_horizons = _float_list(sweep["horizons"])
-            if "qualities" in sweep:
-                config.sweep_qualities = [
-                    parse_quality(q) for q in sweep["qualities"].replace(",", " ").split()
-                ]
-            if "allow_out_of_range" in sweep:
-                config.allow_out_of_range = sweep["allow_out_of_range"].lower() in (
-                    "1",
-                    "true",
-                    "yes",
-                )
-        run = sections.get("run", {})
-        if "seed" in run:
-            config.seed = int(run["seed"])
-        if "volume" in run:
-            config.volume = float(run["volume"])
-        if "format" in run:
-            config.output_format = run["format"]
+        return RunConfig(
+            ledger=SupplyLedger.from_btc(
+                **{key: float(value) for key, value in sections.get("ledger", {}).items()}
+            ),
+            scenario=_build_scenario(sections["scenario"]) if "scenario" in sections else None,
+            volume=float(sections.get("run", {}).get("volume", DEFAULT_DAILY_VOLUME_USD)),
+        )
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
-    return config
-
-
-def _build_ledger(body: dict[str, str]) -> SupplyLedger:
-    defaults = SupplyLedger.from_btc()
-    return SupplyLedger.from_btc(
-        total_mined=float(body.get("total_mined", defaults.total_mined)),
-        lost_estimate=float(body.get("lost_estimate", defaults.lost_estimate)),
-        position=float(body.get("position", defaults.position)),
-        reference_price=float(body.get("reference_price", defaults.reference_price)),
-    )
 
 
 def _build_scenario(body: dict[str, str]) -> Scenario:

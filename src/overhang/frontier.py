@@ -8,7 +8,7 @@ degenerates to the linear (uniform-pace) trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -112,16 +112,7 @@ def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPo
         raise FrontierError("lambdas must be non-empty")
     points = []
     for lam in lambdas:
-        variant = ExecutionModel(
-            total_units=model.total_units,
-            periods=model.periods,
-            period_length=model.period_length,
-            volatility=model.volatility,
-            permanent_coeff=model.permanent_coeff,
-            temporary_coeff=model.temporary_coeff,
-            risk_aversion=lam,
-        )
-        trajectory = optimal_trajectory(variant)
+        trajectory = optimal_trajectory(replace(model, risk_aversion=lam))
         points.append(
             FrontierPoint(
                 risk_aversion=lam,

@@ -108,6 +108,8 @@ def split(secret: bytes, k: int, n: int, rng: random.Random) -> list[Share]:
 
 def reconstruct(shares: Iterable[Share], k: int) -> bytes:
     """Recover the secret from any k distinct shares by interpolation at zero."""
+    if k < 1:
+        raise MechanismError(f"threshold k must be at least 1, got {k}")
     shares = list(shares)
     indices = [s.index for s in shares]
     if len(set(indices)) != len(indices):

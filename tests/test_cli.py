@@ -4,6 +4,7 @@ import json
 import pytest
 
 from overhang.cli import (
+    EXIT_COMPUTATION,
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_VALIDATION,
@@ -15,6 +16,14 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def exit_code(*argv):
+    """The exit status, whether main returns it or argparse raises SystemExit."""
+    try:
+        return run_cli(*argv)[0]
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_impact_table_reproduces_reference_rows():
@@ -82,6 +91,60 @@ def test_config_unknown_key_rejected(tmp_path):
     path.write_text("[ledger]\nbogus_key = 1\n")
     code, _ = run_cli("scenario", "B", "--config", str(path))
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[sweep]\nepsilons = 0.5\n",
+        "[run]\nseed = 3\n",
+        "[run]\nformat = json\n",
+        '{"run": 5}',
+    ],
+)
+def test_config_without_effect_or_shape_rejected(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    code, _ = run_cli("scenario", "B", "--config", str(path))
+    assert code == EXIT_VALIDATION
+
+
+def test_volume_flag_over_config_over_default(tmp_path):
+    path = tmp_path / "volume.ini"
+    path.write_text("[run]\nvolume = 10e9\n")
+    code, text = run_cli("scenario", "B", "--config", str(path), "--volume", "20e9", "--json")
+    assert code == EXIT_OK
+    assert json.loads(text)[0]["participation"] == pytest.approx(0.001258, abs=1e-5)
+    code, text = run_cli("scenario", "B", "--config", str(path), "--json")
+    assert code == EXIT_OK
+    assert json.loads(text)[0]["participation"] == pytest.approx(0.002516, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schedule", "--horizon", "0"),
+        ("frontier", "--lambdas", "x"),
+        ("frontier", "--lambdas", "-1"),
+        ("scenario", "sweep", "--epsilons", "0.5,x"),
+        ("scenario", "B", "--json", "--csv"),
+        ("impact", "--share", "nan"),
+        ("mechanism", "split", "--secret-hex", "aa", "-k", "3", "-n", "2"),
+        ("mechanism", "reconstruct", "-k", "0", "1:00"),
+        ("mechanism", "reconstruct", "-k", "1", "1:zz"),
+        ("mechanism", "reconstruct", "-k", "1", "nocolon"),
+    ],
+)
+def test_domain_and_parse_errors_exit_2(argv):
+    assert exit_code(*argv) == EXIT_VALIDATION
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_nonfinite_frontier_exits_4_without_printing_it():
+    code, text = run_cli("frontier", "--periods", "200", "--lambdas", "0.01")
+    assert code == EXIT_COMPUTATION
+    assert text.startswith("# seed") and text.count("\n") == 1
 
 
 def test_decision_map_first_row():

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from overhang.impact import (
     ElasticityModel,
@@ -68,17 +68,23 @@ def test_small_shift_relative_error_bound(shift):
     e1=st.floats(min_value=0.1, max_value=3.0),
     e2=st.floats(min_value=0.1, max_value=3.0),
 )
+@example(s1=0.001, s2=0.0010000000000000002, e1=1.0, e2=1.0)
 def test_permanent_impact_monotonicity(s1, s2, e1, e2):
+    # Inputs a few ulps apart can round to the same impact, so the order is
+    # strict only where the inputs differ by more than float resolution.
+    def resolved(lo, hi):
+        return hi - lo > 1e-9 * hi
+
     if s1 != s2:
         lo, hi = sorted((s1, s2))
-        assert permanent_impact(hi, ElasticityModel(e1)) < permanent_impact(
-            lo, ElasticityModel(e1)
-        )
+        deeper = permanent_impact(hi, ElasticityModel(e1))
+        shallower = permanent_impact(lo, ElasticityModel(e1))
+        assert deeper < shallower if resolved(lo, hi) else deeper <= shallower
     if e1 != e2:
         lo, hi = sorted((e1, e2))
-        assert permanent_impact(s1, ElasticityModel(hi)) > permanent_impact(
-            s1, ElasticityModel(lo)
-        )
+        milder = permanent_impact(s1, ElasticityModel(hi))
+        harsher = permanent_impact(s1, ElasticityModel(lo))
+        assert milder > harsher if resolved(lo, hi) else milder >= harsher
 
 
 def test_halving_elasticity_roughly_doubles_impact():

@@ -85,6 +85,8 @@ def test_parameter_validation():
         split(b"x" * 65, 1, 1, rng)
     with pytest.raises(MechanismError):
         Share(index=0, payload=b"x")
+    with pytest.raises(MechanismError):
+        reconstruct([Share(index=1, payload=b"x")], 0)
 
 
 def test_split_deterministic_given_seed():
