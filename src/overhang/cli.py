@@ -179,8 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--grace", type=int, default=3)
     p_sim.add_argument("--position", type=float, default=ledger.DEFAULT_POSITION_BTC)
     p_sim.add_argument("--horizon", type=int, default=3650, help="clock horizon, epochs")
-    p_sim.add_argument("--program-years", type=float, default=10)
-    p_sim.add_argument("--tranches-per-year", type=int, default=1)
+    p_sim.add_argument("--program-years", type=float, help="liquidation only (default 10)")
+    p_sim.add_argument("--tranches-per-year", type=int, help="liquidation only (default 1)")
     p_sim.set_defaults(run=_cmd_simulate)
     p_split = mech_sub.add_parser("split")
     p_split.add_argument("--secret-hex", required=True)
@@ -363,8 +363,7 @@ def _cmd_reconstruct(args: argparse.Namespace, out, seed: int) -> None:
 
 def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
     kind = TERMINALS[args.terminal]
-    retention = args.retention if kind is decisions.TerminalStateKind.SILENT_BURN else 0.0
-    terminal = decisions.TerminalState(kind=kind, retention_fraction=retention)
+    terminal = decisions.TerminalState(kind=kind, retention_fraction=args.retention)
     action = (
         mechanisms.DmsAction.DESTROY_SHARDS
         if kind is decisions.TerminalStateKind.DORMANCY_NON_RECOVERY
@@ -375,10 +374,14 @@ def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
     )
     program = None
     if kind is decisions.TerminalStateKind.PATIENT_LIQUIDATION:
+        years = 10 if args.program_years is None else args.program_years
+        per_year = 1 if args.tranches_per_year is None else args.tranches_per_year
         sched = schedule.build_uniform_schedule(
-            schedule.ScheduleParams(position=args.position, horizon=args.program_years)
+            schedule.ScheduleParams(position=args.position, horizon=years)
         )
-        program = schedule.to_tranche_program(sched, granularity=args.tranches_per_year)
+        program = schedule.to_tranche_program(sched, granularity=per_year)
+    elif args.program_years is not None or args.tranches_per_year is not None:
+        raise ValueError("--program-years and --tranches-per-year apply only to liquidation")
     events = mechanisms.simulate_disposition(
         terminal,
         config,

@@ -8,6 +8,7 @@ values are computed in floating point at output time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -26,7 +27,10 @@ class LedgerError(ValueError):
 
 
 def btc_to_sats(btc: float) -> int:
-    return round(btc * SATS_PER_BTC)
+    sats = btc * SATS_PER_BTC
+    if not math.isfinite(sats):
+        raise LedgerError(f"BTC amount {btc} has no finite satoshi value")
+    return round(sats)
 
 
 def sats_to_btc(sats: int) -> float:

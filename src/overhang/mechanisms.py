@@ -1,22 +1,22 @@
 """Desk-scale disposition mechanisms on a simulated integer clock.
 
-Covers k-of-n secret sharding over GF(256), absolute and relative timelock
-conditions, the dead-man's-switch state machine, and end-to-end disposition
-replays. Everything is deterministic: randomness comes from a caller-seeded
-generator and time is an explicit epoch counter.
+Covers k-of-n secret sharding over GF(256), timelocks and tranche programs,
+the dead-man's-switch state machine, and end-to-end disposition replays.
+Everything is deterministic: randomness comes from a caller-seeded generator
+and time is an explicit epoch counter.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, TYPE_CHECKING
+from typing import Iterable, Optional, Sequence
 
-if TYPE_CHECKING:
-    from overhang.decisions import TerminalState
-    from overhang.schedule import TrancheProgram
+from overhang.decisions import TerminalState, TerminalStateKind
+from overhang.ledger import sats_to_btc
 
 GF_REDUCTION_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
@@ -162,6 +162,23 @@ class TimelockCondition:
     def relative(cls, delta: int) -> "TimelockCondition":
         return cls(TimelockVariant.RELATIVE, delta)
 
+    def unlock_epoch(self, confirmed_at: int = 0) -> int:
+        """First spendable epoch: the epoch itself, or the delta past confirmation."""
+        if self.variant is TimelockVariant.ABSOLUTE:
+            return self.value
+        return confirmed_at + self.value
+
+
+@dataclass(frozen=True)
+class TrancheProgram:
+    """Ordered timelocked tranches; amounts in satoshis sum to the position."""
+
+    tranches: Sequence[tuple[TimelockCondition, int]] = field(default_factory=tuple)
+
+    @property
+    def total_sats(self) -> int:
+        return sum(amount for _, amount in self.tranches)
+
 
 def timelock_spendable(
     condition: TimelockCondition, now: int, confirmed_at: int = 0
@@ -169,11 +186,9 @@ def timelock_spendable(
     """Whether the condition is satisfied at the given simulated epoch."""
     if now < 0:
         raise MechanismError("now must be nonnegative")
-    if condition.variant is TimelockVariant.ABSOLUTE:
-        return now >= condition.value
-    if confirmed_at > now:
+    if condition.variant is TimelockVariant.RELATIVE and confirmed_at > now:
         raise MechanismError("confirmed_at must not exceed now")
-    return now - confirmed_at >= condition.value
+    return now >= condition.unlock_epoch(confirmed_at)
 
 
 # ---------------------------------------------------------------------------
@@ -263,60 +278,48 @@ class SimEvent:
 
 
 def simulate_disposition(
-    terminal: "TerminalState",
+    terminal: TerminalState,
     config: DmsConfig,
-    tranche_program: Optional["TrancheProgram"] = None,
+    tranche_program: Optional[TrancheProgram] = None,
     clock_horizon: int = 3650,
     position_btc: float = 0.0,
 ) -> list[SimEvent]:
     """Replay a terminal disposition over the simulated clock.
 
     Heartbeats cease at epoch zero (the holder is absent), so the switch
-    triggers after grace_missed elapsed intervals. Dormancy ends
-    unrecoverable with no release; a silent burn emits one burn event;
-    patient liquidation releases tranches as their timelocks mature; the
-    adversarial switch dumps the full position at the trigger epoch.
+    triggers after grace_missed elapsed intervals, at interval x grace.
+    Dormancy ends unrecoverable with no release; a silent burn emits one
+    burn event; the adversarial switch dumps the full position at the
+    trigger epoch. Patient liquidation ignores the switch and releases each
+    tranche at its unlock epoch, in (epoch, tranche index) order. Only
+    events at or before clock_horizon are returned.
     """
-    from overhang.decisions import TerminalStateKind
-    from overhang.ledger import sats_to_btc
-
+    if not (math.isfinite(position_btc) and position_btc >= 0):
+        raise MechanismError(f"position must be finite and nonnegative, got {position_btc}")
+    if clock_horizon < 0:
+        raise MechanismError(f"clock horizon must be nonnegative, got {clock_horizon}")
     kind = terminal.kind
-    if kind is TerminalStateKind.PATIENT_LIQUIDATION and tranche_program is None:
-        raise MechanismError("patient liquidation requires a tranche program")
+    if kind is TerminalStateKind.PATIENT_LIQUIDATION:
+        if tranche_program is None:
+            raise MechanismError("patient liquidation requires a tranche program")
+        unlocks = sorted(
+            (condition.unlock_epoch(), i, amount_sats)
+            for i, (condition, amount_sats) in enumerate(tranche_program.tranches)
+        )
+        return [
+            SimEvent(epoch, "release", amount_btc=sats_to_btc(amount_sats))
+            for epoch, _, amount_sats in unlocks
+            if epoch <= clock_horizon
+        ]
 
-    log: list[SimEvent] = []
-    trigger_epoch = None
-    if kind is not TerminalStateKind.PATIENT_LIQUIDATION:
-        state = ARMED
-        epoch = 0
-        while epoch + config.heartbeat_interval <= clock_horizon:
-            epoch += config.heartbeat_interval
-            state = dms_step(state, config, DmsEvent.INTERVAL_ELAPSED)
-            if state.phase in (DmsPhase.TRIGGERED, DmsPhase.UNRECOVERABLE):
-                trigger_epoch = epoch
-                log.append(SimEvent(epoch, "switch-triggered"))
-                break
-
+    trigger = config.heartbeat_interval * config.grace_missed
+    if trigger > clock_horizon:
+        return []
     if kind is TerminalStateKind.DORMANCY_NON_RECOVERY:
-        if trigger_epoch is not None:
-            log.append(SimEvent(trigger_epoch, "shards-destroyed"))
-            log.append(SimEvent(trigger_epoch, "unrecoverable"))
+        outcome = [SimEvent(trigger, "shards-destroyed"), SimEvent(trigger, "unrecoverable")]
     elif kind is TerminalStateKind.SILENT_BURN:
-        if trigger_epoch is not None:
-            burned = position_btc * (1.0 - terminal.retention_fraction)
-            log.append(SimEvent(trigger_epoch, "burn", amount_btc=burned))
-    elif kind is TerminalStateKind.ADVERSARIAL_SWITCH:
-        if trigger_epoch is not None:
-            log.append(SimEvent(trigger_epoch, "dump", amount_btc=position_btc))
-    else:  # patient liquidation
-        assert tranche_program is not None
-        released = set()
-        for now in range(clock_horizon + 1):
-            for i, (condition, amount_sats) in enumerate(tranche_program.tranches):
-                if i in released:
-                    continue
-                if timelock_spendable(condition, now=now, confirmed_at=0):
-                    released.add(i)
-                    log.append(SimEvent(now, "release", amount_btc=sats_to_btc(amount_sats)))
-    log.sort(key=lambda e: e.epoch)
-    return log
+        burned = position_btc * (1.0 - terminal.retention_fraction)
+        outcome = [SimEvent(trigger, "burn", amount_btc=burned)]
+    else:  # adversarial switch
+        outcome = [SimEvent(trigger, "dump", amount_btc=position_btc)]
+    return [SimEvent(trigger, "switch-triggered"), *outcome]

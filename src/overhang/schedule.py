@@ -8,12 +8,11 @@ year default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from overhang.ledger import SATS_PER_BTC, btc_to_sats, sats_to_btc
-from overhang.mechanisms import TimelockCondition
+from overhang.mechanisms import TimelockCondition, TrancheProgram
 
 DEFAULT_TRADING_DAYS = 365
 DEFAULT_DAILY_VOLUME_USD = 15e9  # midpoint of the 10-20 billion real-spot range
@@ -52,17 +51,6 @@ class Schedule:
     daily_btc: Fraction
     daily_usd: float
     participation: float
-
-
-@dataclass(frozen=True)
-class TrancheProgram:
-    """Ordered timelocked tranches; amounts in satoshis sum to the position."""
-
-    tranches: Sequence[tuple[TimelockCondition, int]] = field(default_factory=tuple)
-
-    @property
-    def total_sats(self) -> int:
-        return sum(amount for _, amount in self.tranches)
 
 
 def build_uniform_schedule(params: ScheduleParams) -> Schedule:

@@ -133,6 +133,18 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("mechanism", "reconstruct", "-k", "0", "1:00"),
         ("mechanism", "reconstruct", "-k", "1", "1:zz"),
         ("mechanism", "reconstruct", "-k", "1", "nocolon"),
+        # a replay of a non-finite or negative position, or a negative horizon
+        ("mechanism", "simulate", "--terminal", "adversarial", "--position", "inf"),
+        ("mechanism", "simulate", "--terminal", "burn", "--position", "nan"),
+        ("mechanism", "simulate", "--terminal", "adversarial", "--position", "-5"),
+        ("mechanism", "simulate", "--terminal", "dormancy", "--horizon", "-1"),
+        # an infinite BTC amount
+        ("schedule", "--position", "inf"),
+        ("mechanism", "simulate", "--terminal", "liquidation", "--position", "inf"),
+        # a flag the terminal does not use
+        ("mechanism", "simulate", "--terminal", "dormancy", "--retention", "0.03"),
+        ("mechanism", "simulate", "--terminal", "adversarial", "--tranches-per-year", "12"),
+        ("mechanism", "simulate", "--terminal", "burn", "--program-years", "5"),
     ],
 )
 def test_domain_and_parse_errors_exit_2(argv):

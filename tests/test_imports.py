@@ -1,0 +1,56 @@
+"""The package's internal import graph is one-way and fully visible at module top."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "overhang"
+MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _overhang_imports(tree: ast.Module):
+    """(node, imported module) for every overhang import anywhere in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            names = [node.module]
+            if node.module == "overhang":  # `from overhang import ledger, schedule`
+                names = [f"overhang.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "overhang":
+                target = parts[1] if len(parts) > 1 and parts[1] in MODULES else "__init__"
+                yield node, target
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_import_graph_is_acyclic():
+    graph = {
+        module: {target for _, target in _overhang_imports(_parse(path))}
+        for module, path in MODULES.items()
+    }
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_overhang_imports_sit_at_module_top(module):
+    """No overhang import hides in a function or an `if TYPE_CHECKING:` block."""
+    tree = _parse(MODULES[module])
+    top_level = set(map(id, tree.body))
+    hidden = [
+        f"line {node.lineno}: import of overhang.{target}"
+        for node, target in _overhang_imports(tree)
+        if id(node) not in top_level
+    ]
+    assert not hidden, f"{module}: {hidden}"

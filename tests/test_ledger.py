@@ -6,6 +6,7 @@ from overhang.ledger import (
     ShareBasis,
     SupplyLedger,
     apply_burn,
+    btc_to_sats,
     effective_float,
     format_percent,
     gross_value,
@@ -35,6 +36,14 @@ def test_lost_equals_total_is_invalid():
 def test_position_exceeding_float_is_invalid():
     with pytest.raises(LedgerError):
         SupplyLedger.from_btc(total_mined=10e6, lost_estimate=5e6, position=6e6)
+
+
+@pytest.mark.parametrize("btc", [float("inf"), float("-inf"), float("nan"), 1e301])
+def test_btc_without_finite_satoshi_value_rejected(btc):
+    with pytest.raises(LedgerError):
+        btc_to_sats(btc)
+    with pytest.raises(LedgerError):
+        SupplyLedger.from_btc(position=btc)
 
 
 def test_nominal_share(default_ledger):

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 from scipy import stats
 
-from overhang.decisions import TerminalState, TerminalStateKind
+from overhang.decisions import MAX_BURN_RETENTION, TerminalState, TerminalStateKind
+from overhang.ledger import sats_to_btc
 from overhang.mechanisms import (
     DmsAction,
     DmsConfig,
@@ -15,7 +17,10 @@ from overhang.mechanisms import (
     InsufficientSharesError,
     MechanismError,
     Share,
+    SimEvent,
     TimelockCondition,
+    TimelockVariant,
+    TrancheProgram,
     dms_step,
     reconstruct,
     simulate_disposition,
@@ -128,6 +133,17 @@ def test_relative_timelock():
 
 def test_absolute_zero_always_spendable():
     assert timelock_spendable(TimelockCondition.absolute(0), now=0)
+
+
+@pytest.mark.parametrize("variant", list(TimelockVariant))
+@pytest.mark.parametrize("value", [1, 7, 365])
+@pytest.mark.parametrize("confirmed_at", [0, 40])
+def test_spendable_exactly_from_unlock_epoch(variant, value, confirmed_at):
+    condition = TimelockCondition(variant, value)
+    unlock = condition.unlock_epoch(confirmed_at)
+    assert unlock == (value if variant is TimelockVariant.ABSOLUTE else confirmed_at + value)
+    assert not timelock_spendable(condition, now=unlock - 1, confirmed_at=confirmed_at)
+    assert timelock_spendable(condition, now=unlock, confirmed_at=confirmed_at)
 
 
 def test_negative_lock_rejected():
@@ -286,3 +302,108 @@ def test_adversarial_dumps_at_trigger():
     assert len(dumps) == 1
     assert dumps[0].epoch == 60  # two missed 30-epoch intervals
     assert dumps[0].amount_btc == 1000.0
+
+
+SWITCH_TERMINALS = (
+    TerminalStateKind.DORMANCY_NON_RECOVERY,
+    TerminalStateKind.SILENT_BURN,
+    TerminalStateKind.ADVERSARIAL_SWITCH,
+)
+
+
+def stepped_trigger(config, horizon):
+    """Oracle: step the switch one missed interval at a time up to the horizon."""
+    state, epoch = ARMED, 0
+    while epoch + config.heartbeat_interval <= horizon:
+        epoch += config.heartbeat_interval
+        state = dms_step(state, config, DmsEvent.INTERVAL_ELAPSED)
+        if state.phase in (DmsPhase.TRIGGERED, DmsPhase.UNRECOVERABLE):
+            return epoch
+    return None
+
+
+@given(
+    interval=st.integers(1, 400),
+    grace=st.integers(1, 15),
+    horizon=st.integers(-5, 5000),
+    action=st.sampled_from(list(DmsAction)),
+    kind=st.sampled_from(SWITCH_TERMINALS),
+    retention=st.floats(0.0, MAX_BURN_RETENTION),
+    position=st.floats(0.0, 2e6),
+)
+@example(30, 3, -1, DmsAction.PUBLISH_SHARDS, TerminalStateKind.ADVERSARIAL_SWITCH, 0.0, 1e3)
+@example(30, 3, 89, DmsAction.PUBLISH_SHARDS, TerminalStateKind.SILENT_BURN, 0.01, 1e3)
+@example(30, 3, 90, DmsAction.DESTROY_SHARDS, TerminalStateKind.DORMANCY_NON_RECOVERY, 0.0, 1e3)
+def test_switch_replay_matches_stepped_switch(
+    interval, grace, horizon, action, kind, retention, position
+):
+    config = DmsConfig(heartbeat_interval=interval, grace_missed=grace, action=action)
+    terminal = TerminalState(
+        kind, retention_fraction=retention if kind is TerminalStateKind.SILENT_BURN else 0.0
+    )
+    trigger = stepped_trigger(config, horizon)
+    if horizon < 0:
+        assert trigger is None
+        with pytest.raises(MechanismError):
+            simulate_disposition(terminal, config, clock_horizon=horizon, position_btc=position)
+        return
+    events = simulate_disposition(terminal, config, clock_horizon=horizon, position_btc=position)
+    if trigger is None:
+        assert events == []
+        return
+    outcome = {
+        TerminalStateKind.DORMANCY_NON_RECOVERY: [
+            ("shards-destroyed", 0.0),
+            ("unrecoverable", 0.0),
+        ],
+        TerminalStateKind.SILENT_BURN: [("burn", position * (1.0 - retention))],
+        TerminalStateKind.ADVERSARIAL_SWITCH: [("dump", position)],
+    }[kind]
+    assert [(e.epoch, e.kind, e.amount_btc) for e in events] == [
+        (trigger, name, amount) for name, amount in [("switch-triggered", 0.0), *outcome]
+    ]
+
+
+def scanned_releases(program, horizon):
+    """Oracle: scan every tranche at every epoch and release it once spendable."""
+    released, log = set(), []
+    for now in range(horizon + 1):
+        for i, (condition, amount_sats) in enumerate(program.tranches):
+            if i not in released and timelock_spendable(condition, now=now, confirmed_at=0):
+                released.add(i)
+                log.append(SimEvent(now, "release", amount_btc=sats_to_btc(amount_sats)))
+    return log
+
+
+def test_liquidation_replay_matches_epoch_scan():
+    rng = random.Random(3650)
+    for _ in range(300):
+        program = TrancheProgram(tuple(
+            (
+                TimelockCondition(rng.choice(list(TimelockVariant)), rng.randint(0, 120)),
+                rng.randint(0, 10**14),
+            )
+            for _ in range(rng.randint(0, 25))
+        ))
+        horizon = rng.randint(0, 130)
+        events = simulate_disposition(
+            TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
+            cfg(),
+            tranche_program=program,
+            clock_horizon=horizon,
+        )
+        assert events == scanned_releases(program, horizon)
+
+
+@pytest.mark.parametrize(
+    "position, horizon",
+    [(float("inf"), 3650), (float("nan"), 3650), (-5.0, 3650), (1000.0, -1)],
+)
+def test_replay_rejects_nonfinite_negative_position_and_negative_horizon(position, horizon):
+    with pytest.raises(MechanismError):
+        simulate_disposition(
+            TerminalState(TerminalStateKind.ADVERSARIAL_SWITCH),
+            cfg(),
+            clock_horizon=horizon,
+            position_btc=position,
+        )
