@@ -6,64 +6,10 @@ selldown schedules and optimal-execution frontiers, maps preference sets to
 terminal dispositions, and simulates the cryptographic disposition
 mechanisms (secret sharding, timelocks, dead-man's switch) on a simulated
 clock.
+
+Import each name from its module (``from overhang.mechanisms import split``);
+the package holds only ``__version__``, so importing one module loads no
+other module it does not need.
 """
 
-from overhang.ledger import BurnOutcome, ShareBasis, SupplyLedger
-from overhang.impact import (
-    ElasticityModel,
-    ExecutionQuality,
-    FrictionBand,
-    ImpactResult,
-    OvershootParams,
-)
-from overhang.schedule import Schedule, ScheduleParams, TrancheProgram
-from overhang.frontier import ExecutionModel, FrontierPoint, Trajectory
-from overhang.scenarios import AnchorEvent, Scenario, ScenarioResult
-from overhang.decisions import (
-    ConsistencyMatrix,
-    Mark,
-    PreferenceSet,
-    SupplyEffect,
-    TerminalState,
-    TerminalStateKind,
-)
-from overhang.mechanisms import (
-    DmsConfig,
-    DmsPhase,
-    DmsState,
-    Share,
-    TimelockCondition,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnchorEvent",
-    "BurnOutcome",
-    "ConsistencyMatrix",
-    "DmsConfig",
-    "DmsPhase",
-    "DmsState",
-    "ElasticityModel",
-    "ExecutionModel",
-    "ExecutionQuality",
-    "FrictionBand",
-    "FrontierPoint",
-    "ImpactResult",
-    "Mark",
-    "OvershootParams",
-    "PreferenceSet",
-    "Scenario",
-    "ScenarioResult",
-    "Schedule",
-    "ScheduleParams",
-    "Share",
-    "ShareBasis",
-    "SupplyEffect",
-    "SupplyLedger",
-    "TerminalState",
-    "TerminalStateKind",
-    "TimelockCondition",
-    "Trajectory",
-    "TrancheProgram",
-]

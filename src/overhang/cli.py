@@ -4,8 +4,9 @@ mechanism, anchors.
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError, a missing config file, a malformed index:hex share line); 3 an
 unknown or missing scenario; 4 a computed value that is NaN or infinite, of
-which nothing is printed. Output is deterministic for identical (config, seed)
-pairs; the seed comes from --seed or the OVERHANG_SEED environment variable.
+which nothing is printed, or a float overflow (any ArithmeticError). Output
+is deterministic for identical (config, seed) pairs; the seed comes from
+--seed or the OVERHANG_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -423,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NonFiniteError as exc:
+    except ArithmeticError as exc:  # NonFiniteError, or a float overflow such as x**2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     return EXIT_OK

@@ -13,6 +13,8 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import xor
 from typing import Iterable, Optional, Sequence
 
 from overhang.decisions import TerminalState, TerminalStateKind
@@ -34,30 +36,36 @@ class InsufficientSharesError(MechanismError):
 # ---------------------------------------------------------------------------
 # GF(256) arithmetic and Shamir sharding
 
+def _gf_tables() -> tuple[list[int], list[int]]:
+    """Powers of the generator 3 and their logarithms in GF(256).
+
+    The power table runs to 2 x 255 entries so that a sum of two logarithms
+    indexes it without reduction mod 255.
+    """
+    exp, log = [0] * 510, [0] * 256
+    x = 1
+    for power in range(255):
+        exp[power] = exp[power + 255] = x
+        log[x] = power
+        x ^= x << 1  # x * 3 = x * 2 + x
+        if x & 0x100:
+            x ^= GF_REDUCTION_POLY
+    return exp, log
+
+
+_GF_EXP, _GF_LOG = _gf_tables()
+
+
 def _gf_mul(a: int, b: int) -> int:
-    result = 0
-    while b:
-        if b & 1:
-            result ^= a
-        a <<= 1
-        if a & 0x100:
-            a ^= GF_REDUCTION_POLY
-        b >>= 1
-    return result
-
-
-def _gf_pow(a: int, n: int) -> int:
-    result = 1
-    for _ in range(n):
-        result = _gf_mul(result, a)
-    return result
+    if a == 0 or b == 0:
+        return 0
+    return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
 
 
 def _gf_inv(a: int) -> int:
     if a == 0:
         raise MechanismError("zero has no inverse in GF(256)")
-    # a^254 = a^-1 since the multiplicative group has order 255
-    return _gf_pow(a, 254)
+    return _GF_EXP[255 - _GF_LOG[a]]
 
 
 @dataclass(frozen=True)
@@ -85,12 +93,13 @@ def split(secret: bytes, k: int, n: int, rng: random.Random) -> list[Share]:
 
     Byte-wise Shamir over GF(256): each secret byte is the constant term of
     a degree-(k-1) polynomial with rng-drawn coefficients, evaluated at
-    x = 1..n. Deterministic given the rng state.
+    x = 1..n by Horner's rule. Deterministic given the rng state.
     """
     if not secret or len(secret) > MAX_SECRET_LEN:
         raise MechanismError(f"secret must be 1..{MAX_SECRET_LEN} bytes")
     if not 1 <= k <= n <= 255:
         raise MechanismError(f"require 1 <= k <= n <= 255, got k={k}, n={n}")
+    # drawn byte by byte, lowest degree first: this order fixes the seeded output
     coeffs = [
         [byte] + [rng.randrange(256) for _ in range(k - 1)] for byte in secret
     ]
@@ -99,15 +108,19 @@ def split(secret: bytes, k: int, n: int, rng: random.Random) -> list[Share]:
         payload = bytearray()
         for poly in coeffs:
             acc = 0
-            for power, coeff in enumerate(poly):
-                acc ^= _gf_mul(coeff, _gf_pow(x, power))
+            for coeff in reversed(poly):
+                acc = _gf_mul(acc, x) ^ coeff
             payload.append(acc)
         shares.append(Share(index=x, payload=bytes(payload)))
     return shares
 
 
 def reconstruct(shares: Iterable[Share], k: int) -> bytes:
-    """Recover the secret from any k distinct shares by interpolation at zero."""
+    """Recover the secret from the first k of the shares by interpolation at zero.
+
+    Every share given must have a distinct index and a payload of the same
+    length, 1..MAX_SECRET_LEN bytes.
+    """
     if k < 1:
         raise MechanismError(f"threshold k must be at least 1, got {k}")
     shares = list(shares)
@@ -116,25 +129,23 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
         raise MechanismError("duplicate share indices")
     if len(shares) < k:
         raise InsufficientSharesError(f"need {k} shares, got {len(shares)}")
-    subset = shares[:k]
-    length = len(subset[0].payload)
-    if any(len(s.payload) != length for s in subset):
-        raise MechanismError("share payloads have mismatched lengths")
-    secret = bytearray()
-    for pos in range(length):
-        acc = 0
-        for i, share_i in enumerate(subset):
-            # Lagrange basis at x=0: prod_{j!=i} x_j / (x_i ^ x_j)
-            num, den = 1, 1
-            for j, share_j in enumerate(subset):
-                if i == j:
-                    continue
-                num = _gf_mul(num, share_j.index)
-                den = _gf_mul(den, share_i.index ^ share_j.index)
-            weight = _gf_mul(num, _gf_inv(den))
-            acc ^= _gf_mul(share_i.payload[pos], weight)
-        secret.append(acc)
-    return bytes(secret)
+    lengths = {len(s.payload) for s in shares}
+    if len(lengths) != 1 or not 1 <= min(lengths) <= MAX_SECRET_LEN:
+        raise MechanismError(f"share payloads must share one length of 1..{MAX_SECRET_LEN} bytes")
+    xs = indices[:k]
+    # Lagrange basis at x=0: prod_{j!=i} x_j / (x_i ^ x_j), the same for every byte
+    weights = []
+    for i, x_i in enumerate(xs):
+        num, den = 1, 1
+        for j, x_j in enumerate(xs):
+            if i != j:
+                num = _gf_mul(num, x_j)
+                den = _gf_mul(den, x_i ^ x_j)
+        weights.append(_gf_mul(num, _gf_inv(den)))
+    return bytes(
+        reduce(xor, map(_gf_mul, column, weights))
+        for column in zip(*(s.payload for s in shares[:k]))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,9 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("mechanism", "simulate", "--terminal", "dormancy", "--retention", "0.03"),
         ("mechanism", "simulate", "--terminal", "adversarial", "--tranches-per-year", "12"),
         ("mechanism", "simulate", "--terminal", "burn", "--program-years", "5"),
+        # a share beyond the first k with another payload length, an empty payload
+        ("mechanism", "reconstruct", "-k", "2", "1:3943598e", "2:0b6a6b2d", "3:ff"),
+        ("mechanism", "reconstruct", "-k", "1", "1:"),
     ],
 )
 def test_domain_and_parse_errors_exit_2(argv):
@@ -153,8 +156,17 @@ def test_domain_and_parse_errors_exit_2(argv):
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_nonfinite_frontier_exits_4_without_printing_it():
-    code, text = run_cli("frontier", "--periods", "200", "--lambdas", "0.01")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frontier", "--periods", "200", "--lambdas", "0.01"),
+        # float `**2` raises OverflowError instead of returning inf
+        ("frontier", "--sigma", "1e300"),
+        ("frontier", "--total", "1e160", "--lambdas", "0"),
+    ],
+)
+def test_nonfinite_frontier_exits_4_without_printing_it(argv):
+    code, text = run_cli(*argv)
     assert code == EXIT_COMPUTATION
     assert text.startswith("# seed") and text.count("\n") == 1
 

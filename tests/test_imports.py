@@ -2,6 +2,9 @@
 
 import ast
 import graphlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +57,13 @@ def test_overhang_imports_sit_at_module_top(module):
         if id(node) not in top_level
     ]
     assert not hidden, f"{module}: {hidden}"
+
+
+def test_sharding_and_schedules_load_no_numpy():
+    """Only the frontier needs numpy, and the package itself imports no module."""
+    probe = "import sys, overhang.mechanisms, overhang.schedule; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -8,6 +8,8 @@ from scipy import stats
 from overhang.decisions import MAX_BURN_RETENTION, TerminalState, TerminalStateKind
 from overhang.ledger import sats_to_btc
 from overhang.mechanisms import (
+    GF_REDUCTION_POLY,
+    MAX_SECRET_LEN,
     DmsAction,
     DmsConfig,
     DmsEvent,
@@ -21,6 +23,8 @@ from overhang.mechanisms import (
     TimelockCondition,
     TimelockVariant,
     TrancheProgram,
+    _gf_inv,
+    _gf_mul,
     dms_step,
     reconstruct,
     simulate_disposition,
@@ -31,6 +35,65 @@ from overhang.schedule import ScheduleParams, build_uniform_schedule, to_tranche
 
 
 # --- sharding ---------------------------------------------------------------
+
+def bitwise_gf_mul(a, b):
+    """Shift-and-add multiply in GF(256): the reference for the log/exp tables."""
+    result = 0
+    while b:
+        if b & 1:
+            result ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= GF_REDUCTION_POLY
+        b >>= 1
+    return result
+
+
+@pytest.fixture(scope="module")
+def bitwise_products():
+    return [[bitwise_gf_mul(a, b) for b in range(256)] for a in range(256)]
+
+
+def power_sum_split(secret, k, n, rng, products):
+    """Shares as sum_p coeff_p * x**p with coefficients drawn as `split` draws them."""
+    coeffs = [[byte] + [rng.randrange(256) for _ in range(k - 1)] for byte in secret]
+    shares = []
+    for x in range(1, n + 1):
+        payload = bytearray()
+        for poly in coeffs:
+            acc, x_power = 0, 1
+            for coeff in poly:
+                acc ^= products[coeff][x_power]
+                x_power = products[x_power][x]
+            payload.append(acc)
+        shares.append(Share(index=x, payload=bytes(payload)))
+    return shares
+
+
+def test_table_multiply_matches_bitwise_on_all_pairs(bitwise_products):
+    mismatches = [
+        (a, b) for a in range(256) for b in range(256) if _gf_mul(a, b) != bitwise_products[a][b]
+    ]
+    assert not mismatches
+
+
+def test_inverse_times_element_is_one(bitwise_products):
+    assert all(bitwise_products[a][_gf_inv(a)] == 1 for a in range(1, 256))
+    with pytest.raises(MechanismError):
+        _gf_inv(0)
+
+
+def test_split_matches_power_sum_evaluation(bitwise_products):
+    draws = random.Random(20261018)
+    for _ in range(250):
+        # mostly small shapes with secrets up to the maximum, some up to n = 255
+        n = draws.choice([draws.randint(1, 16), draws.randint(1, 16), draws.randint(1, 255)])
+        k = draws.randint(1, n)
+        secret = draws.randbytes(draws.randint(1, MAX_SECRET_LEN if n <= 16 else 3))
+        seed = draws.getrandbits(32)
+        expected = power_sum_split(secret, k, n, random.Random(seed), bitwise_products)
+        assert split(secret, k, n, random.Random(seed)) == expected
+
 
 def test_threshold_one_shares_equal_secret():
     secret = b"\x00\xff\x42"
@@ -92,6 +155,13 @@ def test_parameter_validation():
         Share(index=0, payload=b"x")
     with pytest.raises(MechanismError):
         reconstruct([Share(index=1, payload=b"x")], 0)
+    # every share given is checked, not only the first k
+    with pytest.raises(MechanismError):
+        reconstruct([Share(1, b"ab"), Share(2, b"cd"), Share(3, b"e")], 2)
+    with pytest.raises(MechanismError):
+        reconstruct([Share(1, b"")], 1)
+    with pytest.raises(MechanismError):
+        reconstruct([Share(1, b"x" * 65), Share(2, b"x" * 65)], 2)
 
 
 def test_split_deterministic_given_seed():
