@@ -133,13 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--config", help="config file (INI sections or JSON)")
     p_scen.add_argument("--volume", type=float, default=None,
                         help="reference daily volume, USD; overrides the config's [run] volume")
-    p_scen.add_argument("--nominal", action="store_true", help="use the nominal share basis")
-    p_scen.add_argument("--epsilons", type=_float_list, default=scenarios.DEFAULT_EPSILON_GRID,
-                        help="comma-separated elasticity grid")
-    p_scen.add_argument("--horizons", type=_float_list, default=scenarios.DEFAULT_HORIZON_GRID,
-                        help="comma-separated horizon grid (years)")
-    p_scen.add_argument("--allow-out-of-range", action="store_true")
-    p_scen.add_argument("--emit-config", action="store_true", help="emit the run as JSON config")
+    p_scen.add_argument("--nominal", action="store_true",
+                        help="named scenario only: use the nominal share basis")
+    p_scen.add_argument("--epsilons", type=_float_list, default=None,
+                        help="sweep only: comma-separated elasticity grid")
+    p_scen.add_argument("--horizons", type=_float_list, default=None,
+                        help="sweep only: comma-separated horizon grid (years)")
+    p_scen.add_argument("--allow-out-of-range", action="store_true", help="sweep only")
+    p_scen.add_argument("--emit-config", action="store_true",
+                        help="named scenario only: emit the run as JSON config")
     p_scen.set_defaults(run=_cmd_scenario)
     _format_flag(p_scen)
 
@@ -244,10 +246,12 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
     volume = cfg.volume if args.volume is None else args.volume
 
     if args.name == "sweep":
+        if args.nominal or args.emit_config:
+            raise ValueError("--nominal and --emit-config apply only to a named scenario")
         summary = scenarios.sensitivity_sweep(
             cfg.ledger,
-            epsilon_grid=args.epsilons,
-            horizon_grid=args.horizons,
+            epsilon_grid=args.epsilons or scenarios.DEFAULT_EPSILON_GRID,
+            horizon_grid=args.horizons or scenarios.DEFAULT_HORIZON_GRID,
             volume=volume,
             allow_out_of_range=args.allow_out_of_range,
         )
@@ -261,6 +265,8 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
         _emit(rows, args.fmt, out)
         return
 
+    if args.epsilons or args.horizons or args.allow_out_of_range:
+        raise ValueError("--epsilons, --horizons and --allow-out-of-range apply only to a sweep")
     scenario = cfg.scenario
     if scenario is None:
         if args.name is None:

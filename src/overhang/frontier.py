@@ -3,12 +3,14 @@
 Linear permanent/temporary impact with arithmetic price noise. Minimizing
 expected cost plus risk_aversion times variance over admissible holdings
 paths gives the hyperbolic-sine profile in closed form; risk_aversion = 0
-degenerates to the linear (uniform-pace) trajectory.
+degenerates to the linear (uniform-pace) trajectory. The frontier evaluates
+all its risk aversions in one array pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +31,11 @@ class ExecutionModel:
     risk_aversion: float = 0.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (
+            self.total_units, self.period_length, self.volatility,
+            self.permanent_coeff, self.temporary_coeff, self.risk_aversion,
+        ))):
+            raise FrontierError("model parameters must be finite")
         if self.total_units <= 0:
             raise FrontierError("total_units must be positive")
         if self.periods < 1:
@@ -74,35 +81,54 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
         )
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
+    expected, variance = _row_costs(x[np.newaxis], model)
+    return float(expected[0]), float(variance[0])
+
+
+def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray, np.ndarray]:
+    """cost_of for each row of a (rows, periods + 1) holdings array."""
     tau = model.period_length
-    trades = -np.diff(x)
+    trades = -np.diff(holdings, axis=1)
     expected = (
         0.5 * model.permanent_coeff * model.total_units**2
-        + model.adjusted_temporary / tau * float(np.sum(trades**2))
+        + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
     )
-    variance = model.volatility**2 * tau * float(np.sum(x[1:] ** 2))
+    variance = model.volatility**2 * tau * np.sum(holdings[:, 1:] ** 2, axis=1)
     return expected, variance
 
 
-def optimal_trajectory(model: ExecutionModel) -> Trajectory:
-    """Closed-form minimizer of expected cost + risk_aversion * variance."""
+def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
+    """Closed-form optimal holdings, one row per risk aversion in `lambdas`.
+
+    Rows with zero stiffness are linear, the rest follow the sinh profile;
+    both keep the operation order of the scalar closed form, so each row is
+    bit-identical to evaluating its risk aversion alone.
+    """
+    if not np.all(np.isfinite(lambdas) & (lambdas >= 0)):
+        raise FrontierError("risk aversion must be finite and nonnegative")
     n = model.periods
     x_total = model.total_units
     tau = model.period_length
     j = np.arange(n + 1)
-    stiffness = (
-        model.risk_aversion * model.volatility**2 * tau**2 / model.adjusted_temporary
-    )
-    if stiffness <= 0:
-        holdings = x_total * (1 - j / n)
-    else:
-        kappa_tau = np.arccosh(1 + stiffness / 2)
-        holdings = x_total * np.sinh(kappa_tau * (n - j)) / np.sinh(kappa_tau * n)
-    holdings[0] = x_total
-    holdings[-1] = 0.0
-    expected, variance = cost_of(holdings, model)
+    stiffness = lambdas * model.volatility**2 * tau**2 / model.adjusted_temporary
+    holdings = np.empty((len(lambdas), n + 1))
+    linear = stiffness <= 0
+    holdings[linear] = x_total * (1 - j / n)
+    kappa_tau = np.arccosh(1 + stiffness[~linear] / 2)[:, np.newaxis]
+    holdings[~linear] = x_total * np.sinh(kappa_tau * (n - j)) / np.sinh(kappa_tau * n)
+    holdings[:, 0] = x_total
+    holdings[:, -1] = 0.0
+    return holdings
+
+
+def optimal_trajectory(model: ExecutionModel) -> Trajectory:
+    """Closed-form minimizer of expected cost + risk_aversion * variance."""
+    holdings = _optimal_holdings(model, np.array([model.risk_aversion], dtype=float))
+    expected, variance = _row_costs(holdings, model)
     return Trajectory(
-        holdings=tuple(holdings), expected_cost=expected, cost_variance=variance
+        holdings=tuple(holdings[0]),
+        expected_cost=float(expected[0]),
+        cost_variance=float(variance[0]),
     )
 
 
@@ -110,14 +136,9 @@ def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPo
     """Evaluate the efficient frontier at the given risk-aversion values."""
     if len(lambdas) == 0:
         raise FrontierError("lambdas must be non-empty")
-    points = []
-    for lam in lambdas:
-        trajectory = optimal_trajectory(replace(model, risk_aversion=lam))
-        points.append(
-            FrontierPoint(
-                risk_aversion=lam,
-                expected_cost=trajectory.expected_cost,
-                cost_variance=trajectory.cost_variance,
-            )
-        )
-    return points
+    holdings = _optimal_holdings(model, np.asarray(lambdas, dtype=float))
+    expected, variance = _row_costs(holdings, model)
+    return [
+        FrontierPoint(risk_aversion=lam, expected_cost=e, cost_variance=v)
+        for lam, e, v in zip(lambdas, expected.tolist(), variance.tolist())
+    ]

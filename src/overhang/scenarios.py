@@ -3,12 +3,12 @@
 A scenario bundles an elasticity, an execution quality, and a horizon; a
 run composes the effective-float share, the uniform schedule, permanent
 impact, friction, and an anchor classification. The sweep evaluates the
-full cross-product and reports the impact bound.
+full cross-product and reports the impact bound, computing each schedule,
+permanent impact and friction band once.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -56,8 +56,12 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.name:
             raise ScenarioError("scenario name must be non-empty")
-        if self.horizon < 1:
-            raise ScenarioError("horizon must be at least one year")
+        _check_horizon(self.horizon)
+
+
+def _check_horizon(horizon: float) -> None:
+    if horizon < 1:
+        raise ScenarioError("horizon must be at least one year")
 
 
 @dataclass(frozen=True)
@@ -132,20 +136,31 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evaluate one scenario against a ledger and reference daily volume."""
     share = supply_ledger.position_share(ledger, basis)
-    schedule = liquidation_schedule.build_uniform_schedule(
+    schedule = _uniform_schedule(ledger, scenario.horizon, volume)
+    permanent = impact_model.permanent_impact(share, scenario.elasticity)
+    band = impact_model.friction_band(scenario.quality, schedule.participation)
+    return _result(scenario.name, schedule, permanent, band)
+
+
+def _uniform_schedule(ledger: SupplyLedger, horizon: float, volume: float) -> Schedule:
+    return liquidation_schedule.build_uniform_schedule(
         ScheduleParams(
             position=ledger.position,
-            horizon=scenario.horizon,
+            horizon=horizon,
             reference_daily_volume=volume,
             price=ledger.reference_price,
         )
     )
-    permanent = impact_model.permanent_impact(share, scenario.elasticity)
-    band = impact_model.friction_band(scenario.quality, schedule.participation)
+
+
+def _result(
+    name: str, schedule: Schedule, permanent: float, band: FrictionBand
+) -> ScenarioResult:
+    """Combine a permanent impact with a friction band and classify the total."""
     combined = impact_model.combine(permanent, band)
     total = (combined.total_low, combined.total_high)
     return ScenarioResult(
-        scenario_name=scenario.name,
+        scenario_name=name,
         schedule=schedule,
         permanent=permanent,
         friction=band,
@@ -183,17 +198,19 @@ def sensitivity_sweep(
                     f"epsilon {eps} outside sensitivity range [{lo}, {hi}]; "
                     "pass allow_out_of_range=True to override"
                 )
+    share = supply_ledger.position_share(ledger, ShareBasis.EFFECTIVE)
+    horizons = sorted(horizon_grid)
+    columns = None
     results = []
-    for eps, quality, horizon in itertools.product(
-        sorted(epsilon_grid), quality_set, sorted(horizon_grid)
-    ):
-        scenario = Scenario(
-            name=f"eps={eps}/{quality.value}/{horizon}y",
-            elasticity=ElasticityModel(eps),
-            quality=quality,
-            horizon=horizon,
-        )
-        results.append(run_scenario(scenario, ledger, volume))
+    for eps in sorted(epsilon_grid):
+        permanent = impact_model.permanent_impact(share, ElasticityModel(eps))
+        if columns is None:
+            # Built after the first elasticity is validated, so a grid with
+            # several faults raises the one the cell-by-cell order meets first.
+            columns = _sweep_columns(ledger, quality_set, horizons, volume)
+        prefix = f"eps={eps}"
+        for suffix, schedule, band in columns:
+            results.append(_result(prefix + suffix, schedule, permanent, band))
     abs_totals = [max(abs(r.total[0]), abs(r.total[1])) for r in results]
     tightest = [min(abs(r.total[0]), abs(r.total[1])) for r in results]
     return SweepSummary(
@@ -201,6 +218,30 @@ def sensitivity_sweep(
         min_abs_total=min(tightest),
         max_abs_total=max(abs_totals),
     )
+
+
+def _sweep_columns(
+    ledger: SupplyLedger,
+    quality_set: Sequence[ExecutionQuality],
+    horizons: Sequence[float],
+    volume: float,
+) -> list[tuple[str, Schedule, FrictionBand]]:
+    """Each (quality, horizon) cell's name suffix, schedule and friction band,
+    in sweep order.
+
+    The schedule is built once per position in the sorted horizon grid and
+    the band once per (quality, horizon).
+    """
+    schedules: dict[int, Schedule] = {}
+    columns = []
+    for quality in quality_set:
+        for j, horizon in enumerate(horizons):
+            if j not in schedules:
+                _check_horizon(horizon)
+                schedules[j] = _uniform_schedule(ledger, horizon, volume)
+            band = impact_model.friction_band(quality, schedules[j].participation)
+            columns.append((f"/{quality.value}/{horizon}y", schedules[j], band))
+    return columns
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,21 @@ def test_volume_flag_over_config_over_default(tmp_path):
         # a share beyond the first k with another payload length, an empty payload
         ("mechanism", "reconstruct", "-k", "2", "1:3943598e", "2:0b6a6b2d", "3:ff"),
         ("mechanism", "reconstruct", "-k", "1", "1:"),
+        # a non-finite frontier model parameter or risk aversion
+        ("frontier", "--total", "inf"),
+        ("frontier", "--sigma", "inf"),
+        ("frontier", "--eta", "nan"),
+        ("frontier", "--tau", "nan"),
+        ("frontier", "--gamma", "nan"),
+        ("frontier", "--lambdas", "nan"),
+        ("frontier", "--lambdas", "inf"),
+        ("frontier", "--total", "nan"),
+        # a scenario flag the chosen mode does not use
+        ("scenario", "sweep", "--nominal"),
+        ("scenario", "sweep", "--emit-config"),
+        ("scenario", "B", "--epsilons", "0.5"),
+        ("scenario", "B", "--horizons", "5"),
+        ("scenario", "B", "--allow-out-of-range"),
     ],
 )
 def test_domain_and_parse_errors_exit_2(argv):

@@ -1,11 +1,17 @@
+import itertools
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from overhang.impact import ElasticityModel, ExecutionQuality
 from overhang.ledger import SupplyLedger
 from overhang.scenarios import (
+    EPSILON_RANGE,
     AnchorClass,
     Scenario,
     ScenarioError,
+    SweepSummary,
     builtin_anchors,
     builtin_scenarios,
     friction_gap_check,
@@ -148,3 +154,83 @@ def test_duplicate_scenario_name_is_allowed_but_unique_names_expected():
     assert scenario.name == "X"
     with pytest.raises(ScenarioError):
         Scenario("", ElasticityModel(0.7), ExecutionQuality.MIXED, 10)
+
+
+def cellwise_sweep(ledger, epsilon_grid, quality_set, horizon_grid, volume, allow_out_of_range):
+    """The sweep as one Scenario and one run_scenario per cell: the reference
+    for the factored sensitivity_sweep."""
+    if not epsilon_grid or not quality_set or not horizon_grid:
+        raise ScenarioError("sweep grids must be non-empty")
+    lo, hi = EPSILON_RANGE
+    if not allow_out_of_range and not all(lo <= eps <= hi for eps in epsilon_grid):
+        raise ScenarioError("epsilon outside sensitivity range")
+    results = []
+    for eps, quality, horizon in itertools.product(
+        sorted(epsilon_grid), quality_set, sorted(horizon_grid)
+    ):
+        scenario = Scenario(
+            name=f"eps={eps}/{quality.value}/{horizon}y",
+            elasticity=ElasticityModel(eps),
+            quality=quality,
+            horizon=horizon,
+        )
+        results.append(run_scenario(scenario, ledger, volume))
+    return SweepSummary(
+        results=tuple(results),
+        min_abs_total=min(min(abs(r.total[0]), abs(r.total[1])) for r in results),
+        max_abs_total=max(max(abs(r.total[0]), abs(r.total[1])) for r in results),
+    )
+
+
+def _outcome(sweep, *args):
+    try:
+        return sweep(*args)
+    except Exception as exc:  # the exception type is the outcome
+        return type(exc)
+
+
+_EPSILONS = st.one_of(
+    st.sampled_from([0.3, 0.5, 0.7, 1.0, 1.5]),
+    st.floats(0.3, 1.5),
+    st.floats(0.05, 3.0),
+)
+_HORIZONS = st.one_of(
+    st.sampled_from([1, 1.0, 5, 10, 12]),
+    st.floats(1.0, 40.0),
+    st.integers(1, 30).map(lambda k: k / 4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    position=st.floats(1e4, 2e6),
+    epsilons=st.lists(_EPSILONS, min_size=1, max_size=5),
+    qualities=st.lists(st.sampled_from(ExecutionQuality), min_size=1, max_size=4),
+    horizons=st.lists(_HORIZONS, min_size=1, max_size=5),
+    volume=st.floats(5e8, 3e10),
+    allow_out_of_range=st.booleans(),
+)
+@example(  # a horizon below one year behind a valid first cell
+    position=1148000.0, epsilons=[0.5, 0.7, 0.7], qualities=[ExecutionQuality.MIXED],
+    horizons=[10, 0.5, 10], volume=15e9, allow_out_of_range=False,
+)
+@example(  # an elasticity that is not positive
+    position=1148000.0, epsilons=[0.7, 0.0], qualities=[ExecutionQuality.MIXED],
+    horizons=[0.5, 10], volume=15e9, allow_out_of_range=True,
+)
+@example(  # participation past the 5% cap only at the shorter horizons
+    position=1148000.0, epsilons=[1.0, 0.3], qualities=list(ExecutionQuality),
+    horizons=[12, 1, 2.5], volume=1e9, allow_out_of_range=True,
+)
+def test_factored_sweep_matches_cellwise_sweep(
+    position, epsilons, qualities, horizons, volume, allow_out_of_range
+):
+    ledger = SupplyLedger.from_btc(position=position)
+    args = (ledger, epsilons, qualities, horizons, volume, allow_out_of_range)
+    fast = _outcome(sensitivity_sweep, *args)
+    slow = _outcome(cellwise_sweep, *args)
+    if isinstance(slow, type):
+        assert fast is slow
+    else:
+        assert fast == slow
+        assert repr(fast) == repr(slow)
