@@ -2,11 +2,12 @@
 mechanism, anchors.
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
-ValueError, a missing config file, a malformed index:hex share line); 3 an
-unknown or missing scenario; 4 a computed value that is NaN or infinite, of
-which nothing is printed, or a float overflow (any ArithmeticError). Output
-is deterministic for identical (config, seed) pairs; the seed comes from
---seed or the OVERHANG_SEED environment variable.
+ValueError: a missing config file, a malformed index:hex share line, a NaN,
+infinite or out-of-domain number, a flag the command would ignore); 3 an
+unknown or missing scenario; 4 a NaN or infinite result, or a float overflow
+(any ArithmeticError). Only exit 0 writes stdout; any other leaves it empty.
+Output is deterministic for identical (config, seed) pairs; the seed comes
+from --seed or the OVERHANG_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -96,20 +98,6 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
 
-def _share(text: str) -> float:
-    value = float(text)
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"share must be finite and nonnegative, got {text}")
-    return value
-
-
-def _elasticity(text: str) -> float:
-    try:
-        return impact.ElasticityModel(float(text)).epsilon
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overhang",
@@ -120,8 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_impact = sub.add_parser("impact", help="permanent impact and friction bands")
-    p_impact.add_argument("--share", type=_share, default=0.07)
-    p_impact.add_argument("--epsilon", type=_elasticity, default=0.7)
+    p_impact.add_argument("--share", type=float, default=0.07)
+    p_impact.add_argument("--epsilon", type=float, default=None, help="default 0.7")
     p_impact.add_argument("--quality", default="disciplined-otc")
     p_impact.add_argument("--participation", type=float, default=0.0017)
     p_impact.add_argument("--table", action="store_true", help="all reference elasticities")
@@ -151,7 +139,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--volume", type=float, default=schedule.DEFAULT_DAILY_VOLUME_USD)
     p_sched.add_argument("--price", type=float, default=ledger.DEFAULT_REFERENCE_PRICE_USD)
     p_sched.add_argument("--tranches-per-year", type=int, default=None)
-    p_sched.add_argument("--start", type=int, default=0, help="first unlock epoch")
+    p_sched.add_argument("--start", type=int, default=None,
+                         help="with --tranches-per-year: first unlock epoch (default 0)")
     p_sched.set_defaults(run=_cmd_schedule)
     _format_flag(p_sched)
 
@@ -203,9 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_impact(args: argparse.Namespace, out, seed: int) -> None:
+    if args.table and args.epsilon is not None:
+        raise ValueError("--epsilon does not apply with --table")
     band = impact.friction_band(parse_quality(args.quality), args.participation)
     rows = []
-    for eps in A2_EPSILONS if args.table else (args.epsilon,):
+    for eps in A2_EPSILONS if args.table else (0.7 if args.epsilon is None else args.epsilon,):
         permanent = impact.permanent_impact(args.share, impact.ElasticityModel(eps))
         result = impact.combine(permanent, band)
         rows.append({
@@ -248,6 +239,8 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
     if args.name == "sweep":
         if args.nominal or args.emit_config:
             raise ValueError("--nominal and --emit-config apply only to a named scenario")
+        if cfg.scenario is not None:
+            raise ValueError("a sweep takes no [scenario] config section")
         summary = scenarios.sensitivity_sweep(
             cfg.ledger,
             epsilon_grid=args.epsilons or scenarios.DEFAULT_EPSILON_GRID,
@@ -286,6 +279,8 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
 
 
 def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
+    if args.start is not None and args.tranches_per_year is None:
+        raise ValueError("--start applies only with --tranches-per-year")
     params = schedule.ScheduleParams(
         position=args.position,
         horizon=args.horizon,
@@ -293,9 +288,9 @@ def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
         price=args.price,
     )
     sched = schedule.build_uniform_schedule(params)
-    if args.tranches_per_year:
+    if args.tranches_per_year is not None:
         program = schedule.to_tranche_program(
-            sched, granularity=args.tranches_per_year, start=args.start
+            sched, granularity=args.tranches_per_year, start=args.start or 0
         )
         rows = [
             {
@@ -417,13 +412,13 @@ def _cmd_anchors(args: argparse.Namespace, out, seed: int) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    rendered = io.StringIO()
     try:
         seed = args.seed if args.seed is not None else int(os.environ.get("OVERHANG_SEED", "0"))
         if args.fmt not in ("json", "csv"):
-            out.write(f"# seed {seed}\n")
-        args.run(args, out, seed)
+            rendered.write(f"# seed {seed}\n")
+        args.run(args, rendered, seed)
     except UnknownEntityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -433,6 +428,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except ArithmeticError as exc:  # NonFiniteError, or a float overflow such as x**2
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+    (out or sys.stdout).write(rendered.getvalue())
     return EXIT_OK
 
 

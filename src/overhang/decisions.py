@@ -150,8 +150,10 @@ class SupplyEffect:
     bound: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.market_sign is MarketSign.BEARISH and self.bound is None:
-            raise DecisionError("bearish supply effects must carry a bound")
+        if self.market_sign is MarketSign.BEARISH and (
+            self.bound is None or not -1.0 <= self.bound <= 0.0
+        ):
+            raise DecisionError(f"a bearish effect needs a bound in [-1, 0], got {self.bound}")
 
 
 def supply_effect(

@@ -115,7 +115,10 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     linear = stiffness <= 0
     holdings[linear] = x_total * (1 - j / n)
     kappa_tau = np.arccosh(1 + stiffness[~linear] / 2)[:, np.newaxis]
-    holdings[~linear] = x_total * np.sinh(kappa_tau * (n - j)) / np.sinh(kappa_tau * n)
+    # Past κτn ≈ 710 sinh overflows and the row turns NaN: the values carry
+    # the failure, so numpy's warning would only repeat it on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        holdings[~linear] = x_total * np.sinh(kappa_tau * (n - j)) / np.sinh(kappa_tau * n)
     holdings[:, 0] = x_total
     holdings[:, -1] = 0.0
     return holdings

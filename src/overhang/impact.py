@@ -53,10 +53,6 @@ class FrictionBand:
         if not 0 <= self.low <= self.high:
             raise ImpactError(f"invalid friction band ({self.low}, {self.high})")
 
-    @property
-    def midpoint(self) -> float:
-        return (self.low + self.high) / 2
-
 
 @dataclass(frozen=True)
 class ImpactResult:
@@ -78,14 +74,14 @@ class OvershootParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.magnitude <= 1.0:
             raise ImpactError(f"overshoot magnitude {self.magnitude} outside [0, 1]")
-        if self.half_life <= 0:
-            raise ImpactError("overshoot half-life must be positive")
+        if not 0 < self.half_life < math.inf:
+            raise ImpactError("overshoot half-life must be positive and finite")
 
 
 def permanent_impact(supply_shift: float, model: ElasticityModel) -> float:
     """Price change relative to counterfactual from a permanent supply shift."""
-    if supply_shift < 0:
-        raise ImpactError(f"supply shift must be nonnegative, got {supply_shift}")
+    if not 0 <= supply_shift < math.inf:
+        raise ImpactError(f"supply shift must be finite and nonnegative, got {supply_shift}")
     return (1.0 + supply_shift) ** (-1.0 / model.epsilon) - 1.0
 
 

@@ -54,8 +54,8 @@ class SupplyLedger:
     def __post_init__(self) -> None:
         if self.total_mined_sats < 0 or self.lost_estimate_sats < 0 or self.position_sats < 0:
             raise LedgerError("BTC quantities must be nonnegative")
-        if self.reference_price <= 0:
-            raise LedgerError("reference price must be positive")
+        if not 0 < self.reference_price < math.inf:
+            raise LedgerError("reference price must be positive and finite")
         if self.lost_estimate_sats >= self.total_mined_sats:
             raise LedgerError("lost estimate must be strictly less than total mined")
         if self.position_sats > self.total_mined_sats - self.lost_estimate_sats:

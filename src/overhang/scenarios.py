@@ -9,6 +9,7 @@ permanent impact and friction band once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -60,8 +61,8 @@ class Scenario:
 
 
 def _check_horizon(horizon: float) -> None:
-    if horizon < 1:
-        raise ScenarioError("horizon must be at least one year")
+    if not 1 <= horizon < math.inf:
+        raise ScenarioError(f"horizon must be finite and at least one year, got {horizon}")
 
 
 @dataclass(frozen=True)

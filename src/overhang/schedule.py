@@ -3,18 +3,19 @@
 Pace arithmetic is kept exact: per-year and per-day BTC flows are rational
 numbers over integer satoshis, so reconstructing the position from the pace
 round-trips exactly. The market trades around the clock, hence the 365-day
-year default.
+year.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from overhang.ledger import SATS_PER_BTC, btc_to_sats, sats_to_btc
+from overhang.ledger import DEFAULT_REFERENCE_PRICE_USD, SATS_PER_BTC, btc_to_sats, sats_to_btc
 from overhang.mechanisms import TimelockCondition, TrancheProgram
 
-DEFAULT_TRADING_DAYS = 365
+DAYS_PER_YEAR = 365
 DEFAULT_DAILY_VOLUME_USD = 15e9  # midpoint of the 10-20 billion real-spot range
 
 
@@ -26,19 +27,16 @@ class ScheduleError(ValueError):
 class ScheduleParams:
     position: float  # BTC
     horizon: float  # years
-    trading_days_per_year: int = DEFAULT_TRADING_DAYS
     reference_daily_volume: float = DEFAULT_DAILY_VOLUME_USD
-    price: float = 80_000.0
+    price: float = DEFAULT_REFERENCE_PRICE_USD
 
     def __post_init__(self) -> None:
-        if self.position <= 0:
-            raise ScheduleError("position must be positive")
-        if self.horizon < 1:
-            raise ScheduleError("horizon must be at least one year")
-        if self.trading_days_per_year <= 0:
-            raise ScheduleError("trading days per year must be positive")
-        if self.reference_daily_volume <= 0 or self.price <= 0:
-            raise ScheduleError("volume and price must be positive")
+        if not 0 < self.position < math.inf:
+            raise ScheduleError("position must be positive and finite")
+        if not 1 <= self.horizon < math.inf:
+            raise ScheduleError("horizon must be finite and at least one year")
+        if not (0 < self.reference_daily_volume < math.inf and 0 < self.price < math.inf):
+            raise ScheduleError("volume and price must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ def build_uniform_schedule(params: ScheduleParams) -> Schedule:
     position_sats = btc_to_sats(params.position)
     horizon = Fraction(params.horizon)
     annual_btc = Fraction(position_sats, SATS_PER_BTC) / horizon
-    daily_btc = annual_btc / params.trading_days_per_year
+    daily_btc = annual_btc / DAYS_PER_YEAR
     daily_usd = float(daily_btc) * params.price
     return Schedule(
         position_sats=position_sats,
@@ -84,19 +82,20 @@ def to_tranche_program(
     schedule: Schedule,
     granularity: int,
     start: int = 0,
-    epochs_per_year: int = DEFAULT_TRADING_DAYS,
 ) -> TrancheProgram:
     """Split the schedule into evenly sized, strictly increasing timelocked tranches.
 
-    granularity is tranches per year; unlock epochs are absolute, spaced
-    epochs_per_year / granularity apart from `start`. Any satoshi remainder
-    goes to the final tranche.
+    granularity is tranches per year, at most one a day; unlock epochs are
+    absolute days, spaced DAYS_PER_YEAR / granularity apart from `start`.
+    Any satoshi remainder goes to the final tranche.
     """
-    if granularity < 1:
-        raise ScheduleError("granularity must be at least 1 tranche per year")
+    if not 1 <= granularity <= DAYS_PER_YEAR:
+        raise ScheduleError(
+            f"granularity must be 1 to {DAYS_PER_YEAR} tranches per year, got {granularity}"
+        )
     n = max(1, round(schedule.horizon * granularity))
     base = schedule.position_sats // n
-    spacing = Fraction(epochs_per_year, granularity)
+    spacing = Fraction(DAYS_PER_YEAR, granularity)
     tranches = []
     for i in range(n):
         amount = base if i < n - 1 else schedule.position_sats - base * (n - 1)

@@ -24,6 +24,12 @@ quality = mixed
 horizon = 8
 """
 
+# INI_CONFIG's ledger alone: a sweep takes no [scenario] section.
+LEDGER_CONFIG = """[ledger]
+position = 1148000
+reference_price = 80000
+"""
+
 JSON_CONFIG = """{
   "ledger": {"position": 900000, "reference_price": 95000},
   "scenario": {"name": "json-run", "epsilon": 0.9, "quality": "disciplined-otc", "horizon": 12},
@@ -230,7 +236,9 @@ GOLDEN = [
      "b1df2889ab44d1a5b8135fe7afb4d4d306b75ddc91e1945fe8d93daf360210b2"),
     (('scenario', '--config', '{dir}/run.json', '--emit-config'), 0,
      "c55f7095054a03d8602dfbf37eb57607b36d483107908ca027591713d6305898"),
-    (('scenario', 'sweep', '--config', '{dir}/run.ini', '--json'), 0,
+    (('scenario', 'sweep', '--config', '{dir}/run.ini', '--json'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('scenario', 'sweep', '--config', '{dir}/ledger.ini', '--json'), 0,
      "a6a3551a6c38aa0bbbe6edc7f7fe10a39865f7850845ca762b6d3b2a5323d1e1"),
     (('mechanism', 'simulate', '--terminal', 'dormancy'), 0,
      "cb44c56a0ebc93233a3ed368c9507a464b1a60405103765ec993237f82e43c34"),
@@ -257,15 +265,15 @@ GOLDEN = [
     (('mechanism', 'reconstruct', '-k', '3', '5:f6b3bc97ca4d', '2:7e109a39a64d', '4:1e61a931b4bf'), 0,
      "0cf3a399c9089fcd0798f18febc9962632c675edf87abaa86bec2b8e08c23366"),
     (('scenario', 'Z'), 3,
-     "a6614839aea3e8f74aac0d996d3abfd9bd018e64e127283896ec10b51ef7383e"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('scenario',), 3,
-     "a6614839aea3e8f74aac0d996d3abfd9bd018e64e127283896ec10b51ef7383e"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('scenario', 'B', '--config', '{dir}/missing.ini'), 2,
-     "a6614839aea3e8f74aac0d996d3abfd9bd018e64e127283896ec10b51ef7383e"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('scenario', 'B', '--config', '{dir}/bad.ini'), 2,
-     "a6614839aea3e8f74aac0d996d3abfd9bd018e64e127283896ec10b51ef7383e"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('impact', '--quality', 'bogus'), 2,
-     "a6614839aea3e8f74aac0d996d3abfd9bd018e64e127283896ec10b51ef7383e"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('mechanism', 'simulate', '--terminal', 'bogus'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
@@ -277,6 +285,7 @@ GOLDEN = [
 def test_cli_golden(argv, code, digest, tmp_path, monkeypatch):
     monkeypatch.delenv("OVERHANG_SEED", raising=False)
     (tmp_path / "run.ini").write_text(INI_CONFIG)
+    (tmp_path / "ledger.ini").write_text(LEDGER_CONFIG)
     (tmp_path / "run.json").write_text(JSON_CONFIG)
     (tmp_path / "bad.ini").write_text(BAD_KEY_CONFIG)
     out = io.StringIO()

@@ -176,6 +176,14 @@ def test_bearish_effect_requires_bound():
         SupplyEffect(1.0, MarketSign.BEARISH, bound=None)
 
 
+@pytest.mark.parametrize("bound", [float("nan"), float("-inf"), 0.5, -1.5])
+def test_bearish_bound_must_be_finite_and_in_unit_interval(bound):
+    with pytest.raises(DecisionError):
+        SupplyEffect(1.0, MarketSign.BEARISH, bound=bound)
+    assert SupplyEffect(1.0, MarketSign.BEARISH, bound=-1.0).bound == -1.0
+    assert SupplyEffect(1.0, MarketSign.BEARISH, bound=0.0).bound == 0.0
+
+
 def test_bear_case_summary(ledger, matrix):
     results = [run_scenario(s, ledger) for s in builtin_scenarios()]
     report = bear_case_summary(matrix, ledger, results)

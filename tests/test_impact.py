@@ -41,6 +41,18 @@ def test_invalid_elasticity():
         ElasticityModel(-1.0)
 
 
+@pytest.mark.parametrize("shift", [float("nan"), float("inf"), -0.01])
+def test_permanent_impact_rejects_nonfinite_or_negative_shift(shift):
+    with pytest.raises(ImpactError):
+        permanent_impact(shift, ElasticityModel(0.7))
+
+
+@pytest.mark.parametrize("half_life", [float("nan"), float("inf"), 0.0])
+def test_overshoot_half_life_must_be_positive_and_finite(half_life):
+    with pytest.raises(ImpactError):
+        OvershootParams(half_life=half_life)
+
+
 def test_small_shift_approx_definitional():
     assert small_shift_approx(0.01, ElasticityModel(1.0)) == pytest.approx(-0.01)
     assert small_shift_approx(0.0, ElasticityModel(0.3)) == 0.0

@@ -46,6 +46,12 @@ def test_btc_without_finite_satoshi_value_rejected(btc):
         SupplyLedger.from_btc(position=btc)
 
 
+@pytest.mark.parametrize("price", [float("nan"), float("inf"), 0.0, -1.0])
+def test_reference_price_must_be_positive_and_finite(price):
+    with pytest.raises(LedgerError):
+        SupplyLedger.from_btc(reference_price=price)
+
+
 def test_nominal_share(default_ledger):
     share = position_share(default_ledger, ShareBasis.NOMINAL)
     assert share == pytest.approx(1.148e6 / 20.01e6)

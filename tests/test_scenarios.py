@@ -156,6 +156,14 @@ def test_duplicate_scenario_name_is_allowed_but_unique_names_expected():
         Scenario("", ElasticityModel(0.7), ExecutionQuality.MIXED, 10)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.5])
+def test_horizon_must_be_finite_and_at_least_one_year(ledger, horizon):
+    with pytest.raises(ScenarioError):
+        Scenario("X", ElasticityModel(0.7), ExecutionQuality.MIXED, horizon)
+    with pytest.raises(ScenarioError):
+        sensitivity_sweep(ledger, horizon_grid=(10, horizon))
+
+
 def cellwise_sweep(ledger, epsilon_grid, quality_set, horizon_grid, volume, allow_out_of_range):
     """The sweep as one Scenario and one run_scenario per cell: the reference
     for the factored sensitivity_sweep."""

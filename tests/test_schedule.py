@@ -3,6 +3,7 @@ import pytest
 from overhang.ledger import SATS_PER_BTC, format_percent
 from overhang.mechanisms import TimelockVariant
 from overhang.schedule import (
+    DAYS_PER_YEAR,
     ScheduleError,
     ScheduleParams,
     build_uniform_schedule,
@@ -71,6 +72,14 @@ def test_invalid_horizon():
         ScheduleParams(position=1.0, horizon=0)
 
 
+@pytest.mark.parametrize("field", ["position", "horizon", "reference_daily_volume", "price"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 0.0])
+def test_nonfinite_or_nonpositive_params_rejected(field, value):
+    params = {"position": 1.0, "horizon": 10} | {field: value}
+    with pytest.raises(ScheduleError):
+        ScheduleParams(**params)
+
+
 def test_participation_check_volume_range():
     sched = make_schedule(10)
     # force the worked example: 25e6 daily flow against a 10-20e9 range
@@ -115,6 +124,18 @@ def test_single_tranche_unlocks_at_start():
     condition, amount = program.tranches[0]
     assert condition.value == 7
     assert amount == sched.position_sats
+
+
+@pytest.mark.parametrize("granularity", [0, DAYS_PER_YEAR + 1, 2 * DAYS_PER_YEAR])
+def test_granularity_outside_one_to_days_per_year_rejected(granularity):
+    with pytest.raises(ScheduleError):
+        to_tranche_program(make_schedule(1), granularity=granularity)
+
+
+def test_daily_tranches_unlock_on_strictly_increasing_epochs():
+    program = to_tranche_program(make_schedule(2), granularity=DAYS_PER_YEAR)
+    epochs = [cond.value for cond, _ in program.tranches]
+    assert epochs == list(range(2 * DAYS_PER_YEAR))
 
 
 def test_tranche_remainder_goes_last():
