@@ -1,6 +1,13 @@
 """Command-line surface: impact, scenario, schedule, frontier, decision-map,
 mechanism, anchors.
 
+Output formats: an aligned table (the default), --markdown, --json, --csv,
+and for a named scenario --emit-config, the run's RunConfig as JSON that
+--config loads back. Only the table and markdown start with a `# seed` line.
+A scenario run resolves into one RunConfig: the config file or the defaults,
+then --volume, then the scenario name, which a config [scenario] section
+excludes.
+
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError: a missing config file, a malformed index:hex share line, a NaN,
 infinite or out-of-domain number, a flag the command would ignore); 3 an
@@ -24,7 +31,7 @@ import sys
 from typing import Optional, Sequence
 
 from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule
-from overhang.config import RunConfig, load_config, parse_quality, scenario_to_json
+from overhang.config import RunConfig, dump_config, load_config, parse_quality
 from overhang.ledger import ShareBasis, format_percent
 
 EXIT_OK = 0
@@ -87,11 +94,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _format_flag(parser: argparse.ArgumentParser) -> None:
+def _format_flag(parser: argparse.ArgumentParser, *extra: tuple[str, str, str]) -> None:
     group = parser.add_mutually_exclusive_group()
-    for fmt, text in (("json", "JSON"), ("csv", "CSV"), ("markdown", "a markdown table")):
-        group.add_argument(f"--{fmt}", dest="fmt", action="store_const", const=fmt,
-                           default=argparse.SUPPRESS, help=f"emit {text}")
+    for flag, fmt, text in (("--json", "json", "emit JSON"), ("--csv", "csv", "emit CSV"),
+                            ("--markdown", "markdown", "emit a markdown table"), *extra):
+        group.add_argument(flag, dest="fmt", action="store_const", const=fmt,
+                           default=argparse.SUPPRESS, help=text)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -128,16 +136,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--horizons", type=_float_list, default=None,
                         help="sweep only: comma-separated horizon grid (years)")
     p_scen.add_argument("--allow-out-of-range", action="store_true", help="sweep only")
-    p_scen.add_argument("--emit-config", action="store_true",
-                        help="named scenario only: emit the run as JSON config")
     p_scen.set_defaults(run=_cmd_scenario)
-    _format_flag(p_scen)
+    _format_flag(p_scen, ("--emit-config", "config", "named scenario only: emit the run's config"))
 
     p_sched = sub.add_parser("schedule", help="uniform selldown schedule and tranches")
     p_sched.add_argument("--position", type=float, default=ledger.DEFAULT_POSITION_BTC)
     p_sched.add_argument("--horizon", type=float, default=10)
-    p_sched.add_argument("--volume", type=float, default=schedule.DEFAULT_DAILY_VOLUME_USD)
-    p_sched.add_argument("--price", type=float, default=ledger.DEFAULT_REFERENCE_PRICE_USD)
+    p_sched.add_argument("--volume", type=float, default=None,
+                         help=f"without --tranches-per-year: daily volume, USD "
+                              f"(default {schedule.DEFAULT_DAILY_VOLUME_USD:g})")
+    p_sched.add_argument("--price", type=float, default=None,
+                         help=f"without --tranches-per-year: BTC price, USD "
+                              f"(default {ledger.DEFAULT_REFERENCE_PRICE_USD:g})")
     p_sched.add_argument("--tranches-per-year", type=int, default=None)
     p_sched.add_argument("--start", type=int, default=None,
                          help="with --tranches-per-year: first unlock epoch (default 0)")
@@ -169,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--retention", type=float, default=0.0)
     p_sim.add_argument("--interval", type=int, default=30)
     p_sim.add_argument("--grace", type=int, default=3)
-    p_sim.add_argument("--position", type=float, default=ledger.DEFAULT_POSITION_BTC)
+    p_sim.add_argument("--position", type=float, default=None,
+                       help=f"not with dormancy (default {ledger.DEFAULT_POSITION_BTC:g})")
     p_sim.add_argument("--horizon", type=int, default=3650, help="clock horizon, epochs")
     p_sim.add_argument("--program-years", type=float, help="liquidation only (default 10)")
     p_sim.add_argument("--tranches-per-year", type=int, help="liquidation only (default 1)")
@@ -234,18 +245,19 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
             cfg = load_config(handle.read())
-    volume = cfg.volume if args.volume is None else args.volume
+    if args.volume is not None:
+        cfg.volume = args.volume
+    if args.name is not None and cfg.scenario is not None:
+        raise ValueError(f"{args.name!r} and the config's [scenario] section both name the run")
 
     if args.name == "sweep":
-        if args.nominal or args.emit_config:
+        if args.nominal or args.fmt == "config":
             raise ValueError("--nominal and --emit-config apply only to a named scenario")
-        if cfg.scenario is not None:
-            raise ValueError("a sweep takes no [scenario] config section")
         summary = scenarios.sensitivity_sweep(
             cfg.ledger,
             epsilon_grid=args.epsilons or scenarios.DEFAULT_EPSILON_GRID,
             horizon_grid=args.horizons or scenarios.DEFAULT_HORIZON_GRID,
-            volume=volume,
+            volume=cfg.volume,
             allow_out_of_range=args.allow_out_of_range,
         )
         rows = [_scenario_row(r) for r in summary.results]
@@ -260,32 +272,34 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
 
     if args.epsilons or args.horizons or args.allow_out_of_range:
         raise ValueError("--epsilons, --horizons and --allow-out-of-range apply only to a sweep")
-    scenario = cfg.scenario
-    if scenario is None:
-        if args.name is None:
-            raise UnknownEntityError("no scenario name or config given")
+    if args.name is not None:
         by_name = {s.name: s for s in scenarios.builtin_scenarios()}
         if args.name not in by_name:
             raise UnknownEntityError(f"unknown scenario {args.name!r}")
-        scenario = by_name[args.name]
+        cfg.scenario = by_name[args.name]
+    elif cfg.scenario is None:
+        raise UnknownEntityError("no scenario name or config given")
+    if args.nominal and args.fmt == "config":
+        raise ValueError("--nominal does not apply with --emit-config: a config has no share basis")
 
-    if args.emit_config:
-        out.write(scenario_to_json(scenario, cfg.ledger) + "\n")
-        return
-
+    # The emitted config stands for a run that succeeds, so it is run first.
     basis = ShareBasis.NOMINAL if args.nominal else ShareBasis.EFFECTIVE
-    result = scenarios.run_scenario(scenario, cfg.ledger, volume, basis=basis)
-    _emit([_scenario_row(result)], args.fmt, out)
+    result = scenarios.run_scenario(cfg.scenario, cfg.ledger, cfg.volume, basis=basis)
+    if args.fmt == "config":
+        out.write(json.dumps(dump_config(cfg), indent=2) + "\n")
+    else:
+        _emit([_scenario_row(result)], args.fmt, out)
 
 
 def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
     if args.start is not None and args.tranches_per_year is None:
         raise ValueError("--start applies only with --tranches-per-year")
+    if args.tranches_per_year is not None and (args.volume is not None or args.price is not None):
+        raise ValueError("--volume and --price do not apply with --tranches-per-year")
+    volume = schedule.DEFAULT_DAILY_VOLUME_USD if args.volume is None else args.volume
+    price = ledger.DEFAULT_REFERENCE_PRICE_USD if args.price is None else args.price
     params = schedule.ScheduleParams(
-        position=args.position,
-        horizon=args.horizon,
-        reference_daily_volume=args.volume,
-        price=args.price,
+        position=args.position, horizon=args.horizon, reference_daily_volume=volume, price=price
     )
     sched = schedule.build_uniform_schedule(params)
     if args.tranches_per_year is not None:
@@ -365,6 +379,9 @@ def _cmd_reconstruct(args: argparse.Namespace, out, seed: int) -> None:
 
 def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
     kind = TERMINALS[args.terminal]
+    if kind is decisions.TerminalStateKind.DORMANCY_NON_RECOVERY and args.position is not None:
+        raise ValueError("--position does not apply to dormancy, which moves no coins")
+    position = ledger.DEFAULT_POSITION_BTC if args.position is None else args.position
     terminal = decisions.TerminalState(kind=kind, retention_fraction=args.retention)
     action = (
         mechanisms.DmsAction.DESTROY_SHARDS
@@ -379,7 +396,7 @@ def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
         years = 10 if args.program_years is None else args.program_years
         per_year = 1 if args.tranches_per_year is None else args.tranches_per_year
         sched = schedule.build_uniform_schedule(
-            schedule.ScheduleParams(position=args.position, horizon=years)
+            schedule.ScheduleParams(position=position, horizon=years)
         )
         program = schedule.to_tranche_program(sched, granularity=per_year)
     elif args.program_years is not None or args.tranches_per_year is not None:
@@ -389,7 +406,7 @@ def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
         config,
         tranche_program=program,
         clock_horizon=args.horizon,
-        position_btc=args.position,
+        position_btc=position,
     )
     for event in events:
         out.write(event.to_json() + "\n")
@@ -416,7 +433,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     rendered = io.StringIO()
     try:
         seed = args.seed if args.seed is not None else int(os.environ.get("OVERHANG_SEED", "0"))
-        if args.fmt not in ("json", "csv"):
+        if args.fmt in ("table", "markdown"):
             rendered.write(f"# seed {seed}\n")
         args.run(args, rendered, seed)
     except UnknownEntityError as exc:

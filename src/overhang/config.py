@@ -1,15 +1,17 @@
 """Run configuration: flat key = value sections, strict about unknown keys.
 
 The same schema parses from INI-style text (section headers, one key per
-line) or from a JSON object keyed by section, so emitted JSON round-trips.
-Defaults are the built-in calibration parameters.
+line) or from a JSON object keyed by section. `dump_config` writes every key
+`load_config` reads, and the loader accepts exactly those keys, so a dumped
+run loads back to an equal `RunConfig`. Defaults are the built-in calibration
+parameters.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from overhang.impact import ElasticityModel, ExecutionQuality, OvershootParams
@@ -22,20 +24,8 @@ class ConfigError(ValueError):
     """Raised on unknown keys or unparseable values."""
 
 
-_KNOWN_KEYS = {
-    "ledger": {"total_mined", "lost_estimate", "position", "reference_price"},
-    "scenario": {
-        "name",
-        "epsilon",
-        "quality",
-        "horizon",
-        "overshoot_magnitude",
-        "overshoot_half_life",
-    },
-    "run": {"volume"},
-}
-
 _QUALITIES = {q.value: q for q in ExecutionQuality}
+_SCENARIO_REQUIRED = {"name", "epsilon", "quality", "horizon"}
 
 
 @dataclass
@@ -43,6 +33,36 @@ class RunConfig:
     ledger: SupplyLedger = field(default_factory=SupplyLedger.from_btc)
     scenario: Optional[Scenario] = None
     volume: float = DEFAULT_DAILY_VOLUME_USD
+
+
+def dump_config(cfg: RunConfig) -> dict[str, dict]:
+    """The run as config sections that load_config reads back to an equal run."""
+    ledger = cfg.ledger
+    doc: dict[str, dict] = {
+        "ledger": {
+            "total_mined": ledger.total_mined,
+            "lost_estimate": ledger.lost_estimate,
+            "position": ledger.position,
+            "reference_price": ledger.reference_price,
+        },
+    }
+    scenario = cfg.scenario
+    if scenario is not None:
+        doc["scenario"] = {
+            "name": scenario.name,
+            "epsilon": scenario.elasticity.epsilon,
+            "quality": scenario.quality.value,
+            "horizon": scenario.horizon,
+        }
+        if scenario.overshoot is not None:
+            doc["scenario"] |= {f"overshoot_{k}": v for k, v in asdict(scenario.overshoot).items()}
+    doc["run"] = {"volume": cfg.volume}
+    return doc
+
+
+# The loader accepts exactly the keys dumped for a run with every optional part set.
+_KNOWN_KEYS = {name: set(body) for name, body in dump_config(RunConfig(scenario=Scenario(
+    "any", ElasticityModel(1.0), ExecutionQuality.MIXED, 1, OvershootParams()))).items()}
 
 
 def parse_quality(text: str) -> ExecutionQuality:
@@ -100,39 +120,18 @@ def load_config(text: str) -> RunConfig:
 
 
 def _build_scenario(body: dict[str, str]) -> Scenario:
-    required = {"name", "epsilon", "quality", "horizon"}
-    missing = required - set(body)
+    missing = _SCENARIO_REQUIRED - set(body)
     if missing:
         raise ConfigError(f"scenario config missing keys: {sorted(missing)}")
-    overshoot = None
-    if "overshoot_magnitude" in body or "overshoot_half_life" in body:
-        overshoot = OvershootParams(
-            magnitude=float(body.get("overshoot_magnitude", 0.125)),
-            half_life=float(body.get("overshoot_half_life", 7.0)),
-        )
+    overshoot = {
+        key.removeprefix("overshoot_"): float(value)
+        for key, value in body.items()
+        if key not in _SCENARIO_REQUIRED
+    }
     return Scenario(
         name=body["name"],
         elasticity=ElasticityModel(float(body["epsilon"])),
         quality=parse_quality(body["quality"]),
         horizon=float(body["horizon"]),
-        overshoot=overshoot,
+        overshoot=OvershootParams(**overshoot) if overshoot else None,
     )
-
-
-def scenario_to_json(scenario: Scenario, ledger: SupplyLedger) -> str:
-    """Emit a scenario + ledger as JSON that load_config accepts back."""
-    doc = {
-        "ledger": {
-            "total_mined": ledger.total_mined,
-            "lost_estimate": ledger.lost_estimate,
-            "position": ledger.position,
-            "reference_price": ledger.reference_price,
-        },
-        "scenario": {
-            "name": scenario.name,
-            "epsilon": scenario.elasticity.epsilon,
-            "quality": scenario.quality.value,
-            "horizon": scenario.horizon,
-        },
-    }
-    return json.dumps(doc, indent=2)

@@ -100,9 +100,13 @@ def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray,
 def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     """Closed-form optimal holdings, one row per risk aversion in `lambdas`.
 
-    Rows with zero stiffness are linear, the rest follow the sinh profile;
-    both keep the operation order of the scalar closed form, so each row is
-    bit-identical to evaluating its risk aversion alone.
+    Rows whose κτ is zero (zero stiffness, or one too small to move
+    1 + stiffness/2) are linear, the rest follow the sinh profile; both keep
+    the operation order of the scalar closed form, so each row is
+    bit-identical to evaluating its risk aversion alone. Where sinh overflows
+    (κτn past about 710, or x·sinh(κτ(n−j)) past the float range) the row is
+    the same ratio written with decaying exponentials,
+    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), which stays finite.
     """
     if not np.all(np.isfinite(lambdas) & (lambdas >= 0)):
         raise FrontierError("risk aversion must be finite and nonnegative")
@@ -111,14 +115,21 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     tau = model.period_length
     j = np.arange(n + 1)
     stiffness = lambdas * model.volatility**2 * tau**2 / model.adjusted_temporary
+    kappa_tau = np.arccosh(1 + stiffness / 2)
     holdings = np.empty((len(lambdas), n + 1))
-    linear = stiffness <= 0
+    linear = kappa_tau == 0
     holdings[linear] = x_total * (1 - j / n)
-    kappa_tau = np.arccosh(1 + stiffness[~linear] / 2)[:, np.newaxis]
-    # Past κτn ≈ 710 sinh overflows and the row turns NaN: the values carry
-    # the failure, so numpy's warning would only repeat it on stderr.
+    kappa_tau = kappa_tau[~linear][:, np.newaxis]
+    # sinh may overflow here; `overflowed` marks those rows to rewrite, so
+    # numpy's warning would only be noise on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
-        holdings[~linear] = x_total * np.sinh(kappa_tau * (n - j)) / np.sinh(kappa_tau * n)
+        scale = np.sinh(kappa_tau * n)
+        curved = x_total * np.sinh(kappa_tau * (n - j)) / scale
+        overflowed = np.isinf(scale[:, 0]) | np.isinf(curved[:, 1:]).any(axis=1)
+        kt = kappa_tau[overflowed]
+        curved[overflowed] = (x_total * np.exp(-kt * j) * np.expm1(-2 * kt * (n - j))
+                              / np.expm1(-2 * kt * n))
+    holdings[~linear] = curved
     holdings[:, 0] = x_total
     holdings[:, -1] = 0.0
     return holdings

@@ -78,17 +78,20 @@ class OvershootParams:
             raise ImpactError("overshoot half-life must be positive and finite")
 
 
-def permanent_impact(supply_shift: float, model: ElasticityModel) -> float:
-    """Price change relative to counterfactual from a permanent supply shift."""
+def _check_shift(supply_shift: float) -> None:
     if not 0 <= supply_shift < math.inf:
         raise ImpactError(f"supply shift must be finite and nonnegative, got {supply_shift}")
+
+
+def permanent_impact(supply_shift: float, model: ElasticityModel) -> float:
+    """Price change relative to counterfactual from a permanent supply shift."""
+    _check_shift(supply_shift)
     return (1.0 + supply_shift) ** (-1.0 / model.epsilon) - 1.0
 
 
 def small_shift_approx(supply_shift: float, model: ElasticityModel) -> float:
     """First-order approximation -shift/epsilon, valid for small shifts."""
-    if supply_shift < 0:
-        raise ImpactError(f"supply shift must be nonnegative, got {supply_shift}")
+    _check_shift(supply_shift)
     return -supply_shift / model.epsilon
 
 
@@ -134,8 +137,7 @@ def relative_impact_with_growth(
     log-linear form; the result is invariant to the growth trajectory and
     equals permanent_impact for the same shift.
     """
-    if supply_shift < 0:
-        raise ImpactError(f"supply shift must be nonnegative, got {supply_shift}")
+    _check_shift(supply_shift)
     inv_eps = 1.0 / model.epsilon
     counterfactual = 1.0
     disposition = (1.0 + supply_shift) ** (-inv_eps)

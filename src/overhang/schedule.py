@@ -16,6 +16,7 @@ from overhang.ledger import DEFAULT_REFERENCE_PRICE_USD, SATS_PER_BTC, btc_to_sa
 from overhang.mechanisms import TimelockCondition, TrancheProgram
 
 DAYS_PER_YEAR = 365
+MAX_TRANCHES = 100 * DAYS_PER_YEAR  # a century of daily tranches
 DEFAULT_DAILY_VOLUME_USD = 15e9  # midpoint of the 10-20 billion real-spot range
 
 
@@ -87,13 +88,16 @@ def to_tranche_program(
 
     granularity is tranches per year, at most one a day; unlock epochs are
     absolute days, spaced DAYS_PER_YEAR / granularity apart from `start`.
-    Any satoshi remainder goes to the final tranche.
+    Any satoshi remainder goes to the final tranche. A program holds at most
+    MAX_TRANCHES tranches, so its size is checked before any is built.
     """
     if not 1 <= granularity <= DAYS_PER_YEAR:
         raise ScheduleError(
             f"granularity must be 1 to {DAYS_PER_YEAR} tranches per year, got {granularity}"
         )
     n = max(1, round(schedule.horizon * granularity))
+    if n > MAX_TRANCHES:
+        raise ScheduleError(f"{n} tranches exceed the limit of {MAX_TRANCHES}")
     base = schedule.position_sats // n
     spacing = Fraction(DAYS_PER_YEAR, granularity)
     tranches = []

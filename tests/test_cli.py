@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import pytest
@@ -14,6 +15,7 @@ from overhang.cli import (
     EXIT_VALIDATION,
     main,
 )
+from overhang.config import load_config
 
 
 def run_cli(*argv):
@@ -69,16 +71,49 @@ def test_scenario_sweep_bound():
     assert abs(bounds["total_low"]) <= 0.26
 
 
-def test_scenario_config_round_trip(tmp_path):
-    code, emitted = run_cli("scenario", "B", "--emit-config")
+ROUND_TRIP_CONFIGS = {
+    "run.json": """{
+  "ledger": {"position": 900000, "reference_price": 95000},
+  "scenario": {"name": "json-run", "epsilon": 0.9, "quality": "disciplined-otc", "horizon": 12},
+  "run": {"volume": 18e9}
+}
+""",
+    "overshoot.ini": """[ledger]
+position = 1000000
+lost_estimate = 3500000
+
+[scenario]
+name = custom
+epsilon = 0.5
+quality = mixed
+horizon = 8
+overshoot_magnitude = 0.2
+overshoot_half_life = 3
+
+[run]
+volume = 12e9
+""",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("B",), ("B", "--volume", "20e9"), ("--config", "run.json"), ("--config", "overshoot.ini")],
+    ids=["B", "B --volume 20e9", "--config run.json", "--config overshoot.ini"],
+)
+def test_scenario_config_round_trip(argv, tmp_path):
+    for name, text in ROUND_TRIP_CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    argv = ["scenario", *(str(tmp_path / arg) if arg in ROUND_TRIP_CONFIGS else arg for arg in argv)]
+    code, emitted = run_cli(*argv, "--emit-config")
     assert code == EXIT_OK
-    body = emitted.split("\n", 1)[1]  # strip the seed header
-    path = tmp_path / "run.json"
-    path.write_text(body)
-    code, from_config = run_cli("scenario", "--config", str(path), "--json")
-    assert code == EXIT_OK
-    code, direct = run_cli("scenario", "B", "--json")
-    assert json.loads(from_config) == json.loads(direct)
+    path = tmp_path / "emitted.json"
+    path.write_text(emitted)
+    for fmt in ([], ["--json"]):
+        assert run_cli("scenario", "--config", str(path), *fmt) == run_cli(*argv, *fmt)
+    if "--config" in argv:
+        # No output reads the overshoot keys, so compare the loaded configs too.
+        assert load_config(emitted) == load_config((tmp_path / argv[-1]).read_text())
 
 
 def test_config_unknown_key_rejected(tmp_path):
@@ -173,6 +208,15 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("schedule", "--tranches-per-year", "0"),
         ("schedule", "--start", "5"),
         ("schedule", "--tranches-per-year", "730"),
+        # --emit-config prints a config, which holds no share basis and no format
+        ("scenario", "B", "--emit-config", "--nominal"),
+        ("scenario", "B", "--emit-config", "--markdown"),
+        # a flag the terminal or the tranche rows do not read
+        ("mechanism", "simulate", "--terminal", "dormancy", "--position", "5"),
+        ("schedule", "--tranches-per-year", "4", "--volume", "1e10"),
+        ("schedule", "--tranches-per-year", "4", "--price", "5"),
+        # more tranches than a century of daily ones, rejected before any is built
+        ("schedule", "--horizon", "1e6", "--tranches-per-year", "365"),
     ],
 )
 def test_domain_and_parse_errors_exit_2(argv, capsys):
@@ -186,7 +230,8 @@ def test_domain_and_parse_errors_exit_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("frontier", "--periods", "200", "--lambdas", "0.01"),
+        # participation = daily USD / 1e-320 overflows to inf
+        ("schedule", "--volume", "1e-320"),
         # float `**2` raises OverflowError instead of returning inf
         ("frontier", "--sigma", "1e300"),
         ("frontier", "--total", "1e160", "--lambdas", "0"),
@@ -198,6 +243,19 @@ def test_nonfinite_frontier_exits_4_without_printing_it(argv):
         code, text = run_cli(*argv)
     assert code == EXIT_COMPUTATION
     assert text == ""
+
+
+def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, text = run_cli("frontier", "--periods", "200", "--lambdas", "0.01", "--json")
+    assert code == EXIT_OK
+    rows, _, line = text.partition("]\n")
+    point = json.loads(rows + "]")[0]
+    holdings = [float(x) for x in line.removeprefix("holdings: ").split(", ")]
+    assert len(holdings) == 201 and holdings[0] == 100 and holdings[-1] == 0
+    assert all(map(math.isfinite, holdings + [point["expected_cost"], point["cost_variance"]]))
+    assert all(a >= b for a, b in zip(holdings, holdings[1:]))
 
 
 def test_decision_map_first_row():

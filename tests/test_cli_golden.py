@@ -231,11 +231,11 @@ GOLDEN = [
     (('--seed', '5', 'decision-map', '--json'), 0,
      "54a2c969e00a45310d6a2a4da0ceb4bcd55a1fa01b14b52c6e3d2aca184ebf50"),
     (('scenario', 'B', '--emit-config'), 0,
-     "4a92afe32ed776d6271ed34093146334be4e483aaadc412c6c5e7d31922edc1d"),
+     "4a3b0a27dfe854d37d4aeab59efb502b6ad5ac91ffd019b30b0040c717ebdbb9"),
     (('scenario', '--config', '{dir}/run.ini', '--emit-config'), 0,
-     "b1df2889ab44d1a5b8135fe7afb4d4d306b75ddc91e1945fe8d93daf360210b2"),
+     "fab13a79c16b65c056b059bc5a90da4c6ae54d3bf9337798fddd0cc5068cc158"),
     (('scenario', '--config', '{dir}/run.json', '--emit-config'), 0,
-     "c55f7095054a03d8602dfbf37eb57607b36d483107908ca027591713d6305898"),
+     "4109f821bbfaed2db3ce769c750735eaad8a07436d27b76ffacecfe1bc21fc2e"),
     (('scenario', 'sweep', '--config', '{dir}/run.ini', '--json'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('scenario', 'sweep', '--config', '{dir}/ledger.ini', '--json'), 0,
@@ -275,6 +275,10 @@ GOLDEN = [
     (('impact', '--quality', 'bogus'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     (('mechanism', 'simulate', '--terminal', 'bogus'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('scenario', 'B', '--config', '{dir}/run.ini'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (('scenario', 'Z', '--config', '{dir}/run.ini'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 ]
 

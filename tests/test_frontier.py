@@ -2,6 +2,7 @@ import dataclasses
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -163,7 +164,8 @@ def test_cost_of_rejects_bad_endpoints():
 
 def scalar_trajectory(model):
     """The closed form for one risk aversion on scalar numpy values, with its
-    cost: the reference for the row-wise kernel behind frontier."""
+    cost and whether its sinh ratio broke down: the reference for the
+    row-wise kernel behind frontier wherever it did not."""
     n = model.periods
     x_total = model.total_units
     tau = model.period_length
@@ -171,11 +173,17 @@ def scalar_trajectory(model):
     stiffness = (
         model.risk_aversion * model.volatility**2 * tau**2 / model.adjusted_temporary
     )
+    broke = False
     if stiffness <= 0:
         holdings = x_total * (1 - j / n)
     else:
         kappa_tau = np.arccosh(1 + stiffness / 2)
-        holdings = x_total * np.sinh(kappa_tau * (n - j)) / np.sinh(kappa_tau * n)
+        scale = np.sinh(kappa_tau * n)
+        holdings = x_total * np.sinh(kappa_tau * (n - j)) / scale
+        # A zero scale (κτ rounded to 0) leaves NaN. An infinite one leaves NaN
+        # or, where the numerator stayed finite, a wrong zero. An infinite
+        # numerator leaves inf or NaN.
+        broke = not 0 < scale < np.inf or not np.isfinite(holdings[1:]).all()
     holdings[0] = x_total
     holdings[-1] = 0.0
     trades = -np.diff(holdings)
@@ -184,7 +192,53 @@ def scalar_trajectory(model):
         + model.adjusted_temporary / tau * float(np.sum(trades**2))
     )
     variance = model.volatility**2 * tau * float(np.sum(holdings[1:] ** 2))
-    return holdings, expected, variance
+    return holdings, expected, variance, broke
+
+
+def exact_trajectory(model):
+    """The closed form and its cost in 50-digit arithmetic.
+
+    κτ is the float the kernel computes, arccosh(1 + stiffness/2): so this
+    measures how the holdings are evaluated from κτ. (That float itself
+    carries a relative error of order ε/stiffness for a small stiffness.)
+    """
+    n = model.periods
+    tau = model.period_length
+    with mpmath.workdps(50):
+        x_total = mpmath.mpf(model.total_units)
+        stiffness = (
+            model.risk_aversion * model.volatility**2 * tau**2 / model.adjusted_temporary
+        )
+        kappa_tau = mpmath.mpf(float(np.arccosh(1 + np.float64(stiffness) / 2)))
+        if kappa_tau == 0:
+            holdings = [x_total * (n - j) / n for j in range(n + 1)]
+        else:
+            # sinh(κτm) for m = 0..n from running powers of e^κτ and e^−κτ,
+            # a multiply each instead of a 50-digit sinh each
+            up, down = [mpmath.mpf(1)], [mpmath.mpf(1)]
+            grow, shrink = mpmath.exp(kappa_tau), mpmath.exp(-kappa_tau)
+            for _ in range(n):
+                up.append(up[-1] * grow)
+                down.append(down[-1] * shrink)
+            unit = x_total / (up[n] - down[n])
+            holdings = [(up[n - j] - down[n - j]) * unit for j in range(n + 1)]
+        trades = [a - b for a, b in zip(holdings, holdings[1:])]
+        expected = (mpmath.mpf(model.permanent_coeff) * x_total**2 / 2
+                    + mpmath.mpf(model.adjusted_temporary) / tau * mpmath.fdot(trades, trades))
+        variance = (mpmath.mpf(model.volatility) ** 2 * tau
+                    * mpmath.fdot(holdings[1:], holdings[1:]))
+        return [float(h) for h in holdings], float(expected), float(variance)
+
+
+def assert_matches_exact(model, holdings, expected, variance):
+    """Relative error at most 1e-12; below x·1e-300, where float exponents run
+    out of mantissa, an absolute error of that size."""
+    exact_holdings, exact_expected, exact_variance = exact_trajectory(model)
+    floor = model.total_units * 1e-300
+    for got, want in zip([*holdings, expected, variance],
+                         [*exact_holdings, exact_expected, exact_variance]):
+        assert math.isfinite(got)
+        assert abs(got - want) <= 1e-12 * max(abs(want), floor), (got, want)
 
 
 def bits(values):
@@ -197,9 +251,13 @@ def assert_frontier_matches_closed_form(model, lambdas):
     assert [p.risk_aversion for p in points] == lambdas
     for lam, point in zip(lambdas, points):
         variant = dataclasses.replace(model, risk_aversion=lam)
-        holdings, expected, variance = scalar_trajectory(variant)
-        assert bits([point.expected_cost, point.cost_variance]) == bits([expected, variance])
+        holdings, expected, variance, broke = scalar_trajectory(variant)
         trajectory = optimal_trajectory(variant)
+        if broke:  # the 50-digit closed form is the reference for this row
+            holdings = trajectory.holdings
+            expected, variance = trajectory.expected_cost, trajectory.cost_variance
+            assert_matches_exact(variant, holdings, expected, variance)
+        assert bits([point.expected_cost, point.cost_variance]) == bits([expected, variance])
         assert bits(trajectory.holdings) == bits(holdings)
         assert bits([trajectory.expected_cost, trajectory.cost_variance]) == bits(
             [expected, variance]
@@ -221,6 +279,13 @@ def assert_frontier_matches_closed_form(model, lambdas):
 )
 @example(periods=200, total=100.0, volatility=1600.0, tau=1.0,
          lambdas=[1e-2, 0.0, 1e-8, 1e-2, 1e-5], repeats=2, order=random.Random(0))
+# x·sinh(κτn) overflows but sinh(κτn) does not: only column 0, which is set
+# to x anyway, leaves the float range, so the row keeps the scalar path's bits
+@example(periods=200, total=1e4, volatility=1.0, tau=1.0,
+         lambdas=[0.95 * 2 * (math.cosh(3.515) - 1)], repeats=0, order=random.Random(0))
+# 1 + stiffness/2 rounds to 1, so κτ is 0: the scalar path's 0/0 is NaN
+@example(periods=10, total=1.0, volatility=1e-21, tau=1.0, lambdas=[0.1, 0.0], repeats=0,
+         order=random.Random(0))
 def test_frontier_matches_per_lambda_closed_form(
     periods, total, volatility, tau, lambdas, repeats, order
 ):
@@ -271,3 +336,26 @@ def test_nonfinite_model_parameters_rejected(overrides):
 def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
     with pytest.raises(FrontierError):
         frontier(desk_model(), lambdas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    periods=st.sampled_from([1, 10, 200, 2000]),
+    total=st.floats(1.0, 1e4),
+    volatility=st.sampled_from([1.0, 1600.0]) | st.floats(0.0, 5e3),
+    tau=st.floats(0.25, 4.0),
+    lam=st.just(0.0) | st.floats(-12, 0).map(lambda e: 10.0**e),
+)
+@example(periods=200, total=100.0, volatility=1600.0, tau=1.0, lam=1e-2)
+@example(periods=2000, total=100.0, volatility=1600.0, tau=1.0, lam=1.0)
+@example(periods=10, total=1.0, volatility=1e-21, tau=1.0, lam=0.1)
+# sinh(κτn) overflows while every x·sinh(κτ(n−j)) stays finite: the parent
+# printed this row as finite, with zeros where x·e^(−κτj) belongs.
+@example(periods=200, total=1.0, volatility=1.0, tau=1.0, lam=2 * (math.cosh(3.56) - 1))
+def test_trajectory_matches_50_digit_closed_form(periods, total, volatility, tau, lam):
+    model = desk_model(total_units=total, periods=periods, volatility=volatility,
+                       period_length=tau, permanent_coeff=0.0, risk_aversion=lam)
+    trajectory = optimal_trajectory(model)
+    assert_matches_exact(model, trajectory.holdings, trajectory.expected_cost,
+                         trajectory.cost_variance)
+    assert all(a >= b for a, b in zip(trajectory.holdings, trajectory.holdings[1:]))

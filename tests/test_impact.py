@@ -41,10 +41,27 @@ def test_invalid_elasticity():
         ElasticityModel(-1.0)
 
 
-@pytest.mark.parametrize("shift", [float("nan"), float("inf"), -0.01])
-def test_permanent_impact_rejects_nonfinite_or_negative_shift(shift):
+def _with_growth(shift, model):
+    return relative_impact_with_growth(shift, model, [1.1])
+
+
+_BAD_SHIFTS = [float("nan"), float("inf"), -0.01]
+
+
+# permanent_impact keeps the bare ids ("nan", "inf", "-0.01") it had alone.
+@pytest.mark.parametrize(
+    "function, shift",
+    [pytest.param(permanent_impact, shift, id=str(shift)) for shift in _BAD_SHIFTS]
+    + [
+        pytest.param(function, shift, id=f"{name}-{shift}")
+        for name, function in [("small_shift_approx", small_shift_approx),
+                               ("relative_impact_with_growth", _with_growth)]
+        for shift in _BAD_SHIFTS
+    ],
+)
+def test_permanent_impact_rejects_nonfinite_or_negative_shift(function, shift):
     with pytest.raises(ImpactError):
-        permanent_impact(shift, ElasticityModel(0.7))
+        function(shift, ElasticityModel(0.7))
 
 
 @pytest.mark.parametrize("half_life", [float("nan"), float("inf"), 0.0])

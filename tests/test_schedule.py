@@ -4,6 +4,7 @@ from overhang.ledger import SATS_PER_BTC, format_percent
 from overhang.mechanisms import TimelockVariant
 from overhang.schedule import (
     DAYS_PER_YEAR,
+    MAX_TRANCHES,
     ScheduleError,
     ScheduleParams,
     build_uniform_schedule,
@@ -143,3 +144,11 @@ def test_tranche_remainder_goes_last():
     program = to_tranche_program(sched, granularity=1)
     amounts = [amount for _, amount in program.tranches]
     assert amounts == [33_333_333, 33_333_333, 33_333_334]
+
+
+def test_tranche_count_bounded_by_a_century_of_daily_tranches():
+    program = to_tranche_program(make_schedule(100), granularity=DAYS_PER_YEAR)
+    assert len(program.tranches) == MAX_TRANCHES == 100 * DAYS_PER_YEAR
+    for horizon in (100 + 1 / DAYS_PER_YEAR, 1e6):
+        with pytest.raises(ScheduleError):
+            to_tranche_program(make_schedule(horizon), granularity=DAYS_PER_YEAR)
