@@ -236,7 +236,7 @@ def _scenario_row(result: scenarios.ScenarioResult) -> dict:
         "total_low": result.total[0],
         "total_high": result.total[1],
         "total_pct": f"{format_percent(result.total[0])} to {format_percent(result.total[1])}",
-        "anchor_class": result.anchor_class,
+        "anchor_class": result.anchor_class.value,
     }
 
 

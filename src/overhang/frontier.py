@@ -2,9 +2,10 @@
 
 Linear permanent/temporary impact with arithmetic price noise. Minimizing
 expected cost plus risk_aversion times variance over admissible holdings
-paths gives the hyperbolic-sine profile in closed form; risk_aversion = 0
-degenerates to the linear (uniform-pace) trajectory. The frontier evaluates
-all its risk aversions in one array pass.
+paths gives the hyperbolic-sine profile in closed form (Almgren & Chriss,
+2000), evaluated here in one form that stays finite for every κτ; zero
+stiffness degenerates to the linear (uniform-pace) trajectory. The frontier
+evaluates all its risk aversions in one array pass.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+MAX_PERIODS = 100 * 365  # a century of daily periods
 
 
 class FrontierError(ValueError):
@@ -40,6 +43,8 @@ class ExecutionModel:
             raise FrontierError("total_units must be positive")
         if self.periods < 1:
             raise FrontierError("periods must be at least 1")
+        if self.periods > MAX_PERIODS:
+            raise FrontierError(f"periods must be at most {MAX_PERIODS}")
         if self.period_length <= 0:
             raise FrontierError("period_length must be positive")
         if self.volatility < 0 or self.permanent_coeff < 0 or self.risk_aversion < 0:
@@ -76,9 +81,7 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
     """
     x = np.asarray(holdings, dtype=float)
     if x.shape != (model.periods + 1,):
-        raise FrontierError(
-            f"expected {model.periods + 1} holdings values, got {x.shape}"
-        )
+        raise FrontierError(f"expected {model.periods + 1} holdings values, got {x.shape}")
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
     expected, variance = _row_costs(x[np.newaxis], model)
@@ -86,27 +89,28 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
 
 
 def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray, np.ndarray]:
-    """cost_of for each row of a (rows, periods + 1) holdings array."""
+    """cost_of for each row of a (rows, periods + 1) holdings array; a cost
+    past the float range is inf or NaN, without a warning."""
     tau = model.period_length
-    trades = -np.diff(holdings, axis=1)
-    expected = (
-        0.5 * model.permanent_coeff * model.total_units**2
-        + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
-    )
-    variance = model.volatility**2 * tau * np.sum(holdings[:, 1:] ** 2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trades = -np.diff(holdings, axis=1)
+        expected = (
+            0.5 * model.permanent_coeff * model.total_units**2
+            + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
+        )
+        variance = model.volatility**2 * tau * np.sum(holdings[:, 1:] ** 2, axis=1)
     return expected, variance
 
 
 def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     """Closed-form optimal holdings, one row per risk aversion in `lambdas`.
 
-    Rows whose κτ is zero (zero stiffness, or one too small to move
-    1 + stiffness/2) are linear, the rest follow the sinh profile; both keep
-    the operation order of the scalar closed form, so each row is
-    bit-identical to evaluating its risk aversion alone. Where sinh overflows
-    (κτn past about 710, or x·sinh(κτ(n−j)) past the float range) the row is
-    the same ratio written with decaying exponentials,
-    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), which stays finite.
+    Each row is x·sinh(κτ(n−j))/sinh(κτn) written with decaying exponentials,
+    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), finite for every κτ; κτ is
+    2·arcsinh(√stiffness/2), which is arccosh(1 + stiffness/2) without
+    rounding a small stiffness away. Zero-stiffness rows are linear. Every
+    operation is elementwise, so each row is bit-identical to evaluating its
+    risk aversion alone.
     """
     if not np.all(np.isfinite(lambdas) & (lambdas >= 0)):
         raise FrontierError("risk aversion must be finite and nonnegative")
@@ -114,22 +118,14 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     x_total = model.total_units
     tau = model.period_length
     j = np.arange(n + 1)
-    stiffness = lambdas * model.volatility**2 * tau**2 / model.adjusted_temporary
-    kappa_tau = np.arccosh(1 + stiffness / 2)
-    holdings = np.empty((len(lambdas), n + 1))
-    linear = kappa_tau == 0
-    holdings[linear] = x_total * (1 - j / n)
-    kappa_tau = kappa_tau[~linear][:, np.newaxis]
-    # sinh may overflow here; `overflowed` marks those rows to rewrite, so
-    # numpy's warning would only be noise on stderr.
+    # An overflowed stiffness gives κτ = inf, the immediate-liquidation row;
+    # its NaN endpoints and the zero-stiffness rows' 0/0 are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.sinh(kappa_tau * n)
-        curved = x_total * np.sinh(kappa_tau * (n - j)) / scale
-        overflowed = np.isinf(scale[:, 0]) | np.isinf(curved[:, 1:]).any(axis=1)
-        kt = kappa_tau[overflowed]
-        curved[overflowed] = (x_total * np.exp(-kt * j) * np.expm1(-2 * kt * (n - j))
-                              / np.expm1(-2 * kt * n))
-    holdings[~linear] = curved
+        stiffness = lambdas * model.volatility**2 * tau**2 / model.adjusted_temporary
+        kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)[:, np.newaxis]
+        holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(-2 * kappa_tau * (n - j))
+                    / np.expm1(-2 * kappa_tau * n))
+    holdings[stiffness == 0] = x_total * (1 - j / n)
     holdings[:, 0] = x_total
     holdings[:, -1] = 0.0
     return holdings

@@ -9,6 +9,7 @@ permanent impact and friction band once.
 
 from __future__ import annotations
 
+import enum
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -31,7 +32,7 @@ class ScenarioError(ValueError):
     """Raised for invalid scenario definitions or grids."""
 
 
-class AnchorClass:
+class AnchorClass(enum.Enum):
     NEAR_SILK_ROAD = "NearSilkRoad"
     BETWEEN = "Between"
     NEAR_GERMAN = "NearGerman"
@@ -81,7 +82,7 @@ class ScenarioResult:
     permanent: float
     friction: FrictionBand
     total: tuple[float, float]
-    anchor_class: str
+    anchor_class: AnchorClass
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -120,7 +121,7 @@ def builtin_anchors() -> list[AnchorEvent]:
     ]
 
 
-def classify_against_anchors(total: tuple[float, float]) -> str:
+def classify_against_anchors(total: tuple[float, float]) -> AnchorClass:
     low, high = total
     if high >= SILK_ROAD_THRESHOLD:
         return AnchorClass.NEAR_SILK_ROAD

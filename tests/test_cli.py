@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -217,6 +218,8 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("schedule", "--tranches-per-year", "4", "--price", "5"),
         # more tranches than a century of daily ones, rejected before any is built
         ("schedule", "--horizon", "1e6", "--tranches-per-year", "365"),
+        # more periods than a century of daily ones, rejected before any array is built
+        ("frontier", "--periods", "10000000000000"),
     ],
 )
 def test_domain_and_parse_errors_exit_2(argv, capsys):
@@ -243,6 +246,25 @@ def test_nonfinite_frontier_exits_4_without_printing_it(argv):
         code, text = run_cli(*argv)
     assert code == EXIT_COMPUTATION
     assert text == ""
+
+
+@pytest.mark.parametrize(
+    "argv, expected_code, stdout_md5",
+    [
+        # σ²τ overflows to inf and meets Σx² = 0 in the variance: NaN, exit 4
+        (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_COMPUTATION,
+         "d41d8cd98f00b204e9800998ecf8427e"),
+        # the stiffness overflows to inf: the immediate-liquidation limit
+        (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
+         "3ad136b32926cdcde965f144850fabc6"),
+    ],
+)
+def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdout_md5):
+    code, text, err, caught = _run_captured(argv)
+    assert code == expected_code
+    assert hashlib.md5(text.encode()).hexdigest() == stdout_md5
+    assert "Warning" not in err and caught == []
+    assert len([line for line in err.splitlines() if "error:" in line]) == (code != EXIT_OK)
 
 
 def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():

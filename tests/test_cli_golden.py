@@ -181,17 +181,17 @@ GOLDEN = [
     (('frontier', '--lambdas', '1e-6'), 0,
      "299c578464a56ef33c2fb12a15b8b203b3962dd3c92a6cbc3ffc4ba17bc4700b"),
     (('frontier', '--lambdas', '1e-6', '--json'), 0,
-     "b139a595deb4cfc8211c1609ad37891a5d0e88734179bf90297cd8b4c2996c95"),
+     "1eb7cb2e4307da6d67590861e467829968853b6ef3e9a0385327c2c0a2a41c5f"),
     (('frontier', '--lambdas', '1e-6', '--csv'), 0,
-     "0df12b266bfabac48d4e08730e626015acb6d8451c59f1e5ead8e77f08edcd80"),
+     "b221c46f9d6b7a346961c2ec2975442ab9ed1b1cb4ae1daa41b21166e37af635"),
     (('frontier', '--lambdas', '1e-6', '--markdown'), 0,
      "f40c2bb7d17a358a3327e29ef8c87766205a45247db92b6616ce758841ed7d72"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20'), 0,
      "028719ca9986ed711e6500cc7d5616ff2cf9f221a3fb94a9ff5fc717c88646a2"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--json'), 0,
-     "2fb5ceaca6c99cef8fa9b8b212d1b1a363b1c1c6a5a038df0ce93aa646b6a7f8"),
+     "e092964eeaf68747e16a55da3db7e4da8fc498757b4cac44f4fbf3c3eedafe09"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--csv'), 0,
-     "8fffe9a9222cefca86a5b3b6a7981a117233ef3cf7405fb63d83debfb185801c"),
+     "b3a0df64615021e8875fef81014d54d32bedb5b462f1939ce2038032a45fe1ad"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--markdown'), 0,
      "3267a33a4fa445ca433fc20f99b34a88a5d1c3556025908b50740c779ff66256"),
     (('decision-map',), 0,

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from scipy import optimize
 
 from overhang.frontier import (
+    MAX_PERIODS,
     ExecutionModel,
     FrontierError,
+    _optimal_holdings,
     cost_of,
     frontier,
     optimal_trajectory,
@@ -163,9 +165,9 @@ def test_cost_of_rejects_bad_endpoints():
 
 
 def scalar_trajectory(model):
-    """The closed form for one risk aversion on scalar numpy values, with its
-    cost and whether its sinh ratio broke down: the reference for the
-    row-wise kernel behind frontier wherever it did not."""
+    """The closed form for one risk aversion as a ratio of sinh on numpy
+    floats, with its cost and whether that ratio broke down (an infinite
+    sinh): a tolerance oracle for the kernel wherever it did not."""
     n = model.periods
     x_total = model.total_units
     tau = model.period_length
@@ -177,13 +179,13 @@ def scalar_trajectory(model):
     if stiffness <= 0:
         holdings = x_total * (1 - j / n)
     else:
-        kappa_tau = np.arccosh(1 + stiffness / 2)
-        scale = np.sinh(kappa_tau * n)
-        holdings = x_total * np.sinh(kappa_tau * (n - j)) / scale
-        # A zero scale (κτ rounded to 0) leaves NaN. An infinite one leaves NaN
-        # or, where the numerator stayed finite, a wrong zero. An infinite
-        # numerator leaves inf or NaN.
-        broke = not 0 < scale < np.inf or not np.isfinite(holdings[1:]).all()
+        kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.sinh(kappa_tau * n)
+            holdings = x_total * np.sinh(kappa_tau * (n - j)) / scale
+        # An infinite scale leaves NaN or, where the numerator stayed finite,
+        # a wrong zero. An infinite numerator leaves inf or NaN.
+        broke = not scale < np.inf or not np.isfinite(holdings[1:]).all()
     holdings[0] = x_total
     holdings[-1] = 0.0
     trades = -np.diff(holdings)
@@ -196,32 +198,29 @@ def scalar_trajectory(model):
 
 
 def exact_trajectory(model):
-    """The closed form and its cost in 50-digit arithmetic.
-
-    κτ is the float the kernel computes, arccosh(1 + stiffness/2): so this
-    measures how the holdings are evaluated from κτ. (That float itself
-    carries a relative error of order ε/stiffness for a small stiffness.)
-    """
+    """The closed form and its cost in 50-digit arithmetic, with κτ =
+    2·asinh(√stiffness/2) taken exactly from the model's floats."""
     n = model.periods
     tau = model.period_length
     with mpmath.workdps(50):
         x_total = mpmath.mpf(model.total_units)
-        stiffness = (
-            model.risk_aversion * model.volatility**2 * tau**2 / model.adjusted_temporary
-        )
-        kappa_tau = mpmath.mpf(float(np.arccosh(1 + np.float64(stiffness) / 2)))
-        if kappa_tau == 0:
+        stiffness = (mpmath.mpf(model.risk_aversion) * mpmath.mpf(model.volatility) ** 2
+                     * mpmath.mpf(tau) ** 2 / mpmath.mpf(model.adjusted_temporary))
+        if stiffness == 0:
             holdings = [x_total * (n - j) / n for j in range(n + 1)]
         else:
+            kappa_tau = 2 * mpmath.asinh(mpmath.sqrt(stiffness) / 2)
             # sinh(κτm) for m = 0..n from running powers of e^κτ and e^−κτ,
-            # a multiply each instead of a 50-digit sinh each
-            up, down = [mpmath.mpf(1)], [mpmath.mpf(1)]
-            grow, shrink = mpmath.exp(kappa_tau), mpmath.exp(-kappa_tau)
-            for _ in range(n):
-                up.append(up[-1] * grow)
-                down.append(down[-1] * shrink)
-            unit = x_total / (up[n] - down[n])
-            holdings = [(up[n - j] - down[n - j]) * unit for j in range(n + 1)]
+            # a multiply each instead of a 50-digit sinh each; their
+            # difference cancels about −log10(κτ) digits, carried in extra
+            with mpmath.extradps(max(0, int(-mpmath.log10(kappa_tau)))):
+                up, down = [mpmath.mpf(1)], [mpmath.mpf(1)]
+                grow, shrink = mpmath.exp(kappa_tau), mpmath.exp(-kappa_tau)
+                for _ in range(n):
+                    up.append(up[-1] * grow)
+                    down.append(down[-1] * shrink)
+                unit = x_total / (up[n] - down[n])
+                holdings = [(up[n - j] - down[n - j]) * unit for j in range(n + 1)]
         trades = [a - b for a, b in zip(holdings, holdings[1:])]
         expected = (mpmath.mpf(model.permanent_coeff) * x_total**2 / 2
                     + mpmath.mpf(model.adjusted_temporary) / tau * mpmath.fdot(trades, trades))
@@ -230,15 +229,19 @@ def exact_trajectory(model):
         return [float(h) for h in holdings], float(expected), float(variance)
 
 
-def assert_matches_exact(model, holdings, expected, variance):
+def assert_close(model, got_values, want_values):
     """Relative error at most 1e-12; below x·1e-300, where float exponents run
     out of mantissa, an absolute error of that size."""
-    exact_holdings, exact_expected, exact_variance = exact_trajectory(model)
     floor = model.total_units * 1e-300
-    for got, want in zip([*holdings, expected, variance],
-                         [*exact_holdings, exact_expected, exact_variance]):
+    for got, want in zip(got_values, want_values, strict=True):
         assert math.isfinite(got)
         assert abs(got - want) <= 1e-12 * max(abs(want), floor), (got, want)
+
+
+def assert_matches_exact(model, holdings, expected, variance):
+    exact_holdings, exact_expected, exact_variance = exact_trajectory(model)
+    assert_close(model, [*holdings, expected, variance],
+                 [*exact_holdings, exact_expected, exact_variance])
 
 
 def bits(values):
@@ -247,25 +250,23 @@ def bits(values):
 
 
 def assert_frontier_matches_closed_form(model, lambdas):
+    """Each frontier row is bit-identical to optimal_trajectory at its λ, and
+    within 1e-12 of the sinh ratio wherever that ratio stays finite."""
     points = frontier(model, lambdas)
     assert [p.risk_aversion for p in points] == lambdas
-    for lam, point in zip(lambdas, points):
+    for lam, point, row in zip(lambdas, points, _optimal_holdings(model, np.array(lambdas))):
         variant = dataclasses.replace(model, risk_aversion=lam)
-        holdings, expected, variance, broke = scalar_trajectory(variant)
         trajectory = optimal_trajectory(variant)
-        if broke:  # the 50-digit closed form is the reference for this row
-            holdings = trajectory.holdings
-            expected, variance = trajectory.expected_cost, trajectory.cost_variance
-            assert_matches_exact(variant, holdings, expected, variance)
-        assert bits([point.expected_cost, point.cost_variance]) == bits([expected, variance])
-        assert bits(trajectory.holdings) == bits(holdings)
-        assert bits([trajectory.expected_cost, trajectory.cost_variance]) == bits(
-            [expected, variance]
+        assert bits(row) == bits(trajectory.holdings)
+        assert bits([point.expected_cost, point.cost_variance]) == bits(
+            [trajectory.expected_cost, trajectory.cost_variance]
         )
+        holdings, expected, variance, broke = scalar_trajectory(variant)
+        if not broke:
+            assert_close(variant, [*trajectory.holdings, point.expected_cost, point.cost_variance],
+                         [*holdings, expected, variance])
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(
     periods=st.sampled_from([1, 10, 200]),
@@ -280,10 +281,10 @@ def assert_frontier_matches_closed_form(model, lambdas):
 @example(periods=200, total=100.0, volatility=1600.0, tau=1.0,
          lambdas=[1e-2, 0.0, 1e-8, 1e-2, 1e-5], repeats=2, order=random.Random(0))
 # x·sinh(κτn) overflows but sinh(κτn) does not: only column 0, which is set
-# to x anyway, leaves the float range, so the row keeps the scalar path's bits
+# to x anyway, leaves the float range, so the sinh ratio stays an oracle
 @example(periods=200, total=1e4, volatility=1.0, tau=1.0,
          lambdas=[0.95 * 2 * (math.cosh(3.515) - 1)], repeats=0, order=random.Random(0))
-# 1 + stiffness/2 rounds to 1, so κτ is 0: the scalar path's 0/0 is NaN
+# 1 + stiffness/2 rounds to 1, so arccosh would give κτ = 0
 @example(periods=10, total=1.0, volatility=1e-21, tau=1.0, lambdas=[0.1, 0.0], repeats=0,
          order=random.Random(0))
 def test_frontier_matches_per_lambda_closed_form(
@@ -296,8 +297,6 @@ def test_frontier_matches_per_lambda_closed_form(
     assert_frontier_matches_closed_form(model, lambdas)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("periods", [1, 10, 200])
 def test_frontier_matches_per_lambda_closed_form_on_random_models(periods):
     # Full-mantissa draws: a rounding change shows on only a few percent of
@@ -332,6 +331,13 @@ def test_nonfinite_model_parameters_rejected(overrides):
         desk_model(**overrides)
 
 
+@pytest.mark.parametrize("periods", [0, MAX_PERIODS + 1, 10_000_000_000_000])
+def test_periods_out_of_range_rejected(periods):
+    # raised in the model, before any array of that size is built
+    with pytest.raises(FrontierError):
+        desk_model(periods=periods)
+
+
 @pytest.mark.parametrize("lambdas", [[math.nan], [0.0, math.inf], [1e-6, -1e-6]])
 def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
     with pytest.raises(FrontierError):
@@ -352,6 +358,11 @@ def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
 # sinh(κτn) overflows while every x·sinh(κτ(n−j)) stays finite: the parent
 # printed this row as finite, with zeros where x·e^(−κτj) belongs.
 @example(periods=200, total=1.0, volatility=1.0, tau=1.0, lam=2 * (math.cosh(3.56) - 1))
+# a small stiffness: κτ = arccosh(1 + stiffness/2) loses its low digits, and
+# the holdings were 1e-12 off in relative terms
+@example(periods=2000, total=100.0, volatility=1600.0, tau=1.0, lam=1e-12)
+# a subnormal stiffness, whose κτ the 50-digit e^κτ − e^−κτ would lose
+@example(periods=10, total=1.0, volatility=1.041180171578257e-161, tau=1.0, lam=1.0)
 def test_trajectory_matches_50_digit_closed_form(periods, total, volatility, tau, lam):
     model = desk_model(total_units=total, periods=periods, volatility=volatility,
                        period_length=tau, permanent_coeff=0.0, risk_aversion=lam)
