@@ -8,7 +8,9 @@ consistent marks, then weak marks, then declaration order on ties.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from overhang.ledger import SupplyLedger, sats_to_btc
@@ -101,11 +103,14 @@ _BURN_RETENTION_WEAK = {
 }
 
 
+@functools.cache
 def consistency_matrix(retention_variant: bool = False) -> ConsistencyMatrix:
     """The built-in preference-set x terminal-state consistency map.
 
     With retention_variant, the partial-burn variant earns weak marks from
-    the satisficing and legal-caution preference sets.
+    the satisficing and legal-caution preference sets. The matrix is built
+    once per variant and shared by every caller, so its entries are a
+    read-only mapping.
     """
     entries: dict[tuple[PreferenceSet, TerminalStateKind], Mark] = {}
     for p in PreferenceSet:
@@ -121,7 +126,7 @@ def consistency_matrix(retention_variant: bool = False) -> ConsistencyMatrix:
     # Weak rather than consistent: the record argues against both as dominant.
     entries[(PreferenceSet.ADVERSARIAL, TerminalStateKind.ADVERSARIAL_SWITCH)] = Mark.WEAK
     entries[(PreferenceSet.PURE_WEALTH_MAX, TerminalStateKind.PATIENT_LIQUIDATION)] = Mark.WEAK
-    return ConsistencyMatrix(entries=entries)
+    return ConsistencyMatrix(entries=MappingProxyType(entries))
 
 
 def rank_terminal_states(matrix: ConsistencyMatrix) -> list[TerminalStateKind]:

@@ -118,10 +118,11 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     x_total = model.total_units
     tau = model.period_length
     j = np.arange(n + 1)
-    # An overflowed stiffness gives κτ = inf, the immediate-liquidation row;
+    # σ·τ is squared as one product, so a huge σ and a tiny τ do not meet as
+    # inf·0. An overflowed stiffness gives κτ = inf, the immediate-liquidation row;
     # its NaN endpoints and the zero-stiffness rows' 0/0 are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        stiffness = lambdas * model.volatility**2 * tau**2 / model.adjusted_temporary
+        stiffness = lambdas * (model.volatility * tau) ** 2 / model.adjusted_temporary
         kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)[:, np.newaxis]
         holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(-2 * kappa_tau * (n - j))
                     / np.expm1(-2 * kappa_tau * n))

@@ -4,7 +4,8 @@ A scenario bundles an elasticity, an execution quality, and a horizon; a
 run composes the effective-float share, the uniform schedule, permanent
 impact, friction, and an anchor classification. The sweep evaluates the
 full cross-product and reports the impact bound, computing each schedule,
-permanent impact and friction band once.
+permanent impact and friction band once, and each total and anchor class
+once per (ε, band).
 """
 
 from __future__ import annotations
@@ -158,17 +159,16 @@ def _uniform_schedule(ledger: SupplyLedger, horizon: float, volume: float) -> Sc
 def _result(
     name: str, schedule: Schedule, permanent: float, band: FrictionBand
 ) -> ScenarioResult:
+    return ScenarioResult(name, schedule, permanent, band, *_classified_total(permanent, band))
+
+
+def _classified_total(
+    permanent: float, band: FrictionBand
+) -> tuple[tuple[float, float], AnchorClass]:
     """Combine a permanent impact with a friction band and classify the total."""
     combined = impact_model.combine(permanent, band)
     total = (combined.total_low, combined.total_high)
-    return ScenarioResult(
-        scenario_name=name,
-        schedule=schedule,
-        permanent=permanent,
-        friction=band,
-        total=total,
-        anchor_class=classify_against_anchors(total),
-    )
+    return total, classify_against_anchors(total)
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,12 @@ def sensitivity_sweep(
     volume: float = liquidation_schedule.DEFAULT_DAILY_VOLUME_USD,
     allow_out_of_range: bool = False,
 ) -> SweepSummary:
-    """Cross-product evaluation over elasticity, quality, and horizon grids."""
+    """Cross-product evaluation over elasticity, quality, and horizon grids.
+
+    Each cell's total and anchor class depend only on its elasticity and
+    friction band, so they are computed once per (ε, band) and shared by
+    every cell with that band.
+    """
     if not epsilon_grid or not quality_set or not horizon_grid:
         raise ScenarioError("sweep grids must be non-empty")
     lo, hi = EPSILON_RANGE
@@ -202,23 +207,28 @@ def sensitivity_sweep(
                 )
     share = supply_ledger.position_share(ledger, ShareBasis.EFFECTIVE)
     horizons = sorted(horizon_grid)
-    columns = None
+    bands: list[FrictionBand] = []
+    columns: list[tuple[str, Schedule, int]] = []
     results = []
+    totals = []
     for eps in sorted(epsilon_grid):
         permanent = impact_model.permanent_impact(share, ElasticityModel(eps))
-        if columns is None:
+        if not columns:
             # Built after the first elasticity is validated, so a grid with
             # several faults raises the one the cell-by-cell order meets first.
-            columns = _sweep_columns(ledger, quality_set, horizons, volume)
+            bands, columns = _sweep_columns(ledger, quality_set, horizons, volume)
+        outcomes = [(band, *_classified_total(permanent, band)) for band in bands]
+        totals.extend(total for _, total, _ in outcomes)
         prefix = f"eps={eps}"
-        for suffix, schedule, band in columns:
-            results.append(_result(prefix + suffix, schedule, permanent, band))
-    abs_totals = [max(abs(r.total[0]), abs(r.total[1])) for r in results]
-    tightest = [min(abs(r.total[0]), abs(r.total[1])) for r in results]
+        for suffix, schedule, k in columns:
+            band, total, anchor_class = outcomes[k]
+            results.append(
+                ScenarioResult(prefix + suffix, schedule, permanent, band, total, anchor_class)
+            )
     return SweepSummary(
         results=tuple(results),
-        min_abs_total=min(tightest),
-        max_abs_total=max(abs_totals),
+        min_abs_total=min(min(abs(low), abs(high)) for low, high in totals),
+        max_abs_total=max(max(abs(low), abs(high)) for low, high in totals),
     )
 
 
@@ -227,14 +237,17 @@ def _sweep_columns(
     quality_set: Sequence[ExecutionQuality],
     horizons: Sequence[float],
     volume: float,
-) -> list[tuple[str, Schedule, FrictionBand]]:
-    """Each (quality, horizon) cell's name suffix, schedule and friction band,
-    in sweep order.
+) -> tuple[list[FrictionBand], list[tuple[str, Schedule, int]]]:
+    """The distinct friction bands in order of first appearance, and each
+    (quality, horizon) cell's name suffix, schedule and band index, in sweep
+    order.
 
     The schedule is built once per position in the sorted horizon grid and
-    the band once per (quality, horizon).
+    the band once per (quality, horizon); the sweep then combines each band
+    once per (ε, band).
     """
     schedules: dict[int, Schedule] = {}
+    band_index: dict[FrictionBand, int] = {}
     columns = []
     for quality in quality_set:
         for j, horizon in enumerate(horizons):
@@ -242,8 +255,9 @@ def _sweep_columns(
                 _check_horizon(horizon)
                 schedules[j] = _uniform_schedule(ledger, horizon, volume)
             band = impact_model.friction_band(quality, schedules[j].participation)
-            columns.append((f"/{quality.value}/{horizon}y", schedules[j], band))
-    return columns
+            k = band_index.setdefault(band, len(band_index))
+            columns.append((f"/{quality.value}/{horizon}y", schedules[j], k))
+    return list(band_index), columns
 
 
 @dataclass(frozen=True)

@@ -257,6 +257,9 @@ def test_nonfinite_frontier_exits_4_without_printing_it(argv):
         # the stiffness overflows to inf: the immediate-liquidation limit
         (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
          "3ad136b32926cdcde965f144850fabc6"),
+        # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
+        (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
+         "1bdd9316e5c33435c2d10e910307e388"),
     ],
 )
 def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdout_md5):

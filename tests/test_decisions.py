@@ -39,6 +39,15 @@ def test_matrix_is_total(matrix):
     assert len(matrix.entries) == len(PreferenceSet) * len(TerminalStateKind)
 
 
+def test_builtin_matrix_is_one_shared_read_only_value(matrix):
+    assert consistency_matrix() is matrix
+    assert consistency_matrix(retention_variant=True) is consistency_matrix(retention_variant=True)
+    key = (PreferenceSet.ADVERSARIAL, TerminalStateKind.ADVERSARIAL_SWITCH)
+    with pytest.raises(TypeError):
+        matrix.entries[key] = Mark.CONSISTENT
+    assert matrix.mark(*key) is Mark.WEAK
+
+
 def test_key_marks(matrix):
     assert (
         matrix.mark(

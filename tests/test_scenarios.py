@@ -1,9 +1,11 @@
+import collections
 import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overhang import impact, schedule
 from overhang.impact import ElasticityModel, ExecutionQuality
 from overhang.ledger import SupplyLedger
 from overhang.scenarios import (
@@ -164,6 +166,34 @@ def test_horizon_must_be_finite_and_at_least_one_year(ledger, horizon):
         sensitivity_sweep(ledger, horizon_grid=(10, horizon))
 
 
+def test_sweep_combines_once_per_epsilon_and_band(ledger, monkeypatch):
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(impact, "combine")
+    count(impact, "friction_band")
+    count(schedule, "build_uniform_schedule")
+    otc, mixed = ExecutionQuality.DISCIPLINED_OTC, ExecutionQuality.MIXED
+    epsilons, qualities, horizons = [0.3, 0.7, 1.5], [otc, mixed, otc], [5, 10, 12, 12]
+    summary = sensitivity_sweep(ledger, epsilons, qualities, horizons)
+    # Disciplined OTC participation falls below 0.0015 between 10 and 12
+    # years, so that quality holds two bands and mixed one.
+    assert len({r.friction for r in summary.results}) == 3
+    assert calls == {
+        "combine": len(epsilons) * 3,
+        "friction_band": len(qualities) * len(horizons),
+        "build_uniform_schedule": len(horizons),
+    }
+
+
 def cellwise_sweep(ledger, epsilon_grid, quality_set, horizon_grid, volume, allow_out_of_range):
     """The sweep as one Scenario and one run_scenario per cell: the reference
     for the factored sensitivity_sweep."""
@@ -229,6 +259,12 @@ _HORIZONS = st.one_of(
 @example(  # participation past the 5% cap only at the shorter horizons
     position=1148000.0, epsilons=[1.0, 0.3], qualities=list(ExecutionQuality),
     horizons=[12, 1, 2.5], volume=1e9, allow_out_of_range=True,
+)
+@example(  # a repeated quality; disciplined OTC takes two bands across the horizons
+    position=1148000.0, epsilons=[1.0, 0.5],
+    qualities=[ExecutionQuality.DISCIPLINED_OTC, ExecutionQuality.MIXED,
+               ExecutionQuality.DISCIPLINED_OTC],
+    horizons=[12, 5, 10], volume=15e9, allow_out_of_range=False,
 )
 def test_factored_sweep_matches_cellwise_sweep(
     position, epsilons, qualities, horizons, volume, allow_out_of_range
