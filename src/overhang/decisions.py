@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from overhang.ledger import SupplyLedger, sats_to_btc
+from overhang.ledger import SupplyLedger, burn_sats, sats_to_btc
 
 
 class DecisionError(ValueError):
@@ -170,21 +170,19 @@ def supply_effect(
     effective float; the adversarial switch and patient liquidation return
     it to float, bearish with the supplied bound.
     """
-    position = ledger.position
-    if position == 0:
+    if ledger.position_sats == 0:
         return SupplyEffect(0.0, MarketSign.NEUTRAL)
     if state.kind in (
         TerminalStateKind.DORMANCY_NON_RECOVERY,
         TerminalStateKind.SILENT_BURN,
     ):
-        removed = position * (1.0 - state.retention_fraction)
-        return SupplyEffect(-removed, MarketSign.BULLISH)
-    return SupplyEffect(position, MarketSign.BEARISH, bound=bear_bound)
+        removed = burn_sats(ledger.position_sats, state.retention_fraction)
+        return SupplyEffect(-sats_to_btc(removed), MarketSign.BULLISH)
+    return SupplyEffect(ledger.position, MarketSign.BEARISH, bound=bear_bound)
 
 
 @dataclass(frozen=True)
 class BearCaseReport:
-    worst_case_state: TerminalStateKind
     worst_case_bound: tuple[float, float]
     ranking: tuple[TerminalStateKind, ...]
     ranked_signs: tuple[MarketSign, ...]
@@ -212,7 +210,6 @@ def bear_case_summary(
         for k in ranking
     )
     return BearCaseReport(
-        worst_case_state=TerminalStateKind.PATIENT_LIQUIDATION,
         worst_case_bound=worst.total,
         ranking=ranking,
         ranked_signs=signs,

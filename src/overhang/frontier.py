@@ -119,10 +119,14 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     tau = model.period_length
     j = np.arange(n + 1)
     # σ·τ is squared as one product, so a huge σ and a tiny τ do not meet as
-    # inf·0. An overflowed stiffness gives κτ = inf, the immediate-liquidation row;
-    # its NaN endpoints and the zero-stiffness rows' 0/0 are overwritten.
+    # inf·0; past the float range the square is inf and λ·στ goes first. An
+    # overflowed stiffness gives κτ = inf, the immediate-liquidation row; its
+    # NaN endpoints and the zero-stiffness rows' 0/0 are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        stiffness = lambdas * (model.volatility * tau) ** 2 / model.adjusted_temporary
+        sigma_tau = np.float64(model.volatility * tau)
+        square = sigma_tau**2
+        scaled = lambdas * square if np.isfinite(square) else lambdas * sigma_tau * sigma_tau
+        stiffness = scaled / model.adjusted_temporary
         kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)[:, np.newaxis]
         holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(-2 * kappa_tau * (n - j))
                     / np.expm1(-2 * kappa_tau * n))

@@ -98,14 +98,6 @@ class BurnOutcome:
     residual_value: float
     ledger_after: SupplyLedger
 
-    @property
-    def burned(self) -> float:
-        return sats_to_btc(self.burned_sats)
-
-    @property
-    def residual(self) -> float:
-        return sats_to_btc(self.residual_sats)
-
 
 def effective_float(ledger: SupplyLedger) -> float:
     """Total mined minus the lost-coins estimate, in BTC."""
@@ -124,16 +116,21 @@ def gross_value(ledger: SupplyLedger) -> float:
     return ledger.position * ledger.reference_price
 
 
-def apply_burn(ledger: SupplyLedger, retention_fraction: float) -> BurnOutcome:
-    """Burn the position except a retained fraction; burned coins leave the base.
+def burn_sats(position_sats: int, retention_fraction: float) -> int:
+    """Satoshis burned from a position that keeps a retained fraction.
 
-    Conservation is exact at satoshi precision: the residual is rounded and
-    the burn takes the remainder.
+    The one burn rule, exact at satoshi precision: the residual rounds to a
+    whole satoshi and the burn takes the remainder.
     """
     if not 0.0 <= retention_fraction <= 1.0:
         raise LedgerError(f"retention fraction {retention_fraction} outside [0, 1]")
-    residual_sats = round(ledger.position_sats * retention_fraction)
-    burned_sats = ledger.position_sats - residual_sats
+    return position_sats - round(position_sats * retention_fraction)
+
+
+def apply_burn(ledger: SupplyLedger, retention_fraction: float) -> BurnOutcome:
+    """Burn the position except a retained fraction; burned coins leave the base."""
+    burned_sats = burn_sats(ledger.position_sats, retention_fraction)
+    residual_sats = ledger.position_sats - burned_sats
     ledger_after = SupplyLedger(
         total_mined_sats=ledger.total_mined_sats - burned_sats,
         lost_estimate_sats=ledger.lost_estimate_sats,

@@ -18,7 +18,7 @@ from operator import xor
 from typing import Iterable, Optional, Sequence
 
 from overhang.decisions import TerminalState, TerminalStateKind
-from overhang.ledger import sats_to_btc
+from overhang.ledger import btc_to_sats, burn_sats, sats_to_btc
 
 GF_REDUCTION_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
@@ -186,10 +186,6 @@ class TrancheProgram:
 
     tranches: Sequence[tuple[TimelockCondition, int]] = field(default_factory=tuple)
 
-    @property
-    def total_sats(self) -> int:
-        return sum(amount for _, amount in self.tranches)
-
 
 def timelock_spendable(
     condition: TimelockCondition, now: int, confirmed_at: int = 0
@@ -207,7 +203,6 @@ def timelock_spendable(
 
 class DmsAction(enum.Enum):
     PUBLISH_SHARDS = "publish-shards"
-    EXECUTE_BURN = "execute-burn"
     DESTROY_SHARDS = "destroy-shards"
 
 
@@ -280,7 +275,11 @@ def dms_step(state: DmsState, config: DmsConfig, event: DmsEvent) -> DmsState:
 class SimEvent:
     epoch: int
     kind: str
-    amount_btc: float = 0.0
+    amount_sats: int = 0
+
+    @property
+    def amount_btc(self) -> float:
+        return sats_to_btc(self.amount_sats)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -300,13 +299,15 @@ def simulate_disposition(
     Heartbeats cease at epoch zero (the holder is absent), so the switch
     triggers after grace_missed elapsed intervals, at interval x grace.
     Dormancy ends unrecoverable with no release; a silent burn emits one
-    burn event; the adversarial switch dumps the full position at the
-    trigger epoch. Patient liquidation ignores the switch and releases each
-    tranche at its unlock epoch, in (epoch, tranche index) order. Only
-    events at or before clock_horizon are returned.
+    burn event of what ledger.burn_sats burns; the adversarial switch dumps
+    the full position at the trigger epoch. Patient liquidation ignores the
+    switch and releases each tranche at its unlock epoch, in (epoch, tranche
+    index) order. Only events at or before clock_horizon are returned. Event
+    amounts are whole satoshis, from the position in satoshis (btc_to_sats).
     """
     if not (math.isfinite(position_btc) and position_btc >= 0):
         raise MechanismError(f"position must be finite and nonnegative, got {position_btc}")
+    position_sats = btc_to_sats(position_btc)
     if clock_horizon < 0:
         raise MechanismError(f"clock horizon must be nonnegative, got {clock_horizon}")
     kind = terminal.kind
@@ -318,7 +319,7 @@ def simulate_disposition(
             for i, (condition, amount_sats) in enumerate(tranche_program.tranches)
         )
         return [
-            SimEvent(epoch, "release", amount_btc=sats_to_btc(amount_sats))
+            SimEvent(epoch, "release", amount_sats)
             for epoch, _, amount_sats in unlocks
             if epoch <= clock_horizon
         ]
@@ -329,8 +330,7 @@ def simulate_disposition(
     if kind is TerminalStateKind.DORMANCY_NON_RECOVERY:
         outcome = [SimEvent(trigger, "shards-destroyed"), SimEvent(trigger, "unrecoverable")]
     elif kind is TerminalStateKind.SILENT_BURN:
-        burned = position_btc * (1.0 - terminal.retention_fraction)
-        outcome = [SimEvent(trigger, "burn", amount_btc=burned)]
+        outcome = [SimEvent(trigger, "burn", burn_sats(position_sats, terminal.retention_fraction))]
     else:  # adversarial switch
-        outcome = [SimEvent(trigger, "dump", amount_btc=position_btc)]
+        outcome = [SimEvent(trigger, "dump", position_sats)]
     return [SimEvent(trigger, "switch-triggered"), *outcome]

@@ -17,6 +17,8 @@ from overhang.cli import (
     main,
 )
 from overhang.config import load_config
+from overhang.frontier import ExecutionModel
+from test_frontier import assert_close, exact_trajectory
 
 
 def run_cli(*argv):
@@ -220,6 +222,9 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("schedule", "--horizon", "1e6", "--tranches-per-year", "365"),
         # more periods than a century of daily ones, rejected before any array is built
         ("frontier", "--periods", "10000000000000"),
+        # a position with no finite satoshi value, for every terminal that moves coins
+        ("mechanism", "simulate", "--terminal", "burn", "--position", "1e301"),
+        ("mechanism", "simulate", "--terminal", "adversarial", "--position", "1e301"),
     ],
 )
 def test_domain_and_parse_errors_exit_2(argv, capsys):
@@ -260,6 +265,9 @@ def test_nonfinite_frontier_exits_4_without_printing_it(argv):
         # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
         (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
          "1bdd9316e5c33435c2d10e910307e388"),
+        # (στ)² overflows a float, but λ·στ is taken first: λ(στ)² = 1e20, exit 0
+        (("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas",
+          "1e-300,0", "--json"), EXIT_OK, "a6fd3fff27aca475176b3c05759b0a4d"),
     ],
 )
 def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdout_md5):
@@ -268,6 +276,19 @@ def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdou
     assert hashlib.md5(text.encode()).hexdigest() == stdout_md5
     assert "Warning" not in err and caught == []
     assert len([line for line in err.splitlines() if "error:" in line]) == (code != EXIT_OK)
+
+
+def test_frontier_past_the_float_square_of_sigma_tau_matches_exact_rows():
+    code, text = run_cli("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0",
+                         "--lambdas", "1e-300,0", "--json")
+    assert code == EXIT_OK
+    rows = json.loads(text)
+    assert [row["risk_aversion"] for row in rows] == [1e-300, 0.0]
+    for row in rows:
+        model = ExecutionModel(total_units=100.0, periods=10, period_length=1e20,
+                               volatility=1e140, risk_aversion=row["risk_aversion"])
+        _, expected, variance = exact_trajectory(model)
+        assert_close(model, [row["expected_cost"], row["cost_variance"]], [expected, variance])
 
 
 def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():

@@ -246,6 +246,13 @@ GOLDEN = [
      "07d345e5b79661520e87bf0ed06ce7b78266498051ecfdfb7f1122f92609fdae"),
     (('mechanism', 'simulate', '--terminal', 'burn', '--retention', '0.02'), 0,
      "91433102d4d936a627faa0b87e4737cec9ac2e77f9f567bb9feb888bb62b8ef8"),
+    # amounts in whole satoshis: a burn of 1147770.4, 987.12185184 and a dump of 1000.12345679
+    (('mechanism', 'simulate', '--terminal', 'burn', '--retention', '0.0002'), 0,
+     "0a923f9e8c1c63ecace6bb62875637efa00c993ba09a72e907e27638413988cf"),
+    (('mechanism', 'simulate', '--terminal', 'burn', '--retention', '0.013', '--position', '1000.12345678'), 0,
+     "4759151bf5f265d3f7a734aafa60329def3961d45856e6362abf8395fb93d5c5"),
+    (('mechanism', 'simulate', '--terminal', 'adversarial', '--position', '1000.123456789'), 0,
+     "b8919ac3dd0916be427a19e981b776a09de20ad31305d6d3ccfce55f93cd5a13"),
     (('mechanism', 'simulate', '--terminal', 'adversarial', '--interval', '90', '--grace', '2'), 0,
      "cf5a5220da332e88a8dc7b7b23a935bc3f7afe58fc87c37279943904ce52ee1a"),
     (('mechanism', 'simulate', '--terminal', 'liquidation'), 0,

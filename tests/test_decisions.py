@@ -153,6 +153,17 @@ def test_supply_effect_dormancy(ledger):
     assert effect.bound is None
 
 
+@pytest.mark.parametrize(
+    "kind", [TerminalStateKind.DORMANCY_NON_RECOVERY, TerminalStateKind.SILENT_BURN]
+)
+def test_supply_effect_removes_a_position_that_is_the_whole_float(kind):
+    # burning the whole float leaves no valid ledger, so the effect must not build one
+    ledger = SupplyLedger.from_btc(total_mined=10, lost_estimate=4, position=6)
+    effect = supply_effect(TerminalState(kind), ledger, -0.25)
+    assert effect.delta_effective_float == -6.0
+    assert effect.market_sign is MarketSign.BULLISH
+
+
 def test_supply_effect_liquidation_is_bearish_with_bound(ledger):
     effect = supply_effect(
         TerminalState(TerminalStateKind.PATIENT_LIQUIDATION), ledger, -0.25
@@ -196,7 +207,6 @@ def test_bearish_bound_must_be_finite_and_in_unit_interval(bound):
 def test_bear_case_summary(ledger, matrix):
     results = [run_scenario(s, ledger) for s in builtin_scenarios()]
     report = bear_case_summary(matrix, ledger, results)
-    assert report.worst_case_state is TerminalStateKind.PATIENT_LIQUIDATION
     assert report.worst_case_bound[0] == pytest.approx(-0.25, abs=0.006)
     assert report.bounded_downside
     assert report.non_bearish_plurality

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from overhang.ledger import (
+    SATS_PER_BTC,
     LedgerError,
     ShareBasis,
     SupplyLedger,
@@ -81,8 +82,8 @@ def test_gross_value_unit_case():
 
 def test_burn_retention_one_percent(default_ledger):
     outcome = apply_burn(default_ledger, 0.01)
-    assert outcome.burned == pytest.approx(1_136_520)
-    assert outcome.residual == pytest.approx(11_480)
+    assert outcome.burned_sats == 1_136_520 * SATS_PER_BTC
+    assert outcome.residual_sats == 11_480 * SATS_PER_BTC
     assert outcome.residual_value == pytest.approx(0.9184e9)
     assert outcome.ledger_after.total_mined_sats == (
         default_ledger.total_mined_sats - outcome.burned_sats

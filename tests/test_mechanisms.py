@@ -1,12 +1,18 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
 
-from overhang.decisions import MAX_BURN_RETENTION, TerminalState, TerminalStateKind
-from overhang.ledger import sats_to_btc
+from overhang.decisions import (
+    MAX_BURN_RETENTION,
+    TerminalState,
+    TerminalStateKind,
+    supply_effect,
+)
+from overhang.ledger import SATS_PER_BTC, SupplyLedger, apply_burn, btc_to_sats, sats_to_btc
 from overhang.mechanisms import (
     GF_REDUCTION_POLY,
     MAX_SECRET_LEN,
@@ -31,7 +37,12 @@ from overhang.mechanisms import (
     split,
     timelock_spendable,
 )
-from overhang.schedule import ScheduleParams, build_uniform_schedule, to_tranche_program
+from overhang.schedule import (
+    DAYS_PER_YEAR,
+    ScheduleParams,
+    build_uniform_schedule,
+    to_tranche_program,
+)
 
 
 # --- sharding ---------------------------------------------------------------
@@ -404,6 +415,8 @@ def stepped_trigger(config, horizon):
 @example(30, 3, -1, DmsAction.PUBLISH_SHARDS, TerminalStateKind.ADVERSARIAL_SWITCH, 0.0, 1e3)
 @example(30, 3, 89, DmsAction.PUBLISH_SHARDS, TerminalStateKind.SILENT_BURN, 0.01, 1e3)
 @example(30, 3, 90, DmsAction.DESTROY_SHARDS, TerminalStateKind.DORMANCY_NON_RECOVERY, 0.0, 1e3)
+# 3,710,937.5 sat: the float burn position * (1 - retention) is not a whole satoshi
+@example(30, 3, 90, DmsAction.PUBLISH_SHARDS, TerminalStateKind.SILENT_BURN, 0.0, 0.037109375)
 def test_switch_replay_matches_stepped_switch(
     interval, grace, horizon, action, kind, retention, position
 ):
@@ -421,16 +434,15 @@ def test_switch_replay_matches_stepped_switch(
     if trigger is None:
         assert events == []
         return
+    # the residual rounds to a whole satoshi and the burn takes the rest
+    position_sats = round(position * SATS_PER_BTC)
     outcome = {
-        TerminalStateKind.DORMANCY_NON_RECOVERY: [
-            ("shards-destroyed", 0.0),
-            ("unrecoverable", 0.0),
-        ],
-        TerminalStateKind.SILENT_BURN: [("burn", position * (1.0 - retention))],
-        TerminalStateKind.ADVERSARIAL_SWITCH: [("dump", position)],
+        TerminalStateKind.DORMANCY_NON_RECOVERY: [("shards-destroyed", 0), ("unrecoverable", 0)],
+        TerminalStateKind.SILENT_BURN: [("burn", position_sats - round(position_sats * retention))],
+        TerminalStateKind.ADVERSARIAL_SWITCH: [("dump", position_sats)],
     }[kind]
-    assert [(e.epoch, e.kind, e.amount_btc) for e in events] == [
-        (trigger, name, amount) for name, amount in [("switch-triggered", 0.0), *outcome]
+    assert [(e.epoch, e.kind, e.amount_sats) for e in events] == [
+        (trigger, name, amount) for name, amount in [("switch-triggered", 0), *outcome]
     ]
 
 
@@ -441,7 +453,7 @@ def scanned_releases(program, horizon):
         for i, (condition, amount_sats) in enumerate(program.tranches):
             if i not in released and timelock_spendable(condition, now=now, confirmed_at=0):
                 released.add(i)
-                log.append(SimEvent(now, "release", amount_btc=sats_to_btc(amount_sats)))
+                log.append(SimEvent(now, "release", amount_sats))
     return log
 
 
@@ -463,6 +475,42 @@ def test_liquidation_replay_matches_epoch_scan():
             clock_horizon=horizon,
         )
         assert events == scanned_releases(program, horizon)
+
+
+@given(
+    position_sats=st.integers(1, 21_000_000 * SATS_PER_BTC),
+    kind=st.sampled_from(list(TerminalStateKind)),
+    retention=st.floats(0.0, MAX_BURN_RETENTION),
+    tranches_per_year=st.integers(1, DAYS_PER_YEAR),
+)
+@example(114_800_000_000_000, TerminalStateKind.SILENT_BURN, 0.0002, 1)
+def test_replay_conserves_satoshis(position_sats, kind, retention, tranches_per_year):
+    """Moved plus kept satoshis are the position, and every printed amount is
+    a whole number of satoshis."""
+    retention = retention if kind is TerminalStateKind.SILENT_BURN else 0.0
+    terminal = TerminalState(kind, retention_fraction=retention)
+    position = sats_to_btc(position_sats)
+    program = None
+    if kind is TerminalStateKind.PATIENT_LIQUIDATION:
+        sched = build_uniform_schedule(ScheduleParams(position=position, horizon=1))
+        program = to_tranche_program(sched, granularity=tranches_per_year)
+    events = simulate_disposition(terminal, cfg(), tranche_program=program,
+                                  clock_horizon=DAYS_PER_YEAR, position_btc=position)
+    moved = sum(e.amount_sats for e in events)
+    ledger = SupplyLedger(total_mined_sats=2 * position_sats, lost_estimate_sats=0,
+                          position_sats=position_sats, reference_price=1.0)
+    kept = {
+        TerminalStateKind.DORMANCY_NON_RECOVERY: position_sats,  # never moves
+        TerminalStateKind.SILENT_BURN: apply_burn(ledger, retention).residual_sats,
+    }.get(kind, 0)
+    assert moved + kept == position_sats
+    if kind is TerminalStateKind.SILENT_BURN:
+        effect = supply_effect(terminal, ledger, bear_bound=-0.25)
+        assert effect.delta_effective_float == -events[-1].amount_btc
+    for event in events:
+        amount = json.loads(event.to_json())["amount"]
+        assert btc_to_sats(amount) == event.amount_sats
+        assert sats_to_btc(btc_to_sats(amount)) == amount
 
 
 @pytest.mark.parametrize(

@@ -110,7 +110,7 @@ def test_tranche_program_annual():
     assert len(program.tranches) == 10
     amounts = [amount for _, amount in program.tranches]
     assert all(a == round(114_800 * SATS_PER_BTC) for a in amounts)
-    assert program.total_sats == sched.position_sats
+    assert sum(amounts) == sched.position_sats
     epochs = [cond.value for cond, _ in program.tranches]
     assert epochs[0] == 100
     assert epochs == sorted(epochs)
