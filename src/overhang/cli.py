@@ -209,16 +209,16 @@ def _cmd_impact(args: argparse.Namespace, out, seed: int) -> None:
     rows = []
     for eps in A2_EPSILONS if args.table else (0.7 if args.epsilon is None else args.epsilon,):
         permanent = impact.permanent_impact(args.share, impact.ElasticityModel(eps))
-        result = impact.combine(permanent, band)
+        total_low, total_high = impact.combine(permanent, band)
         rows.append({
             "epsilon": eps,
             "permanent": permanent,
             "permanent_pct": format_percent(permanent),
             "friction_pp": f"{band.low:g}-{band.high:g}",
             "friction_extrapolated": band.extrapolated,
-            "total_low": result.total_low,
-            "total_high": result.total_high,
-            "total_pct": f"{format_percent(result.total_low)} to {format_percent(result.total_high)}",
+            "total_low": total_low,
+            "total_high": total_high,
+            "total_pct": f"{format_percent(total_low)} to {format_percent(total_high)}",
         })
     _emit(rows, args.fmt, out)
 
@@ -341,12 +341,10 @@ def _cmd_decision_map(args: argparse.Namespace, out, seed: int) -> None:
     run_ledger = ledger.SupplyLedger.from_btc()
     builtin = [scenarios.run_scenario(s, run_ledger) for s in scenarios.builtin_scenarios()]
     summary = decisions.bear_case_summary(matrix, run_ledger, builtin)
-    bear_bound = summary.worst_case_bound[0] if args.bear_bound is None else args.bear_bound
     rows = []
-    for rank, kind in enumerate(summary.ranking, start=1):
-        effect = decisions.supply_effect(
-            decisions.TerminalState(kind=kind), run_ledger, bear_bound
-        )
+    for rank, (kind, effect) in enumerate(zip(summary.ranking, summary.effects), start=1):
+        if effect.bound is not None and args.bear_bound is not None:
+            effect = dataclasses.replace(effect, bound=args.bear_bound)
         rows.append({
             "rank": rank,
             "terminal_state": kind.value,

@@ -185,9 +185,7 @@ def supply_effect(
 class BearCaseReport:
     worst_case_bound: tuple[float, float]
     ranking: tuple[TerminalStateKind, ...]
-    ranked_signs: tuple[MarketSign, ...]
-    bounded_downside: bool
-    non_bearish_plurality: bool
+    effects: tuple[SupplyEffect, ...]
 
 
 def bear_case_summary(
@@ -195,24 +193,20 @@ def bear_case_summary(
     ledger: SupplyLedger,
     scenario_results: Sequence,
 ) -> BearCaseReport:
-    """Structured headline: worst-case bound plus signs of the top-ranked states.
+    """Structured headline: worst-case bound plus the supply effect of each
+    ranked state, in ranking order.
 
     scenario_results are ScenarioResult values; the worst case is the widest
-    total band among them, attached to patient liquidation.
+    total band among them, the bound of every bearish effect.
     """
     if not scenario_results:
         raise DecisionError("scenario results required")
     worst = min(scenario_results, key=lambda r: r.total[0])
-    bear_bound = worst.total[0]
     ranking = tuple(rank_terminal_states(matrix))
-    signs = tuple(
-        supply_effect(TerminalState(kind=k), ledger, bear_bound).market_sign
-        for k in ranking
-    )
     return BearCaseReport(
         worst_case_bound=worst.total,
         ranking=ranking,
-        ranked_signs=signs,
-        bounded_downside=abs(bear_bound) <= 0.26,
-        non_bearish_plurality=all(s is not MarketSign.BEARISH for s in signs[:2]),
+        effects=tuple(
+            supply_effect(TerminalState(kind=k), ledger, worst.total[0]) for k in ranking
+        ),
     )

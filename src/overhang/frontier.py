@@ -92,13 +92,18 @@ def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray,
     """cost_of for each row of a (rows, periods + 1) holdings array; a cost
     past the float range is inf or NaN, without a warning."""
     tau = model.period_length
+    sigma = model.volatility
+    try:
+        sigma_squared_tau = sigma**2 * tau
+    except OverflowError:  # σ² alone leaves the float range; σ²τ may not
+        sigma_squared_tau = sigma * (sigma * tau)
     with np.errstate(over="ignore", invalid="ignore"):
         trades = -np.diff(holdings, axis=1)
         expected = (
             0.5 * model.permanent_coeff * model.total_units**2
             + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
         )
-        variance = model.volatility**2 * tau * np.sum(holdings[:, 1:] ** 2, axis=1)
+        variance = sigma_squared_tau * np.sum(holdings[:, 1:] ** 2, axis=1)
     return expected, variance
 
 

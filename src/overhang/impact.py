@@ -55,16 +55,6 @@ class FrictionBand:
 
 
 @dataclass(frozen=True)
-class ImpactResult:
-    """Permanent impact combined with a friction band, as signed fractions."""
-
-    permanent: float
-    friction: FrictionBand
-    total_low: float
-    total_high: float
-
-
-@dataclass(frozen=True)
 class OvershootParams:
     """Transient drawdown magnitude and exponential-decay half-life in days."""
 
@@ -89,12 +79,6 @@ def permanent_impact(supply_shift: float, model: ElasticityModel) -> float:
     return (1.0 + supply_shift) ** (-1.0 / model.epsilon) - 1.0
 
 
-def small_shift_approx(supply_shift: float, model: ElasticityModel) -> float:
-    """First-order approximation -shift/epsilon, valid for small shifts."""
-    _check_shift(supply_shift)
-    return -supply_shift / model.epsilon
-
-
 def friction_band(quality: ExecutionQuality, participation: float) -> FrictionBand:
     """Step schedule of temporary friction by quality and participation rate.
 
@@ -114,16 +98,12 @@ def friction_band(quality: ExecutionQuality, participation: float) -> FrictionBa
     return FrictionBand(5.0, 8.0, extrapolated=True)
 
 
-def combine(permanent: float, friction: FrictionBand) -> ImpactResult:
-    """Combine permanent impact and friction additively in percentage points."""
+def combine(permanent: float, friction: FrictionBand) -> tuple[float, float]:
+    """The (low, high) total: permanent impact less the friction band's
+    percentage points, as signed fractions."""
     if permanent > 0:
         raise ImpactError(f"permanent impact must be nonpositive, got {permanent}")
-    return ImpactResult(
-        permanent=permanent,
-        friction=friction,
-        total_low=permanent - friction.high / 100.0,
-        total_high=permanent - friction.low / 100.0,
-    )
+    return permanent - friction.high / 100.0, permanent - friction.low / 100.0
 
 
 def relative_impact_with_growth(

@@ -99,21 +99,11 @@ class BurnOutcome:
     ledger_after: SupplyLedger
 
 
-def effective_float(ledger: SupplyLedger) -> float:
-    """Total mined minus the lost-coins estimate, in BTC."""
-    return sats_to_btc(ledger.total_mined_sats - ledger.lost_estimate_sats)
-
-
 def position_share(ledger: SupplyLedger, basis: ShareBasis) -> float:
     """Position as a dimensionless fraction of the chosen supply base."""
     if basis is ShareBasis.NOMINAL:
         return ledger.position_sats / ledger.total_mined_sats
     return ledger.position_sats / (ledger.total_mined_sats - ledger.lost_estimate_sats)
-
-
-def gross_value(ledger: SupplyLedger) -> float:
-    """Marked-to-market position value in USD."""
-    return ledger.position * ledger.reference_price
 
 
 def burn_sats(position_sats: int, retention_fraction: float) -> int:

@@ -187,17 +187,6 @@ class TrancheProgram:
     tranches: Sequence[tuple[TimelockCondition, int]] = field(default_factory=tuple)
 
 
-def timelock_spendable(
-    condition: TimelockCondition, now: int, confirmed_at: int = 0
-) -> bool:
-    """Whether the condition is satisfied at the given simulated epoch."""
-    if now < 0:
-        raise MechanismError("now must be nonnegative")
-    if condition.variant is TimelockVariant.RELATIVE and confirmed_at > now:
-        raise MechanismError("confirmed_at must not exceed now")
-    return now >= condition.unlock_epoch(confirmed_at)
-
-
 # ---------------------------------------------------------------------------
 # Dead-man's switch
 

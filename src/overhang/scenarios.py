@@ -46,6 +46,7 @@ GERMAN_THRESHOLD = -0.15
 
 DEFAULT_EPSILON_GRID = (0.3, 0.5, 0.7, 1.0, 1.5)
 DEFAULT_HORIZON_GRID = (5, 10, 12)
+MAX_SWEEP_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -166,8 +167,7 @@ def _classified_total(
     permanent: float, band: FrictionBand
 ) -> tuple[tuple[float, float], AnchorClass]:
     """Combine a permanent impact with a friction band and classify the total."""
-    combined = impact_model.combine(permanent, band)
-    total = (combined.total_low, combined.total_high)
+    total = impact_model.combine(permanent, band)
     return total, classify_against_anchors(total)
 
 
@@ -193,10 +193,14 @@ def sensitivity_sweep(
 
     Each cell's total and anchor class depend only on its elasticity and
     friction band, so they are computed once per (ε, band) and shared by
-    every cell with that band.
+    every cell with that band. A sweep holds at most MAX_SWEEP_CELLS cells,
+    so its size is checked before any is built.
     """
     if not epsilon_grid or not quality_set or not horizon_grid:
         raise ScenarioError("sweep grids must be non-empty")
+    cells = len(epsilon_grid) * len(quality_set) * len(horizon_grid)
+    if cells > MAX_SWEEP_CELLS:
+        raise ScenarioError(f"{cells} sweep cells exceed the limit of {MAX_SWEEP_CELLS}")
     lo, hi = EPSILON_RANGE
     if not allow_out_of_range:
         for eps in epsilon_grid:
@@ -258,47 +262,3 @@ def _sweep_columns(
             k = band_index.setdefault(band, len(band_index))
             columns.append((f"/{quality.value}/{horizon}y", schedules[j], k))
     return list(band_index), columns
-
-
-@dataclass(frozen=True)
-class FrictionGap:
-    ratio: float
-    in_range: bool
-
-
-def friction_gap_check(
-    results: Sequence[ScenarioResult], anchors: Sequence[AnchorEvent]
-) -> FrictionGap:
-    """Ratio of public-venue realized impact to disciplined-execution impact.
-
-    Requires the scenario results to span both ends of the anchor bracket.
-    Uses the observed-impact band midpoints of the first public-venue and
-    first disciplined anchors carrying bands; the calibrated factor is
-    expected to lie in [3, 5].
-    """
-    classes = {r.anchor_class for r in results}
-    if AnchorClass.NEAR_SILK_ROAD not in classes or AnchorClass.NEAR_GERMAN not in classes:
-        raise ScenarioError(
-            "results must include both NearSilkRoad and NearGerman classifications"
-        )
-    public = _first_with_band(anchors, ExecutionQuality.PUBLIC_VENUE)
-    disciplined = _first_with_band(anchors, ExecutionQuality.DISCIPLINED_OTC)
-    if public is None or disciplined is None:
-        raise ScenarioError("need both public-venue and disciplined anchors with bands")
-    ratio = _band_midpoint(public.observed_impact) / _band_midpoint(
-        disciplined.observed_impact
-    )
-    return FrictionGap(ratio=ratio, in_range=3.0 <= ratio <= 5.0)
-
-
-def _first_with_band(
-    anchors: Sequence[AnchorEvent], quality: ExecutionQuality
-) -> Optional[AnchorEvent]:
-    for anchor in anchors:
-        if anchor.execution_class is quality and anchor.observed_impact is not None:
-            return anchor
-    return None
-
-
-def _band_midpoint(band: tuple[float, float]) -> float:
-    return abs(band[0] + band[1]) / 2

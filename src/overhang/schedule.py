@@ -69,16 +69,6 @@ def build_uniform_schedule(params: ScheduleParams) -> Schedule:
     )
 
 
-def participation_check(
-    schedule: Schedule, volume_range: tuple[float, float]
-) -> tuple[float, float]:
-    """Participation at the low and high ends of a daily-volume range."""
-    low, high = volume_range
-    if low <= 0 or high <= 0 or low > high:
-        raise ScheduleError(f"invalid volume range ({low}, {high})")
-    return schedule.daily_usd / low, schedule.daily_usd / high
-
-
 def to_tranche_program(
     schedule: Schedule,
     granularity: int,

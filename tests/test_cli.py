@@ -225,6 +225,10 @@ def test_volume_flag_over_config_over_default(tmp_path):
         # a position with no finite satoshi value, for every terminal that moves coins
         ("mechanism", "simulate", "--terminal", "burn", "--position", "1e301"),
         ("mechanism", "simulate", "--terminal", "adversarial", "--position", "1e301"),
+        # the smallest two-quality sweep over the cell limit, 2 × 21 × 2381 = 100,002 cells,
+        # rejected before any is built
+        ("scenario", "sweep", "--epsilons", ",".join(str(0.3 + i / 20) for i in range(21)),
+         "--horizons", ",".join(str(h) for h in range(1, 2382))),
     ],
 )
 def test_domain_and_parse_errors_exit_2(argv, capsys):
@@ -240,7 +244,7 @@ def test_domain_and_parse_errors_exit_2(argv, capsys):
     [
         # participation = daily USD / 1e-320 overflows to inf
         ("schedule", "--volume", "1e-320"),
-        # float `**2` raises OverflowError instead of returning inf
+        # σ²τ = 1e600 is past the float range, even as σ·(σ·τ)
         ("frontier", "--sigma", "1e300"),
         ("frontier", "--total", "1e160", "--lambdas", "0"),
     ],
@@ -268,6 +272,9 @@ def test_nonfinite_frontier_exits_4_without_printing_it(argv):
         # (στ)² overflows a float, but λ·στ is taken first: λ(στ)² = 1e20, exit 0
         (("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas",
           "1e-300,0", "--json"), EXIT_OK, "a6fd3fff27aca475176b3c05759b0a4d"),
+        # σ² overflows a float, but the variance is taken as σ·(σ·τ): σ²τ = 1e220, exit 0
+        (("frontier", "--sigma", "1e160", "--tau", "1e-100", "--lambdas", "0", "--json"),
+         EXIT_OK, "5e04fc07f1f9cc51076ca76fccfc7e65"),
     ],
 )
 def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdout_md5):
@@ -278,17 +285,32 @@ def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdou
     assert len([line for line in err.splitlines() if "error:" in line]) == (code != EXIT_OK)
 
 
-def test_frontier_past_the_float_square_of_sigma_tau_matches_exact_rows():
-    code, text = run_cli("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0",
-                         "--lambdas", "1e-300,0", "--json")
+def assert_frontier_rows_match_exact(argv, lambdas, **model):
+    """The argv's JSON rows carry the 50-digit costs of the model at each λ;
+    a holdings line may follow them."""
+    code, text = run_cli("frontier", *argv, "--json")
     assert code == EXIT_OK
-    rows = json.loads(text)
-    assert [row["risk_aversion"] for row in rows] == [1e-300, 0.0]
+    rows = json.loads(text.partition("]\n")[0] + "]")
+    assert [row["risk_aversion"] for row in rows] == lambdas
     for row in rows:
-        model = ExecutionModel(total_units=100.0, periods=10, period_length=1e20,
-                               volatility=1e140, risk_aversion=row["risk_aversion"])
-        _, expected, variance = exact_trajectory(model)
-        assert_close(model, [row["expected_cost"], row["cost_variance"]], [expected, variance])
+        variant = ExecutionModel(total_units=100.0, periods=10, risk_aversion=row["risk_aversion"],
+                                 **model)
+        _, expected, variance = exact_trajectory(variant)
+        assert_close(variant, [row["expected_cost"], row["cost_variance"]], [expected, variance])
+
+
+def test_frontier_past_the_float_square_of_sigma_tau_matches_exact_rows():
+    assert_frontier_rows_match_exact(
+        ("--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas", "1e-300,0"),
+        [1e-300, 0.0], period_length=1e20, volatility=1e140,
+    )
+
+
+def test_frontier_past_the_float_square_of_sigma_matches_exact_rows():
+    assert_frontier_rows_match_exact(
+        ("--sigma", "1e160", "--tau", "1e-100", "--lambdas", "0"),
+        [0.0], period_length=1e-100, volatility=1e160, permanent_coeff=0.1,
+    )
 
 
 def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():

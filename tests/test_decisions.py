@@ -208,9 +208,13 @@ def test_bear_case_summary(ledger, matrix):
     results = [run_scenario(s, ledger) for s in builtin_scenarios()]
     report = bear_case_summary(matrix, ledger, results)
     assert report.worst_case_bound[0] == pytest.approx(-0.25, abs=0.006)
-    assert report.bounded_downside
-    assert report.non_bearish_plurality
-    assert all(s is not MarketSign.BEARISH for s in report.ranked_signs[:2])
+    assert [e.market_sign for e in report.effects] == [
+        MarketSign.BULLISH, MarketSign.BULLISH, MarketSign.BEARISH, MarketSign.BEARISH
+    ]
+    for kind, effect in zip(report.ranking, report.effects):
+        assert effect == supply_effect(TerminalState(kind), ledger, report.worst_case_bound[0])
+        if effect.market_sign is MarketSign.BEARISH:
+            assert effect.bound == report.worst_case_bound[0]
 
 
 def test_bear_case_summary_zero_position(matrix):

@@ -15,7 +15,6 @@ from overhang.impact import (
     overshoot_path,
     permanent_impact,
     relative_impact_with_growth,
-    small_shift_approx,
 )
 from overhang.ledger import format_percent
 
@@ -53,9 +52,7 @@ _BAD_SHIFTS = [float("nan"), float("inf"), -0.01]
     "function, shift",
     [pytest.param(permanent_impact, shift, id=str(shift)) for shift in _BAD_SHIFTS]
     + [
-        pytest.param(function, shift, id=f"{name}-{shift}")
-        for name, function in [("small_shift_approx", small_shift_approx),
-                               ("relative_impact_with_growth", _with_growth)]
+        pytest.param(_with_growth, shift, id=f"relative_impact_with_growth-{shift}")
         for shift in _BAD_SHIFTS
     ],
 )
@@ -70,24 +67,17 @@ def test_overshoot_half_life_must_be_positive_and_finite(half_life):
         OvershootParams(half_life=half_life)
 
 
-def test_small_shift_approx_definitional():
-    assert small_shift_approx(0.01, ElasticityModel(1.0)) == pytest.approx(-0.01)
-    assert small_shift_approx(0.0, ElasticityModel(0.3)) == 0.0
-
-
+# To first order in the shift s, permanent impact is -s/ε.
 def test_small_shift_approx_vs_exact():
-    approx = small_shift_approx(0.07, ElasticityModel(0.7))
     exact = permanent_impact(0.07, ElasticityModel(0.7))
-    assert approx == pytest.approx(-0.10, abs=1e-12)
-    assert abs(approx - exact) < 0.01
+    assert abs(-0.07 / 0.7 - exact) < 0.01
 
 
 @given(shift=st.floats(min_value=1e-6, max_value=0.01))
 def test_small_shift_relative_error_bound(shift):
     for eps in (0.3, 0.7, 1.0, 1.5):
-        model = ElasticityModel(eps)
-        exact = permanent_impact(shift, model)
-        approx = small_shift_approx(shift, model)
+        exact = permanent_impact(shift, ElasticityModel(eps))
+        approx = -shift / eps
         assert abs(approx - exact) / abs(exact) < 0.05
 
 
@@ -148,28 +138,26 @@ def test_public_venue_band_flagged_extrapolated():
 
 
 def test_combine_base_scenario():
-    result = combine(-0.092, FrictionBand(2, 3))
-    assert result.total_low == pytest.approx(-0.122)
-    assert result.total_high == pytest.approx(-0.112)
+    low, high = combine(-0.092, FrictionBand(2, 3))
+    assert low == pytest.approx(-0.122)
+    assert high == pytest.approx(-0.112)
 
 
 def test_combine_aggressive_scenario():
-    result = combine(-0.202, FrictionBand(3, 5))
-    assert result.total_low == pytest.approx(-0.252)
-    assert result.total_high == pytest.approx(-0.232)
+    low, high = combine(-0.202, FrictionBand(3, 5))
+    assert low == pytest.approx(-0.252)
+    assert high == pytest.approx(-0.232)
 
 
 def test_combine_zero():
-    result = combine(0.0, FrictionBand(0, 0))
-    assert result.total_low == 0.0
-    assert result.total_high == 0.0
+    assert combine(0.0, FrictionBand(0, 0)) == (0.0, 0.0)
 
 
 def test_combine_widening_band_widens_total():
-    narrow = combine(-0.1, FrictionBand(2, 3))
-    wide = combine(-0.1, FrictionBand(1, 4))
-    assert wide.total_low <= narrow.total_low
-    assert wide.total_high >= narrow.total_high
+    narrow_low, narrow_high = combine(-0.1, FrictionBand(2, 3))
+    wide_low, wide_high = combine(-0.1, FrictionBand(1, 4))
+    assert wide_low <= narrow_low
+    assert wide_high >= narrow_high
 
 
 def test_growth_invariance_flat_path():

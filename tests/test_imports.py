@@ -1,4 +1,5 @@
-"""The package's internal import graph is one-way and fully visible at module top."""
+"""The package's internal import graph is one-way and fully visible at module top,
+and every public name it defines is used inside it."""
 
 import ast
 import graphlib
@@ -67,3 +68,37 @@ def test_sharding_and_schedules_load_no_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+# Public names that only the acceptance criteria or the benchmark call.
+UNREFERENCED_IN_SRC = (
+    "cost_of",
+    "apply_burn",
+    "relative_impact_with_growth",
+    "dms_step",
+    "overshoot_path",
+)
+
+
+def test_every_public_name_is_referenced_in_src():
+    """Each top-level public def and class is named somewhere in the package,
+    through a name, an attribute or an import, so none is kept alive by the
+    tests alone."""
+    trees = [_parse(path) for path in MODULES.values()]
+    referenced = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert set(UNREFERENCED_IN_SRC) <= set(defined)
+    unreferenced = sorted(set(defined) - referenced - set(UNREFERENCED_IN_SRC))
+    assert not unreferenced, f"only the tests use {unreferenced}"

@@ -8,9 +8,7 @@ from overhang.ledger import (
     SupplyLedger,
     apply_burn,
     btc_to_sats,
-    effective_float,
     format_percent,
-    gross_value,
     position_share,
 )
 
@@ -20,13 +18,17 @@ def default_ledger():
     return SupplyLedger.from_btc()
 
 
+# The effective float is the base of the effective share.
 def test_effective_float_default(default_ledger):
-    assert effective_float(default_ledger) == pytest.approx(16.31e6)
+    share = position_share(default_ledger, ShareBasis.EFFECTIVE)
+    assert default_ledger.position / share == pytest.approx(16.31e6)
 
 
 def test_effective_float_zero_lost():
     ledger = SupplyLedger.from_btc(total_mined=20.01e6, lost_estimate=0)
-    assert effective_float(ledger) == pytest.approx(20.01e6)
+    share = position_share(ledger, ShareBasis.EFFECTIVE)
+    assert share == position_share(ledger, ShareBasis.NOMINAL)
+    assert ledger.position / share == pytest.approx(20.01e6)
 
 
 def test_lost_equals_total_is_invalid():
@@ -71,13 +73,14 @@ def test_zero_position_share():
     assert position_share(ledger, ShareBasis.EFFECTIVE) == 0
 
 
+# A burn that retains the whole position keeps its marked-to-market value.
 def test_gross_value(default_ledger):
-    assert gross_value(default_ledger) == pytest.approx(91.84e9)
+    assert apply_burn(default_ledger, 1.0).residual_value == pytest.approx(91.84e9)
 
 
 def test_gross_value_unit_case():
     ledger = SupplyLedger.from_btc(position=1)
-    assert gross_value(ledger) == pytest.approx(80_000)
+    assert apply_burn(ledger, 1.0).residual_value == pytest.approx(80_000)
 
 
 def test_burn_retention_one_percent(default_ledger):

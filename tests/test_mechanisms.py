@@ -35,7 +35,6 @@ from overhang.mechanisms import (
     reconstruct,
     simulate_disposition,
     split,
-    timelock_spendable,
 )
 from overhang.schedule import (
     DAYS_PER_YEAR,
@@ -201,19 +200,16 @@ def test_share_serialization_round_trip():
 # --- timelocks --------------------------------------------------------------
 
 def test_absolute_timelock_boundary():
-    condition = TimelockCondition.absolute(100)
-    assert not timelock_spendable(condition, now=99)
-    assert timelock_spendable(condition, now=100)
+    assert TimelockCondition.absolute(100).unlock_epoch() == 100
+    assert TimelockCondition.absolute(100).unlock_epoch(confirmed_at=50) == 100
 
 
 def test_relative_timelock():
-    condition = TimelockCondition.relative(10)
-    assert not timelock_spendable(condition, now=59, confirmed_at=50)
-    assert timelock_spendable(condition, now=60, confirmed_at=50)
+    assert TimelockCondition.relative(10).unlock_epoch(confirmed_at=50) == 60
 
 
 def test_absolute_zero_always_spendable():
-    assert timelock_spendable(TimelockCondition.absolute(0), now=0)
+    assert TimelockCondition.absolute(0).unlock_epoch() == 0
 
 
 @pytest.mark.parametrize("variant", list(TimelockVariant))
@@ -223,8 +219,6 @@ def test_spendable_exactly_from_unlock_epoch(variant, value, confirmed_at):
     condition = TimelockCondition(variant, value)
     unlock = condition.unlock_epoch(confirmed_at)
     assert unlock == (value if variant is TimelockVariant.ABSOLUTE else confirmed_at + value)
-    assert not timelock_spendable(condition, now=unlock - 1, confirmed_at=confirmed_at)
-    assert timelock_spendable(condition, now=unlock, confirmed_at=confirmed_at)
 
 
 def test_negative_lock_rejected():
@@ -447,11 +441,12 @@ def test_switch_replay_matches_stepped_switch(
 
 
 def scanned_releases(program, horizon):
-    """Oracle: scan every tranche at every epoch and release it once spendable."""
+    """Oracle: scan every tranche at every epoch and release it once spendable,
+    that is once the epoch reaches its unlock epoch."""
     released, log = set(), []
     for now in range(horizon + 1):
         for i, (condition, amount_sats) in enumerate(program.tranches):
-            if i not in released and timelock_spendable(condition, now=now, confirmed_at=0):
+            if i not in released and now >= condition.unlock_epoch(confirmed_at=0):
                 released.add(i)
                 log.append(SimEvent(now, "release", amount_sats))
     return log

@@ -8,7 +8,6 @@ from overhang.schedule import (
     ScheduleError,
     ScheduleParams,
     build_uniform_schedule,
-    participation_check,
     to_tranche_program,
 )
 
@@ -82,26 +81,17 @@ def test_nonfinite_or_nonpositive_params_rejected(field, value):
 
 
 def test_participation_check_volume_range():
-    sched = make_schedule(10)
-    # force the worked example: 25e6 daily flow against a 10-20e9 range
-    sched_25 = build_uniform_schedule(
-        ScheduleParams(position=25e6 / 80_000 * 365 * 10, horizon=10)
-    )
-    low_end, high_end = participation_check(sched_25, (10e9, 20e9))
-    assert low_end == pytest.approx(0.0025)
-    assert high_end == pytest.approx(0.00125)
+    # the worked example: 25e6 daily flow against a 10-20e9 volume range
+    position = 25e6 / 80_000 * 365 * 10
+    low_end = make_schedule(10, volume=10e9, position=position)
+    high_end = make_schedule(10, volume=20e9, position=position)
+    assert low_end.participation == pytest.approx(0.0025)
+    assert high_end.participation == pytest.approx(0.00125)
 
 
 def test_participation_check_boundary():
     sched = make_schedule(10)
-    at_low, _ = participation_check(sched, (sched.daily_usd, 2 * sched.daily_usd))
-    assert at_low == pytest.approx(1.0)
-
-
-def test_participation_check_invalid_range():
-    sched = make_schedule(10)
-    with pytest.raises(ScheduleError):
-        participation_check(sched, (20e9, 10e9))
+    assert make_schedule(10, volume=sched.daily_usd).participation == pytest.approx(1.0)
 
 
 def test_tranche_program_annual():
