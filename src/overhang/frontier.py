@@ -5,7 +5,8 @@ expected cost plus risk_aversion times variance over admissible holdings
 paths gives the hyperbolic-sine profile in closed form (Almgren & Chriss,
 2000), evaluated here in one form that stays finite for every κτ; zero
 stiffness degenerates to the linear (uniform-pace) trajectory. The frontier
-evaluates all its risk aversions in one array pass.
+evaluates its risk aversions in array passes of at most FRONTIER_BLOCK_CELLS
+holdings values, so its memory is bounded at any number of them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from typing import Sequence
 import numpy as np
 
 MAX_PERIODS = 100 * 365  # a century of daily periods
+# Holdings values (risk aversions x (periods + 1)) that one frontier pass
+# evaluates, about 8 MB per array: a 200 x 201 frontier is one pass, and a
+# century of daily periods takes 28 risk aversions a pass.
+FRONTIER_BLOCK_CELLS = 2**20
 
 
 class FrontierError(ValueError):
@@ -117,8 +122,6 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     operation is elementwise, so each row is bit-identical to evaluating its
     risk aversion alone.
     """
-    if not np.all(np.isfinite(lambdas) & (lambdas >= 0)):
-        raise FrontierError("risk aversion must be finite and nonnegative")
     n = model.periods
     x_total = model.total_units
     tau = model.period_length
@@ -156,9 +159,18 @@ def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPo
     """Evaluate the efficient frontier at the given risk-aversion values."""
     if len(lambdas) == 0:
         raise FrontierError("lambdas must be non-empty")
-    holdings = _optimal_holdings(model, np.asarray(lambdas, dtype=float))
-    expected, variance = _row_costs(holdings, model)
+    values = np.asarray(lambdas, dtype=float)
+    if not np.all(np.isfinite(values) & (values >= 0)):
+        raise FrontierError("risk aversion must be finite and nonnegative")
+    block = max(1, FRONTIER_BLOCK_CELLS // (model.periods + 1))
+    expected: list[float] = []
+    variance: list[float] = []
+    for first in range(0, len(values), block):
+        holdings = _optimal_holdings(model, values[first:first + block])
+        block_expected, block_variance = _row_costs(holdings, model)
+        expected += block_expected.tolist()
+        variance += block_variance.tolist()
     return [
         FrontierPoint(risk_aversion=lam, expected_cost=e, cost_variance=v)
-        for lam, e, v in zip(lambdas, expected.tolist(), variance.tolist())
+        for lam, e, v in zip(lambdas, expected, variance)
     ]

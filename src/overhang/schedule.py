@@ -2,8 +2,9 @@
 
 Pace arithmetic is kept exact: per-year and per-day BTC flows are rational
 numbers over integer satoshis, so reconstructing the position from the pace
-round-trips exactly. The market trades around the clock, hence the 365-day
-year.
+round-trips exactly. Tranche unlock epochs are integers too: tranche i of g a
+year unlocks on start + round-half-even(i * 365 / g), computed by integer
+division. The market trades around the clock, hence the 365-day year.
 """
 
 from __future__ import annotations
@@ -76,8 +77,9 @@ def to_tranche_program(
 ) -> TrancheProgram:
     """Split the schedule into evenly sized, strictly increasing timelocked tranches.
 
-    granularity is tranches per year, at most one a day; unlock epochs are
-    absolute days, spaced DAYS_PER_YEAR / granularity apart from `start`.
+    granularity is tranches per year, at most one a day; tranche i unlocks on
+    absolute day start + round(i * DAYS_PER_YEAR / granularity), a half day
+    rounding to the even day, as round() does.
     Any satoshi remainder goes to the final tranche. A program holds at most
     MAX_TRANCHES tranches, so its size is checked before any is built.
     """
@@ -89,11 +91,12 @@ def to_tranche_program(
     if n > MAX_TRANCHES:
         raise ScheduleError(f"{n} tranches exceed the limit of {MAX_TRANCHES}")
     base = schedule.position_sats // n
-    spacing = Fraction(DAYS_PER_YEAR, granularity)
     tranches = []
     for i in range(n):
         amount = base if i < n - 1 else schedule.position_sats - base * (n - 1)
-        epoch = start + round(i * spacing)
+        # round(i * DAYS_PER_YEAR / granularity), half to even, in integers
+        q, r = divmod(i * DAYS_PER_YEAR, granularity)
+        epoch = start + q + (2 * r > granularity or (2 * r == granularity and q & 1))
         tranches.append((TimelockCondition.absolute(epoch), amount))
     return TrancheProgram(tranches=tuple(tranches))
 

@@ -170,6 +170,9 @@ GOLDEN = [
      "9259a8035c108d09a5c98c07e63e31bb6fe78a6726e46a9337f8514ac4007945"),
     (('schedule', '--horizon', '4', '--tranches-per-year', '4', '--start', '100', '--markdown'), 0,
      "a20db36f7cd0b5388bbb07857706ded26ab6aab4ea39d16a54ce1a12fc563b23"),
+    # 182.5-day spacing: the odd tranches' unlock epochs fall on half-day ties
+    (('schedule', '--horizon', '3', '--tranches-per-year', '2', '--start', '7', '--json'), 0,
+     "f8ceb4b679420d424aaec9d5e2e37bb3de75f04d1be017b75c075bebd4ae2d83"),
     (('frontier',), 0,
      "5996a2fb2d6698a3ace95dfc47e397ee4b271b1e2e01936f3b0cb7ef16f222ff"),
     (('frontier', '--json'), 0,
@@ -259,6 +262,8 @@ GOLDEN = [
      "4a6565fe0c140faf2ed81934d00371fe6dbce55d756e2b669540bdb2a8b6278e"),
     (('mechanism', 'simulate', '--terminal', 'liquidation', '--horizon', '4000', '--tranches-per-year', '4', '--program-years', '3'), 0,
      "eeb99f78e71b9c8b6bc8b3fa4c10326b14f214ab5beeac1a58578b713be29047"),
+    (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '52', '--program-years', '3'), 0,
+     "6f71633530da0b7aad0691b0b058c30436406c5be0a96719774c5b1678ed8cf8"),
     (('--seed', '11', 'mechanism', 'split', '--secret-hex', 'deadbeef', '-k', '2', '-n', '3'), 0,
      "745096c164b8d4e90e64e90694c125049428beac2bdf2fe4a52198f16dfcb1d2"),
     (('--seed', '7', 'mechanism', 'split', '--secret-hex', '00ff10203040', '-k', '3', '-n', '5'), 0,

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overhang.ledger import SATS_PER_BTC, format_percent
 from overhang.mechanisms import TimelockVariant
@@ -142,3 +146,33 @@ def test_tranche_count_bounded_by_a_century_of_daily_tranches():
     for horizon in (100 + 1 / DAYS_PER_YEAR, 1e6):
         with pytest.raises(ScheduleError):
             to_tranche_program(make_schedule(horizon), granularity=DAYS_PER_YEAR)
+
+
+def _fraction_epochs(granularity, count, start=0):
+    """The unlock epoch rule in exact rationals: round() takes a half day to the even day."""
+    spacing = Fraction(DAYS_PER_YEAR, granularity)
+    return [start + round(i * spacing) for i in range(count)]
+
+
+def test_unlock_epochs_match_the_fraction_rule_at_every_granularity():
+    # A two-year program holds 2g tranches. Adding g to i adds 365, an odd
+    # number, to the whole days, so i < 2g meets every remainder with both
+    # parities of the whole days: every case of the half-to-even tie.
+    sched = make_schedule(2)
+    for granularity in range(1, DAYS_PER_YEAR + 1):
+        program = to_tranche_program(sched, granularity=granularity)
+        epochs = [cond.value for cond, _ in program.tranches]
+        assert epochs == _fraction_epochs(granularity, 2 * granularity), granularity
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    horizon=st.floats(min_value=1, max_value=30),
+    granularity=st.integers(min_value=1, max_value=DAYS_PER_YEAR),
+    start=st.integers(min_value=0, max_value=10**6),
+)
+def test_unlock_epochs_match_the_fraction_rule(horizon, granularity, start):
+    program = to_tranche_program(make_schedule(horizon), granularity=granularity, start=start)
+    epochs = [cond.value for cond, _ in program.tranches]
+    assert all(type(epoch) is int for epoch in epochs)
+    assert epochs == _fraction_epochs(granularity, len(epochs), start)
