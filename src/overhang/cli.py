@@ -39,8 +39,6 @@ EXIT_VALIDATION = 2
 EXIT_UNKNOWN = 3
 EXIT_COMPUTATION = 4
 
-A2_EPSILONS = (1.5, 0.7, 0.3)
-
 TERMINALS = {
     "dormancy": decisions.TerminalStateKind.DORMANCY_NON_RECOVERY,
     "burn": decisions.TerminalStateKind.SILENT_BURN,
@@ -207,7 +205,11 @@ def _cmd_impact(args: argparse.Namespace, out, seed: int) -> None:
         raise ValueError("--epsilon does not apply with --table")
     band = impact.friction_band(parse_quality(args.quality), args.participation)
     rows = []
-    for eps in A2_EPSILONS if args.table else (0.7 if args.epsilon is None else args.epsilon,):
+    if args.table:
+        epsilons = [s.elasticity.epsilon for s in scenarios.builtin_scenarios()]
+    else:
+        epsilons = [0.7 if args.epsilon is None else args.epsilon]
+    for eps in epsilons:
         permanent = impact.permanent_impact(args.share, impact.ElasticityModel(eps))
         total_low, total_high = impact.combine(permanent, band)
         rows.append({
@@ -328,12 +330,15 @@ def _cmd_frontier(args: argparse.Namespace, out, seed: int) -> None:
         permanent_coeff=args.gamma,
         temporary_coeff=args.eta,
     )
-    points = frontier.frontier(model, args.lambdas)
-    _emit([dataclasses.asdict(p) for p in points], args.fmt, out)
-    if len(args.lambdas) == 1:
-        variant = dataclasses.replace(model, risk_aversion=args.lambdas[0])
-        trajectory = frontier.optimal_trajectory(variant)
-        out.write("holdings: " + ", ".join(f"{x:.6g}" for x in trajectory.holdings) + "\n")
+    if len(args.lambdas) > 1:
+        points = frontier.frontier(model, args.lambdas)
+        _emit([dataclasses.asdict(p) for p in points], args.fmt, out)
+        return
+    (lam,) = args.lambdas
+    trajectory = frontier.optimal_trajectory(dataclasses.replace(model, risk_aversion=lam))
+    point = frontier.FrontierPoint(lam, trajectory.expected_cost, trajectory.cost_variance)
+    _emit([dataclasses.asdict(point)], args.fmt, out)
+    out.write("holdings: " + ", ".join(f"{x:.6g}" for x in trajectory.holdings) + "\n")
 
 
 def _cmd_decision_map(args: argparse.Namespace, out, seed: int) -> None:

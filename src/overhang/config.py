@@ -3,8 +3,9 @@
 The same schema parses from INI-style text (section headers, one key per
 line) or from a JSON object keyed by section. `dump_config` writes every key
 `load_config` reads, and the loader accepts exactly those keys, so a dumped
-run loads back to an equal `RunConfig`. Defaults are the built-in calibration
-parameters.
+run loads back to an equal `RunConfig`. INI values are literal, with no `%`
+interpolation, and a key under [DEFAULT] is rejected as an unknown section.
+Defaults are the built-in calibration parameters.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def load_config(text: str) -> RunConfig:
     if stripped.startswith("{"):
         try:
             sections = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(sections, dict) or not all(
             isinstance(body, dict) for body in sections.values()
@@ -91,11 +92,13 @@ def load_config(text: str) -> RunConfig:
             for name, body in sections.items()
         }
     else:
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         try:
             parser.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
+        if parser.defaults():
+            raise ConfigError(f"unknown config section [{parser.default_section}]")
         sections = {name: dict(parser[name]) for name in parser.sections()}
 
     for name, body in sections.items():

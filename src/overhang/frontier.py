@@ -149,7 +149,7 @@ def optimal_trajectory(model: ExecutionModel) -> Trajectory:
     holdings = _optimal_holdings(model, np.array([model.risk_aversion], dtype=float))
     expected, variance = _row_costs(holdings, model)
     return Trajectory(
-        holdings=tuple(holdings[0]),
+        holdings=tuple(holdings[0].tolist()),
         expected_cost=float(expected[0]),
         cost_variance=float(variance[0]),
     )

@@ -12,7 +12,7 @@ import enum
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import xor
 from typing import Iterable, Optional, Sequence
@@ -151,40 +151,22 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
 # ---------------------------------------------------------------------------
 # Timelocks
 
-class TimelockVariant(enum.Enum):
-    ABSOLUTE = "absolute"  # CLTV-style: spendable at or after an epoch
-    RELATIVE = "relative"  # CSV-style: spendable after a delta since confirmation
-
-
 @dataclass(frozen=True)
 class TimelockCondition:
-    variant: TimelockVariant
+    """CLTV-style absolute timelock: spendable at or after epoch `value`."""
+
     value: int
 
     def __post_init__(self) -> None:
         if self.value < 0:
-            raise MechanismError("timelock epoch/delta must be nonnegative")
-
-    @classmethod
-    def absolute(cls, epoch: int) -> "TimelockCondition":
-        return cls(TimelockVariant.ABSOLUTE, epoch)
-
-    @classmethod
-    def relative(cls, delta: int) -> "TimelockCondition":
-        return cls(TimelockVariant.RELATIVE, delta)
-
-    def unlock_epoch(self, confirmed_at: int = 0) -> int:
-        """First spendable epoch: the epoch itself, or the delta past confirmation."""
-        if self.variant is TimelockVariant.ABSOLUTE:
-            return self.value
-        return confirmed_at + self.value
+            raise MechanismError("timelock epoch must be nonnegative")
 
 
 @dataclass(frozen=True)
 class TrancheProgram:
     """Ordered timelocked tranches; amounts in satoshis sum to the position."""
 
-    tranches: Sequence[tuple[TimelockCondition, int]] = field(default_factory=tuple)
+    tranches: Sequence[tuple[TimelockCondition, int]]
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +286,7 @@ def simulate_disposition(
         if tranche_program is None:
             raise MechanismError("patient liquidation requires a tranche program")
         unlocks = sorted(
-            (condition.unlock_epoch(), i, amount_sats)
+            (condition.value, i, amount_sats)
             for i, (condition, amount_sats) in enumerate(tranche_program.tranches)
         )
         return [

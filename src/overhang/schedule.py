@@ -97,7 +97,7 @@ def to_tranche_program(
         # round(i * DAYS_PER_YEAR / granularity), half to even, in integers
         q, r = divmod(i * DAYS_PER_YEAR, granularity)
         epoch = start + q + (2 * r > granularity or (2 * r == granularity and q & 1))
-        tranches.append((TimelockCondition.absolute(epoch), amount))
+        tranches.append((TimelockCondition(epoch), amount))
     return TrancheProgram(tranches=tuple(tranches))
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overhang import frontier
 from overhang.cli import (
     EXIT_COMPUTATION,
     EXIT_OK,
@@ -140,6 +141,24 @@ def test_config_without_effect_or_shape_rejected(tmp_path, text):
     path.write_text(text)
     code, _ = run_cli("scenario", "B", "--config", str(path))
     assert code == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[ledger]\nposition = 100%\n",
+        '{"a": ' * 100_000 + "1" + "}" * 100_000,
+        "[DEFAULT]\nposition = 5\n",
+        "[DEFAULT]\nposition = 5\n[ledger]\nlost_estimate = 3500000\n",
+    ],
+    ids=["percent", "deep-json", "default-alone", "default-with-ledger"],
+)
+def test_malformed_config_exits_2_with_one_error_line(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code, out, err, _ = _run_captured(["scenario", "B", "--config", str(path)])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 def test_volume_flag_over_config_over_default(tmp_path):
@@ -326,6 +345,13 @@ def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():
     assert all(a >= b for a, b in zip(holdings, holdings[1:]))
 
 
+def test_single_lambda_frontier_evaluates_the_kernel_once(monkeypatch):
+    kernel, calls = frontier._optimal_holdings, []
+    monkeypatch.setattr(frontier, "_optimal_holdings", lambda *a: calls.append(a) or kernel(*a))
+    assert run_cli("frontier", "--lambdas", "1e-6")[0] == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_decision_map_first_row():
     code, text = run_cli("decision-map")
     assert code == EXIT_OK
@@ -448,7 +474,8 @@ _COMMANDS = st.one_of(
              quality=st.sampled_from(["mixed", "public-venue", "bogus"]),
              participation=_float(0, 0.06), table=_SWITCH),
     _command("scenario", tail=st.lists(st.sampled_from(["A", "B", "C", "sweep", "Z"]), max_size=1),
-             config=st.sampled_from(["run.ini", "ledger.ini", "bad.ini", "missing.ini"]),
+             config=st.sampled_from(
+                 ["run.ini", "ledger.ini", "bad.ini", "percent.ini", "missing.ini"]),
              volume=_float(1e8, 3e10), nominal=_SWITCH, epsilons=_floats(0.05, 3),
              horizons=_floats(0.5, 30), allow_out_of_range=_SWITCH, emit_config=_SWITCH),
     _command("schedule", position=_float(1, 2e6), horizon=_float(0.5, 20),
@@ -484,6 +511,7 @@ def config_dir(tmp_path_factory):
     (path / "run.ini").write_text(
         "[scenario]\nname = custom\nepsilon = 0.5\nquality = mixed\nhorizon = 8\n")
     (path / "bad.ini").write_text("[ledger]\nbogus_key = 1\n")
+    (path / "percent.ini").write_text("[ledger]\nposition = 100%\n")
     return path
 
 

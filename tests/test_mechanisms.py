@@ -27,7 +27,6 @@ from overhang.mechanisms import (
     Share,
     SimEvent,
     TimelockCondition,
-    TimelockVariant,
     TrancheProgram,
     _gf_inv,
     _gf_mul,
@@ -199,31 +198,54 @@ def test_share_serialization_round_trip():
 
 # --- timelocks --------------------------------------------------------------
 
+def released_at(lock_epoch, horizon):
+    """Release epochs of a one-tranche program locked to lock_epoch."""
+    program = TrancheProgram(((TimelockCondition(lock_epoch), 1),))
+    events = simulate_disposition(
+        TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
+        cfg(),
+        tranche_program=program,
+        clock_horizon=horizon,
+    )
+    return [event.epoch for event in events]
+
+
 def test_absolute_timelock_boundary():
-    assert TimelockCondition.absolute(100).unlock_epoch() == 100
-    assert TimelockCondition.absolute(100).unlock_epoch(confirmed_at=50) == 100
-
-
-def test_relative_timelock():
-    assert TimelockCondition.relative(10).unlock_epoch(confirmed_at=50) == 60
+    assert TimelockCondition(100).value == 100
+    assert released_at(100, 3650) == [100]
 
 
 def test_absolute_zero_always_spendable():
-    assert TimelockCondition.absolute(0).unlock_epoch() == 0
+    assert released_at(0, 0) == [0]
 
 
-@pytest.mark.parametrize("variant", list(TimelockVariant))
-@pytest.mark.parametrize("value", [1, 7, 365])
-@pytest.mark.parametrize("confirmed_at", [0, 40])
-def test_spendable_exactly_from_unlock_epoch(variant, value, confirmed_at):
-    condition = TimelockCondition(variant, value)
-    unlock = condition.unlock_epoch(confirmed_at)
-    assert unlock == (value if variant is TimelockVariant.ABSOLUTE else confirmed_at + value)
+# Case ids keep the names these absolute cases had while a relative variant,
+# counted from a confirmation epoch, also existed.
+ABSOLUTE_CASES = [(other, value) for other in (0, 40) for value in (1, 7, 365)]
+
+
+@pytest.mark.parametrize(
+    "other_epoch, value",
+    ABSOLUTE_CASES,
+    ids=[f"{other}-{value}-TimelockVariant.ABSOLUTE" for other, value in ABSOLUTE_CASES],
+)
+def test_spendable_exactly_from_unlock_epoch(other_epoch, value):
+    """A lock releases exactly at its own epoch, not counted from another tranche's."""
+    assert released_at(value, value - 1) == []
+    assert released_at(value, value) == [value]
+    program = TrancheProgram(((TimelockCondition(other_epoch), 1), (TimelockCondition(value), 2)))
+    events = simulate_disposition(
+        TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
+        cfg(),
+        tranche_program=program,
+        clock_horizon=other_epoch + value,
+    )
+    assert [event.epoch for event in events if event.amount_sats == 2] == [value]
 
 
 def test_negative_lock_rejected():
-    with pytest.raises(MechanismError):
-        TimelockCondition.absolute(-1)
+    with pytest.raises(MechanismError, match="timelock epoch must be nonnegative"):
+        TimelockCondition(-1)
 
 
 # --- dead-man's switch ------------------------------------------------------
@@ -446,7 +468,7 @@ def scanned_releases(program, horizon):
     released, log = set(), []
     for now in range(horizon + 1):
         for i, (condition, amount_sats) in enumerate(program.tranches):
-            if i not in released and now >= condition.unlock_epoch(confirmed_at=0):
+            if i not in released and now >= condition.value:
                 released.add(i)
                 log.append(SimEvent(now, "release", amount_sats))
     return log
@@ -457,7 +479,7 @@ def test_liquidation_replay_matches_epoch_scan():
     for _ in range(300):
         program = TrancheProgram(tuple(
             (
-                TimelockCondition(rng.choice(list(TimelockVariant)), rng.randint(0, 120)),
+                TimelockCondition(rng.randint(0, 120)),
                 rng.randint(0, 10**14),
             )
             for _ in range(rng.randint(0, 25))

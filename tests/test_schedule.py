@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overhang.ledger import SATS_PER_BTC, format_percent
-from overhang.mechanisms import TimelockVariant
 from overhang.schedule import (
     DAYS_PER_YEAR,
     MAX_TRANCHES,
@@ -109,7 +108,6 @@ def test_tranche_program_annual():
     assert epochs[0] == 100
     assert epochs == sorted(epochs)
     assert len(set(epochs)) == len(epochs)
-    assert all(cond.variant is TimelockVariant.ABSOLUTE for cond, _ in program.tranches)
 
 
 def test_single_tranche_unlocks_at_start():
