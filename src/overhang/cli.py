@@ -3,18 +3,19 @@ mechanism, anchors.
 
 Output formats: an aligned table (the default), --markdown, --json, --csv,
 and for a named scenario --emit-config, the run's RunConfig as JSON that
---config loads back. Only the table and markdown start with a `# seed` line.
-A scenario run resolves into one RunConfig: the config file or the defaults,
-then --volume, then the scenario name, which a config [scenario] section
-excludes.
+--config loads back. Only the table and markdown start with a `# seed` line,
+so --json, --csv and --emit-config print the same bytes for any --seed: the
+one flag accepted where it changes nothing. The seed comes from --seed or the
+OVERHANG_SEED environment variable. A scenario run resolves into one
+RunConfig: the config file or the defaults, then --volume, then the scenario
+name, which a config [scenario] section excludes.
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError: a missing config file, a malformed index:hex share line, a NaN,
-infinite or out-of-domain number, a flag the command would ignore); 3 an
-unknown or missing scenario; 4 a NaN or infinite result, or a float overflow
-(any ArithmeticError). Only exit 0 writes stdout; any other leaves it empty.
-Output is deterministic for identical (config, seed) pairs; the seed comes
-from --seed or the OVERHANG_SEED environment variable.
+infinite or out-of-domain number, a flag given outside the forms FLAG_FORMS
+lists for it); 3 an unknown or missing scenario; 4 a NaN or infinite result,
+or a float overflow (any ArithmeticError). Only exit 0 writes stdout; any
+other leaves it empty. Output is deterministic per (config, seed) pair.
 """
 
 from __future__ import annotations
@@ -44,6 +45,22 @@ TERMINALS = {
     "burn": decisions.TerminalStateKind.SILENT_BURN,
     "adversarial": decisions.TerminalStateKind.ADVERSARIAL_SWITCH,
     "liquidation": decisions.TerminalStateKind.PATIENT_LIQUIDATION,
+}
+
+# The forms, as each subparser's `form` names them, that a flag of only some
+# forms of its command applies to; main rejects it elsewhere with exit 2.
+# --interval and --grace are still accepted with liquidation, which reads neither.
+_SIMULATE = "mechanism simulate --terminal "
+FLAG_FORMS = {
+    "impact": {"--epsilon": {"impact"}},
+    "scenario": {"--nominal": {"scenario NAME"}, "--emit-config": {"scenario NAME --emit-config"},
+                 "--epsilons": {"scenario sweep"}, "--horizons": {"scenario sweep"},
+                 "--allow-out-of-range": {"scenario sweep"}},
+    "schedule": {"--volume": {"schedule"}, "--price": {"schedule"},
+                 "--start": {"schedule --tranches-per-year"}},
+    "mechanism": {"--position": {_SIMULATE + name for name in TERMINALS if name != "dormancy"},
+                  "--program-years": {_SIMULATE + "liquidation"},
+                  "--tranches-per-year": {_SIMULATE + "liquidation"}},
 }
 
 
@@ -119,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_impact.add_argument("--quality", default="disciplined-otc")
     p_impact.add_argument("--participation", type=float, default=0.0017)
     p_impact.add_argument("--table", action="store_true", help="all reference elasticities")
-    p_impact.set_defaults(run=_cmd_impact)
+    p_impact.set_defaults(run=_cmd_impact,
+                          form=lambda a: "impact --table" if a.table else "impact")
     _format_flag(p_impact)
 
     p_scen = sub.add_parser("scenario", help="run a named scenario or a sweep")
@@ -127,29 +145,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen.add_argument("--config", help="config file (INI sections or JSON)")
     p_scen.add_argument("--volume", type=float, default=None,
                         help="reference daily volume, USD; overrides the config's [run] volume")
-    p_scen.add_argument("--nominal", action="store_true",
-                        help="named scenario only: use the nominal share basis")
-    p_scen.add_argument("--epsilons", type=_float_list, default=None,
-                        help="sweep only: comma-separated elasticity grid")
-    p_scen.add_argument("--horizons", type=_float_list, default=None,
-                        help="sweep only: comma-separated horizon grid (years)")
-    p_scen.add_argument("--allow-out-of-range", action="store_true", help="sweep only")
-    p_scen.set_defaults(run=_cmd_scenario)
-    _format_flag(p_scen, ("--emit-config", "config", "named scenario only: emit the run's config"))
+    p_scen.add_argument("--nominal", action="store_true", help="use the nominal share basis")
+    p_scen.add_argument("--epsilons", type=_float_list, help="comma-separated elasticity grid")
+    p_scen.add_argument("--horizons", type=_float_list, help="comma-separated horizon grid, years")
+    p_scen.add_argument("--allow-out-of-range", action="store_true", help="allow ε out of range")
+    p_scen.set_defaults(run=_cmd_scenario, form=lambda a: "scenario sweep" if a.name == "sweep"
+                        else "scenario NAME" + " --emit-config" * (a.fmt == "config"))
+    _format_flag(p_scen, ("--emit-config", "config", "emit the run's config"))
 
     p_sched = sub.add_parser("schedule", help="uniform selldown schedule and tranches")
     p_sched.add_argument("--position", type=float, default=ledger.DEFAULT_POSITION_BTC)
     p_sched.add_argument("--horizon", type=float, default=10)
-    p_sched.add_argument("--volume", type=float, default=None,
-                         help=f"without --tranches-per-year: daily volume, USD "
-                              f"(default {schedule.DEFAULT_DAILY_VOLUME_USD:g})")
-    p_sched.add_argument("--price", type=float, default=None,
-                         help=f"without --tranches-per-year: BTC price, USD "
-                              f"(default {ledger.DEFAULT_REFERENCE_PRICE_USD:g})")
+    p_sched.add_argument("--volume", type=float,
+                         help=f"daily volume, USD (default {schedule.DEFAULT_DAILY_VOLUME_USD:g})")
+    p_sched.add_argument("--price", type=float,
+                         help=f"BTC price, USD (default {ledger.DEFAULT_REFERENCE_PRICE_USD:g})")
     p_sched.add_argument("--tranches-per-year", type=int, default=None)
-    p_sched.add_argument("--start", type=int, default=None,
-                         help="with --tranches-per-year: first unlock epoch (default 0)")
-    p_sched.set_defaults(run=_cmd_schedule)
+    p_sched.add_argument("--start", type=int, help="first unlock epoch (default 0)")
+    p_sched.set_defaults(run=_cmd_schedule, form=lambda a: "schedule" if a.tranches_per_year is None
+                         else "schedule --tranches-per-year")
     _format_flag(p_sched)
 
     p_front = sub.add_parser("frontier", help="optimal-execution frontier")
@@ -177,12 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--retention", type=float, default=0.0)
     p_sim.add_argument("--interval", type=int, default=30)
     p_sim.add_argument("--grace", type=int, default=3)
-    p_sim.add_argument("--position", type=float, default=None,
-                       help=f"not with dormancy (default {ledger.DEFAULT_POSITION_BTC:g})")
+    p_sim.add_argument("--position", type=float, help=f"default {ledger.DEFAULT_POSITION_BTC:g}")
     p_sim.add_argument("--horizon", type=int, default=3650, help="clock horizon, epochs")
-    p_sim.add_argument("--program-years", type=float, help="liquidation only (default 10)")
-    p_sim.add_argument("--tranches-per-year", type=int, help="liquidation only (default 1)")
-    p_sim.set_defaults(run=_cmd_simulate)
+    p_sim.add_argument("--program-years", type=float, help="default 10")
+    p_sim.add_argument("--tranches-per-year", type=int, help="default 1")
+    p_sim.set_defaults(run=_cmd_simulate, form=lambda a: _SIMULATE + a.terminal)
     p_split = mech_sub.add_parser("split")
     p_split.add_argument("--secret-hex", required=True)
     p_split.add_argument("--threshold", "-k", type=int, required=True)
@@ -201,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_impact(args: argparse.Namespace, out, seed: int) -> None:
-    if args.table and args.epsilon is not None:
-        raise ValueError("--epsilon does not apply with --table")
     band = impact.friction_band(parse_quality(args.quality), args.participation)
     rows = []
     if args.table:
@@ -253,8 +264,6 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
         raise ValueError(f"{args.name!r} and the config's [scenario] section both name the run")
 
     if args.name == "sweep":
-        if args.nominal or args.fmt == "config":
-            raise ValueError("--nominal and --emit-config apply only to a named scenario")
         summary = scenarios.sensitivity_sweep(
             cfg.ledger,
             epsilon_grid=args.epsilons or scenarios.DEFAULT_EPSILON_GRID,
@@ -272,8 +281,6 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
         _emit(rows, args.fmt, out)
         return
 
-    if args.epsilons or args.horizons or args.allow_out_of_range:
-        raise ValueError("--epsilons, --horizons and --allow-out-of-range apply only to a sweep")
     if args.name is not None:
         by_name = {s.name: s for s in scenarios.builtin_scenarios()}
         if args.name not in by_name:
@@ -281,8 +288,6 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
         cfg.scenario = by_name[args.name]
     elif cfg.scenario is None:
         raise UnknownEntityError("no scenario name or config given")
-    if args.nominal and args.fmt == "config":
-        raise ValueError("--nominal does not apply with --emit-config: a config has no share basis")
 
     # The emitted config stands for a run that succeeds, so it is run first.
     basis = ShareBasis.NOMINAL if args.nominal else ShareBasis.EFFECTIVE
@@ -294,10 +299,6 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
 
 
 def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
-    if args.start is not None and args.tranches_per_year is None:
-        raise ValueError("--start applies only with --tranches-per-year")
-    if args.tranches_per_year is not None and (args.volume is not None or args.price is not None):
-        raise ValueError("--volume and --price do not apply with --tranches-per-year")
     volume = schedule.DEFAULT_DAILY_VOLUME_USD if args.volume is None else args.volume
     price = ledger.DEFAULT_REFERENCE_PRICE_USD if args.price is None else args.price
     params = schedule.ScheduleParams(
@@ -382,8 +383,6 @@ def _cmd_reconstruct(args: argparse.Namespace, out, seed: int) -> None:
 
 def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
     kind = TERMINALS[args.terminal]
-    if kind is decisions.TerminalStateKind.DORMANCY_NON_RECOVERY and args.position is not None:
-        raise ValueError("--position does not apply to dormancy, which moves no coins")
     position = ledger.DEFAULT_POSITION_BTC if args.position is None else args.position
     terminal = decisions.TerminalState(kind=kind, retention_fraction=args.retention)
     action = (
@@ -402,8 +401,6 @@ def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
             schedule.ScheduleParams(position=position, horizon=years)
         )
         program = schedule.to_tranche_program(sched, granularity=per_year)
-    elif args.program_years is not None or args.tranches_per_year is not None:
-        raise ValueError("--program-years and --tranches-per-year apply only to liquidation")
     events = mechanisms.simulate_disposition(
         terminal,
         config,
@@ -438,6 +435,12 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         seed = args.seed if args.seed is not None else int(os.environ.get("OVERHANG_SEED", "0"))
         if args.fmt in ("table", "markdown"):
             rendered.write(f"# seed {seed}\n")
+        for flag, forms in FLAG_FORMS.get(args.command, {}).items():
+            value = (args.fmt == "config" if flag == "--emit-config"  # it stores a format
+                     else getattr(args, flag[2:].replace("-", "_"), None))
+            if value is not None and value is not False and args.form(args) not in forms:
+                raise ValueError(f"{flag} does not apply to {args.form(args)}, "
+                                 f"only to {' or '.join(sorted(forms))}")
         args.run(args, rendered, seed)
     except UnknownEntityError as exc:
         print(f"error: {exc}", file=sys.stderr)

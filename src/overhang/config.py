@@ -75,12 +75,19 @@ def parse_quality(text: str) -> ExecutionQuality:
         ) from None
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; like INI, JSON may not repeat a key or section."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise ConfigError(f"a JSON config object repeats a key: {[key for key, _ in pairs]}")
+    return obj
+
+
 def load_config(text: str) -> RunConfig:
     """Parse a config document (INI-style sections or a JSON object)."""
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            sections = json.loads(text)
+            sections = json.loads(text, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
         if not isinstance(sections, dict) or not all(
