@@ -237,19 +237,21 @@ def _cmd_impact(args: argparse.Namespace, out, seed: int) -> None:
 
 
 def _scenario_row(result: scenarios.ScenarioResult) -> dict:
+    # One unpack: a named tuple's fields are slower to read by name.
+    name, sched, permanent, friction, (low, high), anchor_class = result
     return {
-        "scenario": result.scenario_name,
-        "annual_btc": float(result.schedule.annual_btc),
-        "daily_btc": float(result.schedule.daily_btc),
-        "daily_usd": result.schedule.daily_usd,
-        "participation": result.schedule.participation,
-        "participation_pct": format_percent(result.schedule.participation, decimals=2),
-        "permanent": result.permanent,
-        "friction_pp": f"{result.friction.low:g}-{result.friction.high:g}",
-        "total_low": result.total[0],
-        "total_high": result.total[1],
-        "total_pct": f"{format_percent(result.total[0])} to {format_percent(result.total[1])}",
-        "anchor_class": result.anchor_class.value,
+        "scenario": name,
+        "annual_btc": float(sched.annual_btc),
+        "daily_btc": float(sched.daily_btc),
+        "daily_usd": sched.daily_usd,
+        "participation": sched.participation,
+        "participation_pct": format_percent(sched.participation, decimals=2),
+        "permanent": permanent,
+        "friction_pp": f"{friction.low:g}-{friction.high:g}",
+        "total_low": low,
+        "total_high": high,
+        "total_pct": f"{format_percent(low)} to {format_percent(high)}",
+        "anchor_class": anchor_class.value,
     }
 
 
@@ -453,7 +455,3 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_COMPUTATION
     (out or sys.stdout).write(rendered.getvalue())
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -79,6 +79,8 @@ class ConsistencyMatrix:
         ]
         if missing:
             raise DecisionError(f"matrix not total; missing {missing[:3]}...")
+        if len(self.entries) != len(PreferenceSet) * len(TerminalStateKind):
+            raise DecisionError("matrix has entries beyond the (preference, state) pairs")
 
     def mark(self, preference: PreferenceSet, state: TerminalStateKind) -> Mark:
         return self.entries[(preference, state)]
@@ -130,16 +132,16 @@ def consistency_matrix(retention_variant: bool = False) -> ConsistencyMatrix:
 
 
 def rank_terminal_states(matrix: ConsistencyMatrix) -> list[TerminalStateKind]:
-    """Ordinal ranking by (consistent count, weak count), declaration-order ties."""
-    declaration_order = list(TerminalStateKind)
-
-    def key(state: TerminalStateKind) -> tuple[int, int, int]:
-        marks = [matrix.mark(p, state) for p in PreferenceSet]
-        consistent = sum(m is Mark.CONSISTENT for m in marks)
-        weak = sum(m is Mark.WEAK for m in marks)
-        return (-consistent, -weak, declaration_order.index(state))
-
-    return sorted(declaration_order, key=key)
+    """Ordinal ranking by (consistent count, weak count), declaration-order ties:
+    the marks are tallied in one pass, and the stable sort keeps tied states in order."""
+    consistent = dict.fromkeys(TerminalStateKind, 0)
+    weak = dict.fromkeys(TerminalStateKind, 0)
+    for (_, state), mark in matrix.entries.items():
+        if mark is Mark.CONSISTENT:
+            consistent[state] += 1
+        elif mark is Mark.WEAK:
+            weak[state] += 1
+    return sorted(TerminalStateKind, key=lambda state: (-consistent[state], -weak[state]))
 
 
 class MarketSign(enum.Enum):

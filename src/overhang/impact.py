@@ -3,8 +3,8 @@
 Permanent impact of returning a supply fraction s to the market under
 demand elasticity e is (1 + s)^(-1/e) - 1. Execution friction is an
 additive temporary band in percentage points, stepped by execution quality
-and participation rate. A transient overshoot overlay decays exponentially
-toward the mechanical total.
+and participation rate; the four bands are shared module constants. A
+transient overshoot overlay decays exponentially toward the mechanical total.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ class FrictionBand:
             raise ImpactError(f"invalid friction band ({self.low}, {self.high})")
 
 
+# The four friction bands, shared by every caller: a band is immutable.
+OTC_LOW_PARTICIPATION = 0.0015
+OTC_BAND_LOW = FrictionBand(1.0, 2.0)
+OTC_BAND_HIGH = FrictionBand(2.0, 3.0)
+MIXED_BAND = FrictionBand(3.0, 5.0)
+PUBLIC_VENUE_BAND = FrictionBand(5.0, 8.0, extrapolated=True)
+
+
 @dataclass(frozen=True)
 class OvershootParams:
     """Transient drawdown magnitude and exponential-decay half-life in days."""
@@ -90,12 +98,10 @@ def friction_band(quality: ExecutionQuality, participation: float) -> FrictionBa
             f"participation {participation} outside [0, {MAX_PARTICIPATION}]"
         )
     if quality is ExecutionQuality.DISCIPLINED_OTC:
-        if participation <= 0.0015:
-            return FrictionBand(1.0, 2.0)
-        return FrictionBand(2.0, 3.0)
+        return OTC_BAND_LOW if participation <= OTC_LOW_PARTICIPATION else OTC_BAND_HIGH
     if quality is ExecutionQuality.MIXED:
-        return FrictionBand(3.0, 5.0)
-    return FrictionBand(5.0, 8.0, extrapolated=True)
+        return MIXED_BAND
+    return PUBLIC_VENUE_BAND
 
 
 def combine(permanent: float, friction: FrictionBand) -> tuple[float, float]:

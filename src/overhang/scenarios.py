@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from overhang import impact as impact_model
 from overhang import ledger as supply_ledger
@@ -77,8 +77,9 @@ class AnchorEvent:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
+    """One evaluated cell; sweep cells share their column's schedule and band."""
+
     scenario_name: str
     schedule: Schedule
     permanent: float
@@ -143,7 +144,8 @@ def run_scenario(
     schedule = _uniform_schedule(ledger, scenario.horizon, volume)
     permanent = impact_model.permanent_impact(share, scenario.elasticity)
     band = impact_model.friction_band(scenario.quality, schedule.participation)
-    return _result(scenario.name, schedule, permanent, band)
+    total, anchor_class = _classified_total(permanent, band)
+    return ScenarioResult(scenario.name, schedule, permanent, band, total, anchor_class)
 
 
 def _uniform_schedule(ledger: SupplyLedger, horizon: float, volume: float) -> Schedule:
@@ -155,12 +157,6 @@ def _uniform_schedule(ledger: SupplyLedger, horizon: float, volume: float) -> Sc
             price=ledger.reference_price,
         )
     )
-
-
-def _result(
-    name: str, schedule: Schedule, permanent: float, band: FrictionBand
-) -> ScenarioResult:
-    return ScenarioResult(name, schedule, permanent, band, *_classified_total(permanent, band))
 
 
 def _classified_total(
@@ -224,11 +220,10 @@ def sensitivity_sweep(
         outcomes = [(band, *_classified_total(permanent, band)) for band in bands]
         totals.extend(total for _, total, _ in outcomes)
         prefix = f"eps={eps}"
-        for suffix, schedule, k in columns:
-            band, total, anchor_class = outcomes[k]
-            results.append(
-                ScenarioResult(prefix + suffix, schedule, permanent, band, total, anchor_class)
-            )
+        results.extend([
+            ScenarioResult(prefix + suffix, schedule, permanent, *outcomes[k])
+            for suffix, schedule, k in columns
+        ])
     return SweepSummary(
         results=tuple(results),
         min_abs_total=min(min(abs(low), abs(high)) for low, high in totals),

@@ -1,10 +1,12 @@
 """Participation-constrained uniform selldown schedules and tranche programs.
 
-Pace arithmetic is kept exact: per-year and per-day BTC flows are rational
-numbers over integer satoshis, so reconstructing the position from the pace
-round-trips exactly. Tranche unlock epochs are integers too: tranche i of g a
-year unlocks on start + round-half-even(i * 365 / g), computed by integer
-division. The market trades around the clock, hence the 365-day year.
+Pace arithmetic is kept exact and computed in integers: per-year and per-day
+BTC flows are rational numbers over integer satoshis and the horizon's exact
+integer ratio, so reconstructing the position from the pace round-trips
+exactly, and the USD pace is one correctly rounded integer division. Tranche
+unlock epochs are integers too: tranche i of g a year unlocks on
+start + round-half-even(i * 365 / g), computed by integer division. The
+market trades around the clock, hence the 365-day year.
 """
 
 from __future__ import annotations
@@ -56,15 +58,17 @@ class Schedule:
 def build_uniform_schedule(params: ScheduleParams) -> Schedule:
     """Spread the position evenly over the horizon at constant daily pace."""
     position_sats = btc_to_sats(params.position)
-    horizon = Fraction(params.horizon)
-    annual_btc = Fraction(position_sats, SATS_PER_BTC) / horizon
-    daily_btc = annual_btc / DAYS_PER_YEAR
-    daily_usd = float(daily_btc) * params.price
+    # horizon == num / den exactly; int / int true division rounds correctly,
+    # as float(Fraction) does, so every field equals the Fraction pace rule.
+    num, den = params.horizon.as_integer_ratio()
+    per_year = SATS_PER_BTC * num
+    per_day = per_year * DAYS_PER_YEAR
+    daily_usd = position_sats * den / per_day * params.price
     return Schedule(
         position_sats=position_sats,
         horizon=params.horizon,
-        annual_btc=annual_btc,
-        daily_btc=daily_btc,
+        annual_btc=Fraction(position_sats * den, per_year),
+        daily_btc=Fraction(position_sats * den, per_day),
         daily_usd=daily_usd,
         participation=daily_usd / params.reference_daily_volume,
     )

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overhang.decisions import (
     ConsistencyMatrix,
@@ -111,6 +113,51 @@ def test_all_equal_matrix_ties_break_by_declaration_order():
     assert rank_terminal_states(flat) == list(TerminalStateKind)
 
 
+def _mark_count_ranking(matrix):
+    """The ranking from each state's marks read one by one through
+    matrix.mark: the reference for the one-pass tally of rank_terminal_states."""
+    declaration_order = list(TerminalStateKind)
+
+    def key(state):
+        marks = [matrix.mark(p, state) for p in PreferenceSet]
+        consistent = sum(m is Mark.CONSISTENT for m in marks)
+        weak = sum(m is Mark.WEAK for m in marks)
+        return (-consistent, -weak, declaration_order.index(state))
+
+    return sorted(declaration_order, key=key)
+
+
+@pytest.mark.parametrize("retention_variant", [False, True])
+def test_ranking_matches_the_mark_count_oracle_on_builtins(retention_variant):
+    matrix = consistency_matrix(retention_variant=retention_variant)
+    assert rank_terminal_states(matrix) == _mark_count_ranking(matrix)
+
+
+_COLUMN = st.lists(
+    st.sampled_from(Mark), min_size=len(PreferenceSet), max_size=len(PreferenceSet)
+)
+
+
+@st.composite
+def _total_matrices(draw):
+    """Total matrices whose states often tie: a state may take another
+    state's column of marks, shuffled over the preference sets, so the two
+    hold equal counts. The entries are inserted in a drawn order."""
+    columns = draw(st.lists(_COLUMN, min_size=1, max_size=len(TerminalStateKind)))
+    entries = {}
+    for state in TerminalStateKind:
+        column = draw(st.permutations(draw(st.sampled_from(columns))))
+        entries.update(((p, state), mark) for p, mark in zip(PreferenceSet, column))
+    order = draw(st.permutations(list(entries)))
+    return ConsistencyMatrix({key: entries[key] for key in order})
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix=_total_matrices())
+def test_ranking_matches_the_mark_count_oracle(matrix):
+    assert rank_terminal_states(matrix) == _mark_count_ranking(matrix)
+
+
 def test_removing_burn_consistency_demotes_it(matrix):
     entries = dict(matrix.entries)
     for p in PreferenceSet:
@@ -126,6 +173,14 @@ def test_incomplete_matrix_rejected(matrix):
     entries = dict(matrix.entries)
     entries.pop((PreferenceSet.ADVERSARIAL, TerminalStateKind.SILENT_BURN))
     with pytest.raises(DecisionError):
+        ConsistencyMatrix(entries)
+
+
+def test_matrix_with_entries_beyond_the_pairs_rejected(matrix):
+    # the one-pass ranking tallies every entry, so a stray key would be counted
+    entries = dict(matrix.entries)
+    entries[("ghost", TerminalStateKind.PATIENT_LIQUIDATION)] = Mark.CONSISTENT
+    with pytest.raises(DecisionError, match="beyond"):
         ConsistencyMatrix(entries)
 
 

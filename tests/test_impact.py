@@ -126,6 +126,22 @@ def test_friction_schedule(quality, participation, expected):
     assert (band.low, band.high) == expected
 
 
+@pytest.mark.parametrize(
+    "quality, at_boundary, above",
+    [
+        (ExecutionQuality.DISCIPLINED_OTC, (1.0, 2.0, False), (2.0, 3.0, False)),
+        (ExecutionQuality.MIXED, (3.0, 5.0, False), (3.0, 5.0, False)),
+        (ExecutionQuality.PUBLIC_VENUE, (5.0, 8.0, True), (5.0, 8.0, True)),
+    ],
+)
+def test_friction_band_at_the_otc_participation_boundary(quality, at_boundary, above):
+    # 0.0015 itself takes disciplined OTC's lower band; the next float up does not
+    for participation, expected in ((0.0015, at_boundary), (math.nextafter(0.0015, 1), above)):
+        band = friction_band(quality, participation)
+        assert (band.low, band.high, band.extrapolated) == expected
+        assert band is friction_band(quality, participation)
+
+
 def test_friction_participation_out_of_range():
     with pytest.raises(ImpactError):
         friction_band(ExecutionQuality.MIXED, 0.06)

@@ -14,6 +14,7 @@ from overhang.scenarios import (
     AnchorClass,
     Scenario,
     ScenarioError,
+    ScenarioResult,
     SweepSummary,
     builtin_anchors,
     builtin_scenarios,
@@ -292,5 +293,8 @@ def test_factored_sweep_matches_cellwise_sweep(
     if isinstance(slow, type):
         assert fast is slow
     else:
+        # A named tuple equals any plain tuple with its items, so the cell
+        # type is checked apart from the values.
+        assert all(type(cell) is ScenarioResult for cell in fast.results + slow.results)
         assert fast == slow
         assert repr(fast) == repr(slow)

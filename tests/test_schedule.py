@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overhang.ledger import SATS_PER_BTC, format_percent
+from overhang.ledger import SATS_PER_BTC, btc_to_sats, format_percent
 from overhang.schedule import (
     DAYS_PER_YEAR,
     MAX_TRANCHES,
@@ -174,3 +174,43 @@ def test_unlock_epochs_match_the_fraction_rule(horizon, granularity, start):
     epochs = [cond.value for cond, _ in program.tranches]
     assert all(type(epoch) is int for epoch in epochs)
     assert epochs == _fraction_epochs(granularity, len(epochs), start)
+
+
+def _fraction_pace(params):
+    """The pace rule in exact rationals: the reference for the integer pace."""
+    annual_btc = Fraction(btc_to_sats(params.position), SATS_PER_BTC) / Fraction(params.horizon)
+    daily_btc = annual_btc / DAYS_PER_YEAR
+    daily_usd = float(daily_btc) * params.price
+    return annual_btc, daily_btc, daily_usd, daily_usd / params.reference_daily_volume
+
+
+_PACE_HORIZONS = st.one_of(
+    st.integers(1, 100),
+    st.floats(1.0, 100.0),
+    st.integers(3, 300).map(lambda k: k / 3),  # thirds, which no binary fraction holds
+    st.integers(1, 1000).map(lambda k: 1 + k / 10),  # 1.1, 2.5, 10.1, ...
+    st.floats(99.0, 100.0 + 1 / DAYS_PER_YEAR),  # near the 100-year tranche cap
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    position=st.floats(1e-8, 2.1e7),
+    horizon=_PACE_HORIZONS,
+    volume=st.floats(1e6, 1e12),
+    price=st.floats(1.0, 1e7),
+)
+@example(position=POSITION, horizon=2.5, volume=15e9, price=80_000.0)
+@example(position=POSITION, horizon=10.1, volume=15e9, price=80_000.0)
+@example(position=POSITION, horizon=1 / 3 + 1, volume=15e9, price=80_000.0)
+@example(position=POSITION, horizon=100 + 1 / DAYS_PER_YEAR, volume=15e9, price=80_000.0)
+def test_integer_pace_matches_the_fraction_rule(position, horizon, volume, price):
+    params = ScheduleParams(
+        position=position, horizon=horizon, reference_daily_volume=volume, price=price
+    )
+    sched = build_uniform_schedule(params)
+    annual_btc, daily_btc, daily_usd, participation = _fraction_pace(params)
+    assert sched.annual_btc == annual_btc
+    assert sched.daily_btc == daily_btc
+    assert sched.daily_usd == daily_usd
+    assert sched.participation == participation
