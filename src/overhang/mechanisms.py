@@ -14,8 +14,8 @@ import math
 import random
 from dataclasses import dataclass
 from functools import reduce
-from operator import xor
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter, xor
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from overhang.decisions import TerminalState, TerminalStateKind
 from overhang.ledger import btc_to_sats, burn_sats, sats_to_btc
@@ -151,15 +151,27 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
 # ---------------------------------------------------------------------------
 # Timelocks
 
-@dataclass(frozen=True)
-class TimelockCondition:
-    """CLTV-style absolute timelock: spendable at or after epoch `value`."""
-
+class _Timelock(NamedTuple):
     value: int
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
+
+class TimelockCondition(_Timelock):
+    """CLTV-style absolute timelock: spendable at or after epoch `value`.
+
+    An immutable one-field named tuple, so it equals the plain tuple (value,)
+    and orders by its epoch. Every way of making one checks the epoch.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, value: int) -> "TimelockCondition":
+        if value < 0:
             raise MechanismError("timelock epoch must be nonnegative")
+        return tuple.__new__(cls, (value,))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "TimelockCondition":
+        return cls(*iterable)  # _replace builds through here, so it checks too
 
 
 @dataclass(frozen=True)
@@ -242,8 +254,10 @@ def dms_step(state: DmsState, config: DmsConfig, event: DmsEvent) -> DmsState:
 # ---------------------------------------------------------------------------
 # Disposition replay
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
+    """One replay event, an immutable named tuple: equal to the plain tuple
+    (epoch, kind, amount_sats) and ordered by those fields."""
+
     epoch: int
     kind: str
     amount_sats: int = 0
@@ -285,14 +299,11 @@ def simulate_disposition(
     if kind is TerminalStateKind.PATIENT_LIQUIDATION:
         if tranche_program is None:
             raise MechanismError("patient liquidation requires a tranche program")
-        unlocks = sorted(
-            (condition.value, i, amount_sats)
-            for i, (condition, amount_sats) in enumerate(tranche_program.tranches)
-        )
+        # a stable sort on the lock alone keeps tied tranches in index order
         return [
-            SimEvent(epoch, "release", amount_sats)
-            for epoch, _, amount_sats in unlocks
-            if epoch <= clock_horizon
+            SimEvent(condition.value, "release", amount_sats)
+            for condition, amount_sats in sorted(tranche_program.tranches, key=itemgetter(0))
+            if condition.value <= clock_horizon
         ]
 
     trigger = config.heartbeat_interval * config.grace_missed

@@ -7,6 +7,12 @@ exactly, and the USD pace is one correctly rounded integer division. Tranche
 unlock epochs are integers too: tranche i of g a year unlocks on
 start + round-half-even(i * 365 / g), computed by integer division. The
 market trades around the clock, hence the 365-day year.
+
+The unlock offsets repeat every two years: tranche i + 2g unlocks exactly
+730 days after tranche i, so a program computes the rounding for its first
+2g tranches only and shifts them. One year would not do. Tranche i + g is
+exactly 365 days after tranche i before rounding, and 365 is odd, so a half
+day that rounds down to an even day in one year rounds up in the next.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from overhang.mechanisms import TimelockCondition, TrancheProgram
 
 DAYS_PER_YEAR = 365
 MAX_TRANCHES = 100 * DAYS_PER_YEAR  # a century of daily tranches
+PERIOD_DAYS = 2 * DAYS_PER_YEAR  # unlock offsets repeat every two years (module docstring)
 DEFAULT_DAILY_VOLUME_USD = 15e9  # midpoint of the 10-20 billion real-spot range
 
 
@@ -58,6 +65,8 @@ class Schedule:
 def build_uniform_schedule(params: ScheduleParams) -> Schedule:
     """Spread the position evenly over the horizon at constant daily pace."""
     position_sats = btc_to_sats(params.position)
+    if position_sats < 1:
+        raise ScheduleError(f"position {params.position:g} BTC rounds to zero satoshis")
     # horizon == num / den exactly; int / int true division rounds correctly,
     # as float(Fraction) does, so every field equals the Fraction pace rule.
     num, den = params.horizon.as_integer_ratio()
@@ -83,26 +92,34 @@ def to_tranche_program(
 
     granularity is tranches per year, at most one a day; tranche i unlocks on
     absolute day start + round(i * DAYS_PER_YEAR / granularity), a half day
-    rounding to the even day, as round() does.
-    Any satoshi remainder goes to the final tranche. A program holds at most
-    MAX_TRANCHES tranches, so its size is checked before any is built.
+    rounding to the even day, as round() does, and PERIOD_DAYS after tranche
+    i - 2 * granularity. Any satoshi remainder goes to the final tranche. A
+    program holds at most MAX_TRANCHES tranches, so its size is checked,
+    before rounding, before any is built.
     """
     if not 1 <= granularity <= DAYS_PER_YEAR:
         raise ScheduleError(
             f"granularity must be 1 to {DAYS_PER_YEAR} tranches per year, got {granularity}"
         )
-    n = max(1, round(schedule.horizon * granularity))
-    if n > MAX_TRANCHES:
-        raise ScheduleError(f"{n} tranches exceed the limit of {MAX_TRANCHES}")
-    base = schedule.position_sats // n
-    tranches = []
-    for i in range(n):
-        amount = base if i < n - 1 else schedule.position_sats - base * (n - 1)
-        # round(i * DAYS_PER_YEAR / granularity), half to even, in integers
+    count = schedule.horizon * granularity
+    if count > MAX_TRANCHES + 0.5:  # round(count) > MAX_TRANCHES, checked before round() overflows
+        raise ScheduleError(f"{count:g} tranches exceed the limit of {MAX_TRANCHES}")
+    n = max(1, round(count))
+    # round-half-even(i * DAYS_PER_YEAR / granularity) in integers, for the
+    # 2g tranches of one two-year period; tranche i + 2g unlocks PERIOD_DAYS later
+    period = []
+    for i in range(min(n, 2 * granularity)):
         q, r = divmod(i * DAYS_PER_YEAR, granularity)
-        epoch = start + q + (2 * r > granularity or (2 * r == granularity and q & 1))
-        tranches.append((TimelockCondition(epoch), amount))
-    return TrancheProgram(tranches=tuple(tranches))
+        period.append(start + q + (2 * r > granularity or (2 * r == granularity and q & 1)))
+    epochs = [
+        epoch + shift
+        for shift in range(0, PERIOD_DAYS * math.ceil(n / len(period)), PERIOD_DAYS)
+        for epoch in period
+    ]
+    base = schedule.position_sats // n
+    amounts = [base] * n
+    amounts[-1] = schedule.position_sats - base * (n - 1)
+    return TrancheProgram(tranches=tuple(zip(map(TimelockCondition, epochs[:n]), amounts)))
 
 
 def schedule_rows(schedule: Schedule) -> list[dict]:

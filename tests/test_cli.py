@@ -228,6 +228,13 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("schedule", "--tranches-per-year", "730"),
         # more tranches than a century of daily ones, rejected before any is built
         ("schedule", "--horizon", "1e6", "--tranches-per-year", "365"),
+        # a tranche count past the float range, or with 301 digits, checked before rounding
+        ("schedule", "--horizon", "1e308", "--tranches-per-year", "365"),
+        ("schedule", "--horizon", "1e300", "--tranches-per-year", "1"),
+        # a position that rounds to zero satoshis
+        ("schedule", "--position", "1e-9"),
+        ("schedule", "--position", "1e-9", "--tranches-per-year", "4"),
+        ("mechanism", "simulate", "--terminal", "liquidation", "--position", "1e-9"),
         # more periods than a century of daily ones, rejected before any array is built
         ("frontier", "--periods", "10000000000000"),
         # a position with no finite satoshi value, for every terminal that moves coins

@@ -248,6 +248,20 @@ def test_negative_lock_rejected():
         TimelockCondition(-1)
 
 
+def test_timelock_is_an_immutable_checked_named_tuple():
+    lock = TimelockCondition(3)
+    assert repr(lock) == "TimelockCondition(value=3)"
+    assert lock == (3,) and TimelockCondition(value=2) < lock
+    with pytest.raises(AttributeError):
+        lock.value = 4
+    # every way of building one checks the epoch
+    for build in (lambda: TimelockCondition(value=-1), lambda: lock._replace(value=-1),
+                  lambda: TimelockCondition._make([-1])):
+        with pytest.raises(MechanismError, match="timelock epoch must be nonnegative"):
+            build()
+    assert type(lock._replace(value=5)) is TimelockCondition
+
+
 # --- dead-man's switch ------------------------------------------------------
 
 def cfg(grace=3, action=DmsAction.PUBLISH_SHARDS):
@@ -474,6 +488,36 @@ def scanned_releases(program, horizon):
     return log
 
 
+def test_sim_event_is_an_immutable_named_tuple():
+    event = SimEvent(5, "release", 7)
+    assert repr(event) == "SimEvent(epoch=5, kind='release', amount_sats=7)"
+    assert event == (5, "release", 7) and SimEvent(5, "dump") == (5, "dump", 0)
+    for field in ("epoch", "kind", "amount_sats"):
+        with pytest.raises(AttributeError):
+            setattr(event, field, 0)
+    assert event.to_json() == '{"epoch": 5, "event": "release", "amount": 7e-08}'
+    assert SimEvent(3650, "dump", 114_800_000_000_000).to_json() == (
+        '{"epoch": 3650, "event": "dump", "amount": 1148000.0}'
+    )
+    assert SimEvent(90, "unrecoverable").to_json() == (
+        '{"epoch": 90, "event": "unrecoverable", "amount": 0.0}'
+    )
+
+
+def test_tied_tranches_release_in_index_order():
+    # amounts out of order within each tie, so sorting on (lock, amount) fails
+    locks_amounts = [(9, 1), (4, 2), (9, 3), (4, 0), (9, 0), (11, 5)]
+    program = TrancheProgram(tuple((TimelockCondition(e), a) for e, a in locks_amounts))
+    events = simulate_disposition(
+        TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
+        cfg(),
+        tranche_program=program,
+        clock_horizon=10,
+    )
+    assert [(e.epoch, e.amount_sats) for e in events] == [(4, 2), (4, 0), (9, 1), (9, 3), (9, 0)]
+    assert all(type(e) is SimEvent and e.kind == "release" for e in events)
+
+
 def test_liquidation_replay_matches_epoch_scan():
     rng = random.Random(3650)
     for _ in range(300):
@@ -492,6 +536,7 @@ def test_liquidation_replay_matches_epoch_scan():
             clock_horizon=horizon,
         )
         assert events == scanned_releases(program, horizon)
+        assert all(type(e) is SimEvent for e in events)
 
 
 @given(

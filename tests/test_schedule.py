@@ -1,3 +1,5 @@
+import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -161,6 +163,48 @@ def test_unlock_epochs_match_the_fraction_rule_at_every_granularity():
         program = to_tranche_program(sched, granularity=granularity)
         epochs = [cond.value for cond, _ in program.tranches]
         assert epochs == _fraction_epochs(granularity, 2 * granularity), granularity
+
+
+@pytest.mark.parametrize("years", [5, 4.5])
+def test_unlock_epochs_match_the_fraction_rule_past_the_first_period(years):
+    # Unlock offsets repeat every two years, 730 days later. Five years hold
+    # two whole periods and a half; 4.5 years end inside the third, so a wrong
+    # shift in any later period, or a wrong cut of the last one, fails at every g.
+    sched = make_schedule(years)
+    for granularity in range(1, DAYS_PER_YEAR + 1):
+        program = to_tranche_program(sched, granularity=granularity, start=3)
+        epochs = [cond.value for cond, _ in program.tranches]
+        count = round(years * granularity)
+        assert epochs == _fraction_epochs(granularity, count, start=3), granularity
+
+
+def test_tranche_count_limit_applies_to_the_rounded_count():
+    # years x granularity = 36,500.5 rounds half to even, to exactly the limit
+    program = to_tranche_program(make_schedule(MAX_TRANCHES + 0.5), granularity=1)
+    assert len(program.tranches) == MAX_TRANCHES
+    just_over = math.nextafter(MAX_TRANCHES + 0.5, math.inf)
+    with pytest.raises(ScheduleError, match="tranches exceed the limit"):
+        to_tranche_program(make_schedule(just_over), granularity=1)
+
+
+@pytest.mark.parametrize(
+    "horizon, granularity, count", [(1e308, DAYS_PER_YEAR, "inf"), (1e300, 1, "1e+300")]
+)
+def test_overflowing_tranche_count_rejected_before_rounding(horizon, granularity, count):
+    message = rf"^{re.escape(count)} tranches exceed the limit of {MAX_TRANCHES}$"
+    with pytest.raises(ScheduleError, match=message):
+        to_tranche_program(make_schedule(horizon), granularity=granularity)
+
+
+@pytest.mark.parametrize("position", [1e-9, 5e-9, 4.9e-9])
+def test_position_below_one_satoshi_rejected(position):
+    params = ScheduleParams(position=position, horizon=10)
+    with pytest.raises(ScheduleError, match="rounds to zero satoshis"):
+        build_uniform_schedule(params)
+
+
+def test_one_satoshi_position_accepted():
+    assert build_uniform_schedule(ScheduleParams(position=1e-8, horizon=10)).position_sats == 1
 
 
 @settings(max_examples=100, deadline=None)
