@@ -12,8 +12,10 @@ import enum
 import json
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
+from itertools import repeat
 from operator import itemgetter, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -159,7 +161,9 @@ class TimelockCondition(_Timelock):
     """CLTV-style absolute timelock: spendable at or after epoch `value`.
 
     An immutable one-field named tuple, so it equals the plain tuple (value,)
-    and orders by its epoch. Every way of making one checks the epoch.
+    and orders by its epoch. Every public way of making one checks the epoch;
+    schedule.to_tranche_program checks its start once and builds its locks
+    with tuple.__new__.
     """
 
     __slots__ = ()
@@ -272,6 +276,11 @@ class SimEvent(NamedTuple):
         )
 
 
+# Builds a SimEvent from an (epoch, kind, amount_sats) tuple in C, without
+# the Python-level __new__ that a named tuple's constructor runs.
+_event = partial(tuple.__new__, SimEvent)
+
+
 def simulate_disposition(
     terminal: TerminalState,
     config: DmsConfig,
@@ -287,8 +296,10 @@ def simulate_disposition(
     burn event of what ledger.burn_sats burns; the adversarial switch dumps
     the full position at the trigger epoch. Patient liquidation ignores the
     switch and releases each tranche at its unlock epoch, in (epoch, tranche
-    index) order. Only events at or before clock_horizon are returned. Event
-    amounts are whole satoshis, from the position in satoshis (btc_to_sats).
+    index) order; its tranche amounts must be nonnegative and sum to the
+    position in satoshis. Only events at or before clock_horizon are
+    returned. Event amounts are whole satoshis, from the position in
+    satoshis (btc_to_sats).
     """
     if not (math.isfinite(position_btc) and position_btc >= 0):
         raise MechanismError(f"position must be finite and nonnegative, got {position_btc}")
@@ -299,12 +310,20 @@ def simulate_disposition(
     if kind is TerminalStateKind.PATIENT_LIQUIDATION:
         if tranche_program is None:
             raise MechanismError("patient liquidation requires a tranche program")
-        # a stable sort on the lock alone keeps tied tranches in index order
-        return [
-            SimEvent(condition.value, "release", amount_sats)
-            for condition, amount_sats in sorted(tranche_program.tranches, key=itemgetter(0))
-            if condition.value <= clock_horizon
-        ]
+        tranches = tranche_program.tranches
+        amounts = list(map(itemgetter(1), tranches))
+        if min(amounts, default=0) < 0:
+            raise MechanismError("tranche amounts must be nonnegative")
+        if sum(amounts) != position_sats:
+            raise MechanismError(
+                f"tranche amounts sum to {sum(amounts)} sats, not the position's {position_sats}"
+            )
+        # each lock is the one-tuple (epoch,); a stable sort on the epoch alone
+        # keeps tied tranches in index order
+        epochs = map(itemgetter(0), map(itemgetter(0), tranches))
+        events = sorted(map(_event, zip(epochs, repeat("release"), amounts)), key=itemgetter(0))
+        del events[bisect_right(events, clock_horizon, key=itemgetter(0)):]
+        return events
 
     trigger = config.heartbeat_interval * config.grace_missed
     if trigger > clock_horizon:

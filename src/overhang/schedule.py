@@ -9,10 +9,14 @@ start + round-half-even(i * 365 / g), computed by integer division. The
 market trades around the clock, hence the 365-day year.
 
 The unlock offsets repeat every two years: tranche i + 2g unlocks exactly
-730 days after tranche i, so a program computes the rounding for its first
-2g tranches only and shifts them. One year would not do. Tranche i + g is
-exactly 365 days after tranche i before rounding, and 365 is odd, so a half
-day that rounds down to an even day in one year rounds up in the next.
+730 days after tranche i, so the rounded offsets of one period's 2g tranches
+are computed once per granularity, cached without the start, and every
+program shifts them. One year would not do. Tranche i + g is exactly 365
+days after tranche i before rounding, and 365 is odd, so a half day that
+rounds down to an even day in one year rounds up in the next. The start
+stays out of the rounding for the same reason: the rule rounds the offset,
+and rounding start plus offset would send a half day the other way at an
+odd start.
 """
 
 from __future__ import annotations
@@ -20,14 +24,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from overhang.ledger import DEFAULT_REFERENCE_PRICE_USD, SATS_PER_BTC, btc_to_sats, sats_to_btc
-from overhang.mechanisms import TimelockCondition, TrancheProgram
+from overhang.mechanisms import MechanismError, TimelockCondition, TrancheProgram
 
 DAYS_PER_YEAR = 365
 MAX_TRANCHES = 100 * DAYS_PER_YEAR  # a century of daily tranches
 PERIOD_DAYS = 2 * DAYS_PER_YEAR  # unlock offsets repeat every two years (module docstring)
 DEFAULT_DAILY_VOLUME_USD = 15e9  # midpoint of the 10-20 billion real-spot range
+
+# Builds a TimelockCondition from a one-tuple (epoch,) without its checked
+# __new__: to_tranche_program checks its start once, and every epoch it makes
+# is that start plus a nonnegative offset, so none can be negative.
+_unchecked_lock = partial(tuple.__new__, TimelockCondition)
 
 
 class ScheduleError(ValueError):
@@ -95,7 +105,9 @@ def to_tranche_program(
     rounding to the even day, as round() does, and PERIOD_DAYS after tranche
     i - 2 * granularity. Any satoshi remainder goes to the final tranche. A
     program holds at most MAX_TRANCHES tranches, so its size is checked,
-    before rounding, before any is built.
+    before rounding, before any is built. A negative start then raises the
+    MechanismError of a negative TimelockCondition, checked once here for
+    every lock.
     """
     if not 1 <= granularity <= DAYS_PER_YEAR:
         raise ScheduleError(
@@ -104,22 +116,32 @@ def to_tranche_program(
     count = schedule.horizon * granularity
     if count > MAX_TRANCHES + 0.5:  # round(count) > MAX_TRANCHES, checked before round() overflows
         raise ScheduleError(f"{count:g} tranches exceed the limit of {MAX_TRANCHES}")
+    if start < 0:
+        raise MechanismError("timelock epoch must be nonnegative")
     n = max(1, round(count))
-    # round-half-even(i * DAYS_PER_YEAR / granularity) in integers, for the
-    # 2g tranches of one two-year period; tranche i + 2g unlocks PERIOD_DAYS later
-    period = []
-    for i in range(min(n, 2 * granularity)):
-        q, r = divmod(i * DAYS_PER_YEAR, granularity)
-        period.append(start + q + (2 * r > granularity or (2 * r == granularity and q & 1)))
-    epochs = [
-        epoch + shift
-        for shift in range(0, PERIOD_DAYS * math.ceil(n / len(period)), PERIOD_DAYS)
-        for epoch in period
-    ]
+    offsets = _period_offsets(granularity)
+    stop = start + PERIOD_DAYS * -(-n // len(offsets))
+    epochs = [offset + shift for shift in range(start, stop, PERIOD_DAYS) for offset in offsets]
+    del epochs[n:]
     base = schedule.position_sats // n
     amounts = [base] * n
     amounts[-1] = schedule.position_sats - base * (n - 1)
-    return TrancheProgram(tranches=tuple(zip(map(TimelockCondition, epochs[:n]), amounts)))
+    return TrancheProgram(tranches=tuple(zip(map(_unchecked_lock, zip(epochs)), amounts)))
+
+
+@cache
+def _period_offsets(granularity: int) -> tuple[int, ...]:
+    """round-half-even(i * DAYS_PER_YEAR / granularity) in integers for the 2g
+    tranches of one two-year period; tranche i + 2g unlocks PERIOD_DAYS later.
+
+    Callers validate granularity first, so the cache holds at most
+    DAYS_PER_YEAR entries.
+    """
+    offsets = []
+    for i in range(2 * granularity):
+        q, r = divmod(i * DAYS_PER_YEAR, granularity)
+        offsets.append(q + (2 * r > granularity or (2 * r == granularity and q & 1)))
+    return tuple(offsets)
 
 
 def schedule_rows(schedule: Schedule) -> list[dict]:

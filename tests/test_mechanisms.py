@@ -198,6 +198,11 @@ def test_share_serialization_round_trip():
 
 # --- timelocks --------------------------------------------------------------
 
+def total_btc(program):
+    """The position a tranche program releases in full, in BTC."""
+    return sats_to_btc(sum(amount for _, amount in program.tranches))
+
+
 def released_at(lock_epoch, horizon):
     """Release epochs of a one-tranche program locked to lock_epoch."""
     program = TrancheProgram(((TimelockCondition(lock_epoch), 1),))
@@ -206,6 +211,7 @@ def released_at(lock_epoch, horizon):
         cfg(),
         tranche_program=program,
         clock_horizon=horizon,
+        position_btc=total_btc(program),
     )
     return [event.epoch for event in events]
 
@@ -239,6 +245,7 @@ def test_spendable_exactly_from_unlock_epoch(other_epoch, value):
         cfg(),
         tranche_program=program,
         clock_horizon=other_epoch + value,
+        position_btc=total_btc(program),
     )
     assert [event.epoch for event in events if event.amount_sats == 2] == [value]
 
@@ -351,11 +358,13 @@ def test_silent_burn_emits_one_burn():
 
 
 def test_liquidation_releases_all_tranches():
+    program = annual_program()
     events = simulate_disposition(
         TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
         cfg(),
-        tranche_program=annual_program(),
+        tranche_program=program,
         clock_horizon=4000,
+        position_btc=total_btc(program),
     )
     releases = [e for e in events if e.kind == "release"]
     assert len(releases) == 10
@@ -375,6 +384,7 @@ def test_liquidation_respects_timelocks():
             cfg(),
             tranche_program=program,
             clock_horizon=horizon,
+            position_btc=total_btc(program),
         )
         unlocks = {cond.value: amt for cond, amt in program.tranches}
         for event in events:
@@ -391,6 +401,7 @@ def test_short_horizon_releases_nothing():
         cfg(),
         tranche_program=program,
         clock_horizon=499,
+        position_btc=total_btc(program),
     )
     assert [e for e in events if e.kind == "release"] == []
 
@@ -513,6 +524,7 @@ def test_tied_tranches_release_in_index_order():
         cfg(),
         tranche_program=program,
         clock_horizon=10,
+        position_btc=total_btc(program),
     )
     assert [(e.epoch, e.amount_sats) for e in events] == [(4, 2), (4, 0), (9, 1), (9, 3), (9, 0)]
     assert all(type(e) is SimEvent and e.kind == "release" for e in events)
@@ -521,22 +533,52 @@ def test_tied_tranches_release_in_index_order():
 def test_liquidation_replay_matches_epoch_scan():
     rng = random.Random(3650)
     for _ in range(300):
+        # 25 tranches of at most 84e12 sats hold at most 21M BTC, where a
+        # total in sats survives the trip through BTC exactly
         program = TrancheProgram(tuple(
             (
                 TimelockCondition(rng.randint(0, 120)),
-                rng.randint(0, 10**14),
+                rng.randint(0, 84 * 10**12),
             )
             for _ in range(rng.randint(0, 25))
         ))
+        total_sats = sum(amount for _, amount in program.tranches)
+        assert btc_to_sats(sats_to_btc(total_sats)) == total_sats
         horizon = rng.randint(0, 130)
         events = simulate_disposition(
             TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
             cfg(),
             tranche_program=program,
             clock_horizon=horizon,
+            position_btc=total_btc(program),
         )
         assert events == scanned_releases(program, horizon)
         assert all(type(e) is SimEvent for e in events)
+
+
+@pytest.mark.parametrize(
+    "tranches, position_sats, message",
+    [
+        # the amounts sum to the position, but one of them is negative
+        (((1, -5), (2, 10)), 5, "tranche amounts must be nonnegative"),
+        (((1, -5), (2, 10**30)), SATS_PER_BTC, "tranche amounts must be nonnegative"),
+        (((1, 4), (2, 5)), 10, "tranche amounts sum to 9 sats, not the position's 10"),
+        ((), 1, "tranche amounts sum to 0 sats, not the position's 1"),
+        # a program built for the position, replayed without passing it
+        (((3, 10**8),), 0, "tranche amounts sum to 100000000 sats, not the position's 0"),
+    ],
+)
+def test_liquidation_rejects_a_program_that_does_not_conserve_the_position(
+    tranches, position_sats, message
+):
+    program = TrancheProgram(tuple((TimelockCondition(e), a) for e, a in tranches))
+    with pytest.raises(MechanismError, match=f"^{message}$"):
+        simulate_disposition(
+            TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
+            cfg(),
+            tranche_program=program,
+            position_btc=sats_to_btc(position_sats),
+        )
 
 
 @given(

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overhang.ledger import SATS_PER_BTC, btc_to_sats, format_percent
+from overhang.mechanisms import MechanismError, TimelockCondition
 from overhang.schedule import (
     DAYS_PER_YEAR,
     MAX_TRANCHES,
@@ -176,6 +177,36 @@ def test_unlock_epochs_match_the_fraction_rule_past_the_first_period(years):
         epochs = [cond.value for cond, _ in program.tranches]
         count = round(years * granularity)
         assert epochs == _fraction_epochs(granularity, count, start=3), granularity
+
+
+def test_unchecked_locks_equal_the_checked_constructor():
+    # to_tranche_program builds its locks without TimelockCondition's check.
+    # One year holds fewer than 2g tranches, two years exactly 2g and 4.5
+    # years more. Each granularity is built at three starts in turn, so a
+    # cache that kept a first start's epochs, not offsets, fails at the next.
+    for horizon in (1, 2, 4.5):
+        sched = make_schedule(horizon)
+        for granularity in range(1, DAYS_PER_YEAR + 1):
+            count = round(horizon * granularity)
+            base = sched.position_sats // count
+            amounts = [base] * (count - 1) + [sched.position_sats - base * (count - 1)]
+            offsets = _fraction_epochs(granularity, count)
+            for start in (0, 1, 10**6):
+                program = to_tranche_program(sched, granularity=granularity, start=start)
+                locks = [TimelockCondition(start + offset) for offset in offsets]
+                assert program.tranches == tuple(zip(locks, amounts)), (horizon, granularity, start)
+                assert all(type(lock) is TimelockCondition for lock, _ in program.tranches)
+
+
+def test_negative_start_rejected_after_the_schedule_checks():
+    # to_tranche_program checks the start once, as TimelockCondition would
+    # check each lock, and only after the granularity and the tranche count
+    with pytest.raises(MechanismError, match="^timelock epoch must be nonnegative$"):
+        to_tranche_program(make_schedule(1), granularity=4, start=-1)
+    with pytest.raises(ScheduleError, match="granularity must be"):
+        to_tranche_program(make_schedule(1), granularity=0, start=-1)
+    with pytest.raises(ScheduleError, match="tranches exceed the limit"):
+        to_tranche_program(make_schedule(MAX_TRANCHES + 1), granularity=1, start=-1)
 
 
 def test_tranche_count_limit_applies_to_the_rounded_count():
