@@ -451,7 +451,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ArithmeticError as exc:  # NonFiniteError, or a float overflow such as x**2
-        print(f"error: {exc}", file=sys.stderr)
+        message = "a value overflowed the float range" if isinstance(exc, OverflowError) else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_COMPUTATION
     (out or sys.stdout).write(rendered.getvalue())
     return EXIT_OK

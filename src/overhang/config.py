@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
-from overhang.impact import ElasticityModel, ExecutionQuality, OvershootParams
+from overhang.impact import ElasticityModel, ExecutionQuality
 from overhang.ledger import SupplyLedger
 from overhang.scenarios import Scenario
 from overhang.schedule import DEFAULT_DAILY_VOLUME_USD
@@ -26,7 +26,6 @@ class ConfigError(ValueError):
 
 
 _QUALITIES = {q.value: q for q in ExecutionQuality}
-_SCENARIO_REQUIRED = {"name", "epsilon", "quality", "horizon"}
 
 
 @dataclass
@@ -55,15 +54,14 @@ def dump_config(cfg: RunConfig) -> dict[str, dict]:
             "quality": scenario.quality.value,
             "horizon": scenario.horizon,
         }
-        if scenario.overshoot is not None:
-            doc["scenario"] |= {f"overshoot_{k}": v for k, v in asdict(scenario.overshoot).items()}
     doc["run"] = {"volume": cfg.volume}
     return doc
 
 
-# The loader accepts exactly the keys dumped for a run with every optional part set.
+# The loader accepts exactly the keys dumped for a run with a scenario, and
+# a [scenario] section must hold all of its keys.
 _KNOWN_KEYS = {name: set(body) for name, body in dump_config(RunConfig(scenario=Scenario(
-    "any", ElasticityModel(1.0), ExecutionQuality.MIXED, 1, OvershootParams()))).items()}
+    "any", ElasticityModel(1.0), ExecutionQuality.MIXED, 1))).items()}
 
 
 def parse_quality(text: str) -> ExecutionQuality:
@@ -90,10 +88,12 @@ def load_config(text: str) -> RunConfig:
             sections = json.loads(text, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
+        # Exact types, as a bool is an int; str() would turn null or true into a name.
         if not isinstance(sections, dict) or not all(
-            isinstance(body, dict) for body in sections.values()
+            isinstance(body, dict) and all(type(v) in (str, int, float) for v in body.values())
+            for body in sections.values()
         ):
-            raise ConfigError("JSON config must be an object of section objects")
+            raise ConfigError("JSON config must be an object of sections of strings and numbers")
         sections = {
             name: {k: str(v) for k, v in body.items()}
             for name, body in sections.items()
@@ -130,18 +130,12 @@ def load_config(text: str) -> RunConfig:
 
 
 def _build_scenario(body: dict[str, str]) -> Scenario:
-    missing = _SCENARIO_REQUIRED - set(body)
+    missing = _KNOWN_KEYS["scenario"] - set(body)
     if missing:
         raise ConfigError(f"scenario config missing keys: {sorted(missing)}")
-    overshoot = {
-        key.removeprefix("overshoot_"): float(value)
-        for key, value in body.items()
-        if key not in _SCENARIO_REQUIRED
-    }
     return Scenario(
         name=body["name"],
         elasticity=ElasticityModel(float(body["epsilon"])),
         quality=parse_quality(body["quality"]),
         horizon=float(body["horizon"]),
-        overshoot=OvershootParams(**overshoot) if overshoot else None,
     )

@@ -23,7 +23,6 @@ from overhang.impact import (
     EPSILON_RANGE,
     ExecutionQuality,
     FrictionBand,
-    OvershootParams,
 )
 from overhang.ledger import ShareBasis, SupplyLedger
 from overhang.schedule import Schedule, ScheduleParams
@@ -55,7 +54,6 @@ class Scenario:
     elasticity: ElasticityModel
     quality: ExecutionQuality
     horizon: float
-    overshoot: Optional[OvershootParams] = None
 
     def __post_init__(self) -> None:
         if not self.name:

@@ -22,6 +22,7 @@ odd start.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -109,6 +110,10 @@ def to_tranche_program(
     MechanismError of a negative TimelockCondition, checked once here for
     every lock.
     """
+    try:
+        granularity, start = operator.index(granularity), operator.index(start)
+    except TypeError:
+        raise ScheduleError(f"non-integer granularity {granularity!r} or start {start!r}") from None
     if not 1 <= granularity <= DAYS_PER_YEAR:
         raise ScheduleError(
             f"granularity must be 1 to {DAYS_PER_YEAR} tranches per year, got {granularity}"

@@ -20,7 +20,7 @@ from overhang.cli import (
     build_parser,
     main,
 )
-from overhang.config import load_config
+from overhang.config import _KNOWN_KEYS, load_config
 from overhang.frontier import ExecutionModel
 from test_frontier import assert_close, exact_trajectory
 
@@ -85,7 +85,7 @@ ROUND_TRIP_CONFIGS = {
   "run": {"volume": 18e9}
 }
 """,
-    "overshoot.ini": """[ledger]
+    "custom.ini": """[ledger]
 position = 1000000
 lost_estimate = 3500000
 
@@ -94,8 +94,6 @@ name = custom
 epsilon = 0.5
 quality = mixed
 horizon = 8
-overshoot_magnitude = 0.2
-overshoot_half_life = 3
 
 [run]
 volume = 12e9
@@ -105,8 +103,8 @@ volume = 12e9
 
 @pytest.mark.parametrize(
     "argv",
-    [("B",), ("B", "--volume", "20e9"), ("--config", "run.json"), ("--config", "overshoot.ini")],
-    ids=["B", "B --volume 20e9", "--config run.json", "--config overshoot.ini"],
+    [("B",), ("B", "--volume", "20e9"), ("--config", "run.json"), ("--config", "custom.ini")],
+    ids=["B", "B --volume 20e9", "--config run.json", "--config custom.ini"],
 )
 def test_scenario_config_round_trip(argv, tmp_path):
     for name, text in ROUND_TRIP_CONFIGS.items():
@@ -119,7 +117,6 @@ def test_scenario_config_round_trip(argv, tmp_path):
     for fmt in ([], ["--json"]):
         assert run_cli("scenario", "--config", str(path), *fmt) == run_cli(*argv, *fmt)
     if "--config" in argv:
-        # No output reads the overshoot keys, so compare the loaded configs too.
         assert load_config(emitted) == load_config((tmp_path / argv[-1]).read_text())
 
 
@@ -130,6 +127,9 @@ def test_config_unknown_key_rejected(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+_SCENARIO_JSON = '"epsilon": 0.5, "quality": "mixed", "horizon": 8'
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -137,13 +137,20 @@ def test_config_unknown_key_rejected(tmp_path):
         "[run]\nseed = 3\n",
         "[run]\nformat = json\n",
         '{"run": 5}',
+        pytest.param("[scenario]\nname = x\nepsilon = 0.5\nquality = mixed\nhorizon = 8\n"
+                     "overshoot_magnitude = 0.9\n", id="ini-overshoot"),
+        pytest.param('{"scenario": {"name": "x", "overshoot_half_life": 3, ' + _SCENARIO_JSON
+                     + "}}", id="json-overshoot"),
+        pytest.param('{"scenario": {"name": null, ' + _SCENARIO_JSON + "}}", id="json-null-name"),
+        pytest.param('{"scenario": {"name": true, ' + _SCENARIO_JSON + "}}", id="json-true-name"),
     ],
 )
 def test_config_without_effect_or_shape_rejected(tmp_path, text):
     path = tmp_path / "run.ini"
     path.write_text(text)
-    code, _ = run_cli("scenario", "B", "--config", str(path))
-    assert code == EXIT_VALIDATION
+    code, out, err, _ = _run_captured(["scenario", "--config", str(path)])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -385,6 +392,49 @@ def test_every_flag_changes_the_output_or_exits_2(command, form, flag, flag_outc
         assert (code, text) != flag_outcome(base)[:2], f"{flag} changes nothing"
 
 
+# A config that sets every key, and for each key a value unlike its base
+# value; "quality" moves the friction band, and "reference_price" the USD pace.
+_CONFIG_BASE = {
+    "ledger": {"total_mined": 19_900_000, "lost_estimate": 3_000_000, "position": 1_000_000,
+               "reference_price": 90_000},
+    "scenario": {"name": "base", "epsilon": 0.7, "quality": "mixed", "horizon": 10},
+    "run": {"volume": 15e9},
+}
+_CONFIG_VALUES = {
+    ("ledger", "total_mined"): 20_500_000, ("ledger", "lost_estimate"): 2_000_000,
+    ("ledger", "position"): 600_000, ("ledger", "reference_price"): 60_000,
+    ("scenario", "name"): "changed", ("scenario", "epsilon"): 1.2,
+    ("scenario", "quality"): "public-venue", ("scenario", "horizon"): 6,
+    ("run", "volume"): 11e9,
+}
+
+
+@pytest.mark.parametrize("section, key", [
+    pytest.param(section, key, id=f"[{section}] {key}")
+    for section, keys in _KNOWN_KEYS.items() for key in sorted(keys)
+])
+def test_every_config_key_changes_the_output_or_exits_2(section, key, tmp_path):
+    """Each key the config schema accepts reaches the run's table and JSON,
+    or its value is rejected: no key is parsed and then ignored."""
+    assert (section, key) in _CONFIG_VALUES, f"[{section}] {key} has no test value"
+    changed = {name: dict(body) for name, body in _CONFIG_BASE.items()}
+    changed[section][key] = _CONFIG_VALUES[section, key]
+
+    def outcome(doc, fmt):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        return _run_captured(["scenario", "--config", str(path), *fmt])[:3]
+
+    for fmt in ([], ["--json"]):
+        base_code, base_text, _ = outcome(_CONFIG_BASE, fmt)
+        code, text, err = outcome(changed, fmt)
+        assert base_code == EXIT_OK
+        if code == EXIT_VALIDATION:
+            assert text == "" and err.startswith("error:") and len(err.splitlines()) == 1
+        else:
+            assert (code, text) != (base_code, base_text), f"[{section}] {key} changes nothing"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -401,6 +451,16 @@ def test_nonfinite_frontier_exits_4_without_printing_it(argv):
         code, text = run_cli(*argv)
     assert code == EXIT_COMPUTATION
     assert text == ""
+
+
+# total_units**2 in the frontier's cost leaves the float range
+@pytest.mark.parametrize(
+    "argv", [("frontier", "--total", "1e200"), ("frontier", "--total", "1e160", "--lambdas", "0")]
+)
+def test_float_overflow_exits_4_with_one_readable_line(argv):
+    code, text, err, _ = _run_captured(argv)
+    assert (code, text) == (EXIT_COMPUTATION, "")
+    assert err == "error: a value overflowed the float range\n"
 
 
 @pytest.mark.parametrize(

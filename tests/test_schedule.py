@@ -2,6 +2,7 @@ import math
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from overhang.schedule import (
     MAX_TRANCHES,
     ScheduleError,
     ScheduleParams,
+    _period_offsets,
     build_uniform_schedule,
     to_tranche_program,
 )
@@ -207,6 +209,23 @@ def test_negative_start_rejected_after_the_schedule_checks():
         to_tranche_program(make_schedule(1), granularity=0, start=-1)
     with pytest.raises(ScheduleError, match="tranches exceed the limit"):
         to_tranche_program(make_schedule(MAX_TRANCHES + 1), granularity=1, start=-1)
+
+
+@pytest.mark.parametrize(
+    "granularity, start", [(4.0, 0), (4.5, 0), (4, 1.5), (4, 1.0), ("4", 0), (4, -1.5)]
+)
+def test_non_integer_granularity_or_start_rejected_before_the_offsets(granularity, start):
+    # checked first, so a float 4.0 never caches float offsets under the key 4
+    _period_offsets.cache_clear()
+    with pytest.raises(ScheduleError, match="^non-integer granularity"):
+        to_tranche_program(make_schedule(1), granularity=granularity, start=start)
+    assert _period_offsets.cache_info().currsize == 0
+
+
+def test_numpy_integer_granularity_and_start_accepted():
+    program = to_tranche_program(make_schedule(2), granularity=np.int64(4), start=np.int32(3))
+    assert program == to_tranche_program(make_schedule(2), granularity=4, start=3)
+    assert all(type(lock.value) is int for lock, _ in program.tranches)
 
 
 def test_tranche_count_limit_applies_to_the_rounded_count():
