@@ -261,7 +261,7 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
         with open(args.config, encoding="utf-8") as handle:
             cfg = load_config(handle.read())
     if args.volume is not None:
-        cfg.volume = args.volume
+        cfg = cfg._replace(volume=args.volume)
     if args.name is not None and cfg.scenario is not None:
         raise ValueError(f"{args.name!r} and the config's [scenario] section both name the run")
 
@@ -287,7 +287,7 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
         by_name = {s.name: s for s in scenarios.builtin_scenarios()}
         if args.name not in by_name:
             raise UnknownEntityError(f"unknown scenario {args.name!r}")
-        cfg.scenario = by_name[args.name]
+        cfg = cfg._replace(scenario=by_name[args.name])
     elif cfg.scenario is None:
         raise UnknownEntityError("no scenario name or config given")
 
@@ -338,7 +338,7 @@ def _cmd_frontier(args: argparse.Namespace, out, seed: int) -> None:
         _emit([dataclasses.asdict(p) for p in points], args.fmt, out)
         return
     (lam,) = args.lambdas
-    trajectory = frontier.optimal_trajectory(dataclasses.replace(model, risk_aversion=lam))
+    trajectory = frontier.optimal_trajectory(model._replace(risk_aversion=lam))
     point = frontier.FrontierPoint(lam, trajectory.expected_cost, trajectory.cost_variance)
     _emit([dataclasses.asdict(point)], args.fmt, out)
     out.write("holdings: " + ", ".join(f"{x:.6g}" for x in trajectory.holdings) + "\n")
@@ -352,7 +352,7 @@ def _cmd_decision_map(args: argparse.Namespace, out, seed: int) -> None:
     rows = []
     for rank, (kind, effect) in enumerate(zip(summary.ranking, summary.effects), start=1):
         if effect.bound is not None and args.bear_bound is not None:
-            effect = dataclasses.replace(effect, bound=args.bear_bound)
+            effect = effect._replace(bound=args.bear_bound)
         rows.append({
             "rank": rank,
             "terminal_state": kind.value,

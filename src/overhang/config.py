@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from overhang.impact import ElasticityModel, ExecutionQuality
 from overhang.ledger import SupplyLedger
@@ -28,9 +27,8 @@ class ConfigError(ValueError):
 _QUALITIES = {q.value: q for q in ExecutionQuality}
 
 
-@dataclass
-class RunConfig:
-    ledger: SupplyLedger = field(default_factory=SupplyLedger.from_btc)
+class RunConfig(NamedTuple):
+    ledger: SupplyLedger = SupplyLedger.from_btc()  # one shared, immutable default
     scenario: Optional[Scenario] = None
     volume: float = DEFAULT_DAILY_VOLUME_USD
 

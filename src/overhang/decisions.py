@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
+from overhang import checked
 from overhang.ledger import SupplyLedger, burn_sats, sats_to_btc
 
 
@@ -42,12 +42,12 @@ class TerminalStateKind(enum.Enum):
 MAX_BURN_RETENTION = 0.05
 
 
-@dataclass(frozen=True)
-class TerminalState:
+@checked
+class TerminalState(NamedTuple):
     kind: TerminalStateKind
     retention_fraction: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind is TerminalStateKind.SILENT_BURN:
             if not 0.0 <= self.retention_fraction <= MAX_BURN_RETENTION:
                 raise DecisionError(
@@ -64,13 +64,13 @@ class Mark(enum.Enum):
     INCONSISTENT = "inconsistent"
 
 
-@dataclass(frozen=True)
-class ConsistencyMatrix:
+@checked
+class ConsistencyMatrix(NamedTuple):
     """Total map over (preference set, terminal state kind) pairs."""
 
     entries: Mapping[tuple[PreferenceSet, TerminalStateKind], Mark]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         missing = [
             (p, t)
             for p in PreferenceSet
@@ -150,13 +150,13 @@ class MarketSign(enum.Enum):
     BEARISH = "bearish"
 
 
-@dataclass(frozen=True)
-class SupplyEffect:
+@checked
+class SupplyEffect(NamedTuple):
     delta_effective_float: float  # BTC, signed
     market_sign: MarketSign
     bound: Optional[float] = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.market_sign is MarketSign.BEARISH and (
             self.bound is None or not -1.0 <= self.bound <= 0.0
         ):
@@ -183,8 +183,7 @@ def supply_effect(
     return SupplyEffect(ledger.position, MarketSign.BEARISH, bound=bear_bound)
 
 
-@dataclass(frozen=True)
-class BearCaseReport:
+class BearCaseReport(NamedTuple):
     worst_case_bound: tuple[float, float]
     ranking: tuple[TerminalStateKind, ...]
     effects: tuple[SupplyEffect, ...]

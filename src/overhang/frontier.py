@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from overhang import checked
 
 MAX_PERIODS = 100 * 365  # a century of daily periods
 # Holdings values (risk aversions x (periods + 1)) that one frontier pass
@@ -28,8 +30,8 @@ class FrontierError(ValueError):
     """Raised for ill-posed execution models or inadmissible trajectories."""
 
 
-@dataclass(frozen=True)
-class ExecutionModel:
+@checked
+class ExecutionModel(NamedTuple):
     total_units: float
     periods: int
     period_length: float = 1.0
@@ -38,7 +40,7 @@ class ExecutionModel:
     temporary_coeff: float = 1.0
     risk_aversion: float = 0.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not all(map(math.isfinite, (
             self.total_units, self.period_length, self.volatility,
             self.permanent_coeff, self.temporary_coeff, self.risk_aversion,
@@ -64,8 +66,7 @@ class ExecutionModel:
         return self.temporary_coeff - self.permanent_coeff * self.period_length / 2
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     holdings: tuple[float, ...]
     expected_cost: float
     cost_variance: float

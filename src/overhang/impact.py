@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
+
+from overhang import checked
 
 # Heuristic elasticity sensitivity range; sweeps outside it need an override.
 EPSILON_RANGE = (0.3, 1.5)
@@ -24,13 +25,13 @@ class ImpactError(ValueError):
     """Raised for out-of-domain impact-model inputs."""
 
 
-@dataclass(frozen=True)
-class ElasticityModel:
+@checked
+class ElasticityModel(NamedTuple):
     """Demand elasticity: a 1% supply increase moves price ~ -1/epsilon %."""
 
     epsilon: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not math.isfinite(self.epsilon) or self.epsilon <= 0:
             raise ImpactError(f"elasticity must be finite and positive, got {self.epsilon}")
 
@@ -41,15 +42,15 @@ class ExecutionQuality(enum.Enum):
     PUBLIC_VENUE = "public-venue"
 
 
-@dataclass(frozen=True)
-class FrictionBand:
+@checked
+class FrictionBand(NamedTuple):
     """Temporary execution concession, in percentage points (low <= high)."""
 
     low: float
     high: float
     extrapolated: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 <= self.low <= self.high:
             raise ImpactError(f"invalid friction band ({self.low}, {self.high})")
 
@@ -62,14 +63,14 @@ MIXED_BAND = FrictionBand(3.0, 5.0)
 PUBLIC_VENUE_BAND = FrictionBand(5.0, 8.0, extrapolated=True)
 
 
-@dataclass(frozen=True)
-class OvershootParams:
+@checked
+class OvershootParams(NamedTuple):
     """Transient drawdown magnitude and exponential-decay half-life in days."""
 
     magnitude: float = 0.125
     half_life: float = 7.0
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.magnitude <= 1.0:
             raise ImpactError(f"overshoot magnitude {self.magnitude} outside [0, 1]")
         if not 0 < self.half_life < math.inf:

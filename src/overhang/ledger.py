@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
+from typing import NamedTuple
+
+from overhang import checked
 
 SATS_PER_BTC = 10**8
 
@@ -42,8 +44,8 @@ class ShareBasis(enum.Enum):
     EFFECTIVE = "effective"
 
 
-@dataclass(frozen=True)
-class SupplyLedger:
+@checked
+class SupplyLedger(NamedTuple):
     """Monetary-base state, amounts in integer satoshis."""
 
     total_mined_sats: int
@@ -51,7 +53,7 @@ class SupplyLedger:
     position_sats: int
     reference_price: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.total_mined_sats < 0 or self.lost_estimate_sats < 0 or self.position_sats < 0:
             raise LedgerError("BTC quantities must be nonnegative")
         if not 0 < self.reference_price < math.inf:
@@ -89,8 +91,7 @@ class SupplyLedger:
         return sats_to_btc(self.position_sats)
 
 
-@dataclass(frozen=True)
-class BurnOutcome:
+class BurnOutcome(NamedTuple):
     """Result of sending part of the position to an unspendable output."""
 
     burned_sats: int

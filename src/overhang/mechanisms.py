@@ -13,12 +13,12 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import repeat
 from operator import itemgetter, xor
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+from overhang import checked
 from overhang.decisions import TerminalState, TerminalStateKind
 from overhang.ledger import btc_to_sats, burn_sats, sats_to_btc
 
@@ -70,14 +70,14 @@ def _gf_inv(a: int) -> int:
     return _GF_EXP[255 - _GF_LOG[a]]
 
 
-@dataclass(frozen=True)
-class Share:
+@checked
+class Share(NamedTuple):
     """One shard: evaluation point index and a byte-wise payload."""
 
     index: int
     payload: bytes
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 1 <= self.index <= 255:
             raise MechanismError(f"share index {self.index} outside 1..255")
 
@@ -153,33 +153,19 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
 # ---------------------------------------------------------------------------
 # Timelocks
 
-class _Timelock(NamedTuple):
+@checked
+class TimelockCondition(NamedTuple):
+    """CLTV-style absolute timelock: spendable at or after epoch `value`
+    (schedule._unchecked_lock skips the check, for epochs known nonnegative)."""
+
     value: int
 
-
-class TimelockCondition(_Timelock):
-    """CLTV-style absolute timelock: spendable at or after epoch `value`.
-
-    An immutable one-field named tuple, so it equals the plain tuple (value,)
-    and orders by its epoch. Every public way of making one checks the epoch;
-    schedule.to_tranche_program checks its start once and builds its locks
-    with tuple.__new__.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, value: int) -> "TimelockCondition":
-        if value < 0:
+    def _check(self) -> None:
+        if self.value < 0:
             raise MechanismError("timelock epoch must be nonnegative")
-        return tuple.__new__(cls, (value,))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "TimelockCondition":
-        return cls(*iterable)  # _replace builds through here, so it checks too
 
 
-@dataclass(frozen=True)
-class TrancheProgram:
+class TrancheProgram(NamedTuple):
     """Ordered timelocked tranches; amounts in satoshis sum to the position."""
 
     tranches: Sequence[tuple[TimelockCondition, int]]
@@ -193,13 +179,13 @@ class DmsAction(enum.Enum):
     DESTROY_SHARDS = "destroy-shards"
 
 
-@dataclass(frozen=True)
-class DmsConfig:
+@checked
+class DmsConfig(NamedTuple):
     heartbeat_interval: int
     grace_missed: int
     action: DmsAction
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.heartbeat_interval <= 0:
             raise MechanismError("heartbeat interval must be positive")
         if self.grace_missed < 1:
@@ -213,8 +199,7 @@ class DmsPhase(enum.Enum):
     UNRECOVERABLE = "unrecoverable"
 
 
-@dataclass(frozen=True)
-class DmsState:
+class DmsState(NamedTuple):
     phase: DmsPhase
     missed: int = 0
 
@@ -259,8 +244,7 @@ def dms_step(state: DmsState, config: DmsConfig, event: DmsEvent) -> DmsState:
 # Disposition replay
 
 class SimEvent(NamedTuple):
-    """One replay event, an immutable named tuple: equal to the plain tuple
-    (epoch, kind, amount_sats) and ordered by those fields."""
+    """One replay event at an epoch, its amount in whole satoshis."""
 
     epoch: int
     kind: str

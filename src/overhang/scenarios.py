@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
+from overhang import checked
 from overhang import impact as impact_model
 from overhang import ledger as supply_ledger
 from overhang import schedule as liquidation_schedule
@@ -48,14 +48,14 @@ DEFAULT_HORIZON_GRID = (5, 10, 12)
 MAX_SWEEP_CELLS = 100_000
 
 
-@dataclass(frozen=True)
-class Scenario:
+@checked
+class Scenario(NamedTuple):
     name: str
     elasticity: ElasticityModel
     quality: ExecutionQuality
     horizon: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.name:
             raise ScenarioError("scenario name must be non-empty")
         _check_horizon(self.horizon)
@@ -66,8 +66,7 @@ def _check_horizon(horizon: float) -> None:
         raise ScenarioError(f"horizon must be finite and at least one year, got {horizon}")
 
 
-@dataclass(frozen=True)
-class AnchorEvent:
+class AnchorEvent(NamedTuple):
     name: str
     amount_btc: float
     observed_impact: Optional[tuple[float, float]]
@@ -165,8 +164,7 @@ def _classified_total(
     return total, classify_against_anchors(total)
 
 
-@dataclass(frozen=True)
-class SweepSummary:
+class SweepSummary(NamedTuple):
     results: tuple[ScenarioResult, ...]
     min_abs_total: float
     max_abs_total: float

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from typing import NamedTuple
 
+from overhang import checked
 from overhang.ledger import DEFAULT_REFERENCE_PRICE_USD, SATS_PER_BTC, btc_to_sats, sats_to_btc
 from overhang.mechanisms import MechanismError, TimelockCondition, TrancheProgram
 
@@ -45,14 +46,14 @@ class ScheduleError(ValueError):
     """Raised for invalid schedule parameters."""
 
 
-@dataclass(frozen=True)
-class ScheduleParams:
+@checked
+class ScheduleParams(NamedTuple):
     position: float  # BTC
     horizon: float  # years
     reference_daily_volume: float = DEFAULT_DAILY_VOLUME_USD
     price: float = DEFAULT_REFERENCE_PRICE_USD
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.position < math.inf:
             raise ScheduleError("position must be positive and finite")
         if not 1 <= self.horizon < math.inf:
@@ -61,8 +62,7 @@ class ScheduleParams:
             raise ScheduleError("volume and price must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(NamedTuple):
     """Uniform liquidation program; BTC flows are exact rationals."""
 
     position_sats: int

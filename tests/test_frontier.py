@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import random
@@ -262,7 +261,7 @@ def assert_frontier_matches_closed_form(model, lambdas):
     points = frontier(model, lambdas)
     assert [p.risk_aversion for p in points] == lambdas
     for lam, point, row in zip(lambdas, points, _optimal_holdings(model, np.array(lambdas))):
-        variant = dataclasses.replace(model, risk_aversion=lam)
+        variant = model._replace(risk_aversion=lam)
         trajectory = optimal_trajectory(variant)
         assert bits(row) == bits(trajectory.holdings)
         assert bits([point.expected_cost, point.cost_variance]) == bits(

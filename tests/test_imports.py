@@ -1,14 +1,18 @@
 """The package's internal import graph is one-way and fully visible at module top,
-and every public name it defines is used inside it."""
+every public name it defines is used inside it, and its records follow one idiom."""
 
 import ast
 import graphlib
+import importlib
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "overhang"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
@@ -115,3 +119,97 @@ def test_every_public_name_is_referenced_in_src():
         and node.name not in referenced
     ]
     assert not unreferenced, f"only the tests use {unreferenced}"
+
+
+# frontier.FrontierPoint stays a dataclass: perfbench/selftest.py:89 calls
+# dataclasses.replace on one, and the benchmark changes only under ROADMAP item 1.
+DATACLASSES = {"frontier.FrontierPoint"}
+
+
+def _decorators(node: ast.ClassDef) -> set[str]:
+    """The names a class is decorated with, `@dataclass(frozen=True)` as `dataclass`."""
+    names = set()
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        names.add(target.attr if isinstance(target, ast.Attribute) else target.id)
+    return names
+
+
+def test_records_are_named_tuples_and_a_checked_one_is_decorated():
+    """No class is a dataclass but FrontierPoint, and every class with a
+    _check is @checked, so its constructor, _make and _replace all run it."""
+    dataclasses, unchecked = set(), []
+    for module, path in MODULES.items():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                decorators = _decorators(node)
+                if "dataclass" in decorators:
+                    dataclasses.add(f"{module}.{node.name}")
+                if "checked" not in decorators and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "_check" for item in node.body
+                ):
+                    unchecked.append(f"{module}.{node.name}")
+    assert dataclasses == DATACLASSES
+    assert not unchecked, f"define _check but are not @checked: {unchecked}"
+
+
+def _checked_types():
+    """(record type, its module's own error) for every class with a _check."""
+    for name in sorted(name for name in MODULES if not name.startswith("__")):
+        module = importlib.import_module(f"overhang.{name}")
+        local = [obj for obj in vars(module).values()
+                 if isinstance(obj, type) and obj.__module__ == module.__name__]
+        for record_type in (obj for obj in local if "_check" in vars(obj)):
+            (error,) = (obj for obj in local if obj.__bases__ == (ValueError,))
+            yield record_type, error
+
+
+# A valid record of each checked type, a field, a value its check rejects,
+# and the rejection's message.
+CHECKED_EXAMPLES = {
+    ledger.SupplyLedger: (ledger.SupplyLedger.from_btc(), "reference_price", 0.0, "reference price"),
+    impact.ElasticityModel: (impact.ElasticityModel(0.7), "epsilon", 0.0, "elasticity must be"),
+    impact.FrictionBand: (impact.OTC_BAND_LOW, "low", 3.0, "invalid friction band"),
+    impact.OvershootParams: (impact.OvershootParams(), "half_life", math.inf, "half-life"),
+    schedule.ScheduleParams: (schedule.ScheduleParams(1.0, 10.0), "horizon", 0.5, "horizon must"),
+    mechanisms.Share: (mechanisms.Share(1, b"x"), "index", 256, "share index 256"),
+    mechanisms.TimelockCondition: (
+        mechanisms.TimelockCondition(3), "value", -1, "timelock epoch must be nonnegative"),
+    mechanisms.DmsConfig: (
+        mechanisms.DmsConfig(30, 3, mechanisms.DmsAction.PUBLISH_SHARDS), "grace_missed", 0,
+        "grace_missed must be at least 1"),
+    scenarios.Scenario: (scenarios.builtin_scenarios()[1], "horizon", math.nan, "horizon must"),
+    decisions.TerminalState: (
+        decisions.TerminalState(decisions.TerminalStateKind.SILENT_BURN, 0.01),
+        "retention_fraction", 0.5, "burn retention"),
+    decisions.ConsistencyMatrix: (decisions.consistency_matrix(), "entries", {}, "not total"),
+    decisions.SupplyEffect: (
+        decisions.SupplyEffect(1.0, decisions.MarketSign.BEARISH, -0.1), "bound", 0.5,
+        "bearish effect needs a bound"),
+    frontier.ExecutionModel: (
+        frontier.ExecutionModel(100.0, 10), "risk_aversion", -1.0, "risk aversion must be"),
+}
+
+
+@pytest.mark.parametrize("record_type, error", _checked_types(), ids=lambda t: t.__name__)
+def test_every_checked_record_validates_every_construction(record_type, error):
+    """A checked record is an immutable named tuple equal to the plain tuple of
+    its fields, and its constructor, _replace and _make all raise its module's
+    own error for a bad field."""
+    assert record_type in CHECKED_EXAMPLES, f"{record_type.__name__} has no example"
+    record, field, bad, message = CHECKED_EXAMPLES[record_type]
+    values = tuple(getattr(record, name) for name in record_type._fields)
+    assert type(record) is record_type and record == values
+    assert record <= values and record < (*values, 0)  # it orders as that tuple
+    assert repr(record) == f"{record_type.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(record_type._fields, values)) + ")"
+    bad_values = [bad if name == field else value for name, value in zip(record._fields, values)]
+    for build in (lambda: record_type(*bad_values), lambda: record._replace(**{field: bad}),
+                  lambda: record_type._make(bad_values)):
+        with pytest.raises(error, match=message) as raised:
+            build()
+        assert raised.type is error
+    assert type(record._replace(**{field: getattr(record, field)})) is record_type
+    for name in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, bad)

@@ -255,20 +255,6 @@ def test_negative_lock_rejected():
         TimelockCondition(-1)
 
 
-def test_timelock_is_an_immutable_checked_named_tuple():
-    lock = TimelockCondition(3)
-    assert repr(lock) == "TimelockCondition(value=3)"
-    assert lock == (3,) and TimelockCondition(value=2) < lock
-    with pytest.raises(AttributeError):
-        lock.value = 4
-    # every way of building one checks the epoch
-    for build in (lambda: TimelockCondition(value=-1), lambda: lock._replace(value=-1),
-                  lambda: TimelockCondition._make([-1])):
-        with pytest.raises(MechanismError, match="timelock epoch must be nonnegative"):
-            build()
-    assert type(lock._replace(value=5)) is TimelockCondition
-
-
 # --- dead-man's switch ------------------------------------------------------
 
 def cfg(grace=3, action=DmsAction.PUBLISH_SHARDS):
