@@ -18,14 +18,16 @@ __version__ = "0.1.0"
 def checked(cls):
     """Make a NamedTuple record run its _check() wherever it is built: the
     constructor, _make and _replace. NamedTuple forbids __new__ and _make in
-    the class body, so a decorator sets them."""
-    new = cls.__new__
-
-    def __new__(cls, *args, **kwargs):
-        self = new(cls, *args, **kwargs)
-        self._check()
-        return self
-
-    cls.__new__ = __new__
+    the class body, so a decorator sets them. Like collections.namedtuple,
+    it generates a __new__ that takes the record's own fields and defaults,
+    so a construction runs one Python frame besides _check."""
+    fields = ", ".join(cls._fields)
+    namespace = {"__builtins__": {}, "__name__": cls.__module__, "_tuple_new": tuple.__new__}
+    exec(f"def __new__(_cls, {fields}):\n    _self = _tuple_new(_cls, ({fields},))\n"
+         "    _self._check()\n    return _self", namespace)
+    new = namespace["__new__"]
+    new.__defaults__ = cls.__new__.__defaults__
+    new.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__new__ = new
     cls._make = classmethod(lambda cls, iterable: cls(*iterable))  # _replace calls _make
     return cls

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -202,12 +203,11 @@ def bear_case_summary(
     """
     if not scenario_results:
         raise DecisionError("scenario results required")
-    worst = min(scenario_results, key=lambda r: r.total[0])
+    # The first minimal total, as min over the results keyed on total[0] finds.
+    worst = min(map(attrgetter("total"), scenario_results), key=itemgetter(0))
     ranking = tuple(rank_terminal_states(matrix))
     return BearCaseReport(
-        worst_case_bound=worst.total,
+        worst_case_bound=worst,
         ranking=ranking,
-        effects=tuple(
-            supply_effect(TerminalState(kind=k), ledger, worst.total[0]) for k in ranking
-        ),
+        effects=tuple(supply_effect(TerminalState(kind=k), ledger, worst[0]) for k in ranking),
     )

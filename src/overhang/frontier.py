@@ -96,7 +96,9 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
 
 def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray, np.ndarray]:
     """cost_of for each row of a (rows, periods + 1) holdings array; a cost
-    past the float range is inf or NaN, without a warning."""
+    past the float range is inf or NaN, without a warning. The trades are
+    -np.diff and the sums np.add.reduce, the reduction np.sum wraps, without
+    either wrapper's per-call work."""
     tau = model.period_length
     sigma = model.volatility
     try:
@@ -104,12 +106,12 @@ def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray,
     except OverflowError:  # σ² alone leaves the float range; σ²τ may not
         sigma_squared_tau = sigma * (sigma * tau)
     with np.errstate(over="ignore", invalid="ignore"):
-        trades = -np.diff(holdings, axis=1)
+        trades = holdings[:, :-1] - holdings[:, 1:]
         expected = (
             0.5 * model.permanent_coeff * model.total_units**2
-            + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
+            + model.adjusted_temporary / tau * np.add.reduce(trades**2, axis=1)
         )
-        variance = sigma_squared_tau * np.sum(holdings[:, 1:] ** 2, axis=1)
+        variance = sigma_squared_tau * np.add.reduce(holdings[:, 1:] ** 2, axis=1)
     return expected, variance
 
 
@@ -171,7 +173,4 @@ def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPo
         block_expected, block_variance = _row_costs(holdings, model)
         expected += block_expected.tolist()
         variance += block_variance.tolist()
-    return [
-        FrontierPoint(risk_aversion=lam, expected_cost=e, cost_variance=v)
-        for lam, e, v in zip(lambdas, expected, variance)
-    ]
+    return list(map(FrontierPoint, lambdas, expected, variance))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from overhang import checked
@@ -146,11 +147,13 @@ def overshoot_path(
     Day 0 sits at (1 + total) * (1 - magnitude); the transient halves every
     half_life days and the path converges to 1 + total from below.
     """
+    try:
+        horizon = operator.index(horizon)
+    except TypeError:
+        raise ImpactError(f"non-integer horizon {horizon!r}") from None
     if horizon < 1:
         raise ImpactError("horizon must be at least one day")
     base = 1.0 + mechanical_total
-    path = []
-    for day in range(horizon + 1):
-        transient = params.magnitude * 2.0 ** (-day / params.half_life)
-        path.append((day, base * (1.0 - transient)))
-    return path
+    magnitude, half_life = params
+    return [(day, base * (1.0 - magnitude * 2.0 ** (-day / half_life)))
+            for day in range(horizon + 1)]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import enum
 import math
+from functools import partial
+from itertools import chain, repeat
 from typing import NamedTuple, Optional, Sequence
 
 from overhang import checked
@@ -83,6 +85,11 @@ class ScenarioResult(NamedTuple):
     friction: FrictionBand
     total: tuple[float, float]
     anchor_class: AnchorClass
+
+
+# Builds a ScenarioResult from one tuple of its fields in C, without the
+# Python-level __new__ that a named tuple's constructor runs.
+_result = partial(tuple.__new__, ScenarioResult)
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -203,27 +210,25 @@ def sensitivity_sweep(
                 )
     share = supply_ledger.position_share(ledger, ShareBasis.EFFECTIVE)
     horizons = sorted(horizon_grid)
-    bands: list[FrictionBand] = []
-    columns: list[tuple[str, Schedule, int]] = []
-    results = []
-    totals = []
+    results: list[ScenarioResult] = []
+    totals: list[tuple[float, float]] = []
     for eps in sorted(epsilon_grid):
         permanent = impact_model.permanent_impact(share, ElasticityModel(eps))
-        if not columns:
+        if not results:
             # Built after the first elasticity is validated, so a grid with
             # several faults raises the one the cell-by-cell order meets first.
-            bands, columns = _sweep_columns(ledger, quality_set, horizons, volume)
-        outcomes = [(band, *_classified_total(permanent, band)) for band in bands]
-        totals.extend(total for _, total, _ in outcomes)
-        prefix = f"eps={eps}"
-        results.extend([
-            ScenarioResult(prefix + suffix, schedule, permanent, *outcomes[k])
-            for suffix, schedule, k in columns
-        ])
+            bands, suffixes, schedules, indices = _sweep_columns(
+                ledger, quality_set, horizons, volume)
+            cell_bands = [bands[k] for k in indices]
+        band_totals, classes = zip(*[_classified_total(permanent, band) for band in bands])
+        totals += band_totals
+        results += map(_result, zip(
+            map(f"eps={eps}".__add__, suffixes), schedules, repeat(permanent), cell_bands,
+            map(band_totals.__getitem__, indices), map(classes.__getitem__, indices)))
     return SweepSummary(
         results=tuple(results),
-        min_abs_total=min(min(abs(low), abs(high)) for low, high in totals),
-        max_abs_total=max(max(abs(low), abs(high)) for low, high in totals),
+        min_abs_total=min(map(abs, chain.from_iterable(totals))),
+        max_abs_total=max(map(abs, chain.from_iterable(totals))),
     )
 
 
@@ -232,10 +237,10 @@ def _sweep_columns(
     quality_set: Sequence[ExecutionQuality],
     horizons: Sequence[float],
     volume: float,
-) -> tuple[list[FrictionBand], list[tuple[str, Schedule, int]]]:
-    """The distinct friction bands in order of first appearance, and each
-    (quality, horizon) cell's name suffix, schedule and band index, in sweep
-    order.
+) -> tuple[list[FrictionBand], list[str], list[Schedule], list[int]]:
+    """The distinct friction bands in order of first appearance, and the
+    (quality, horizon) cells' name suffixes, schedules and band indices, one
+    list each in sweep order.
 
     The schedule is built once per position in the sorted horizon grid and
     the band once per (quality, horizon); the sweep then combines each band
@@ -243,13 +248,14 @@ def _sweep_columns(
     """
     schedules: dict[int, Schedule] = {}
     band_index: dict[FrictionBand, int] = {}
-    columns = []
+    suffixes, column_schedules, indices = [], [], []
     for quality in quality_set:
         for j, horizon in enumerate(horizons):
             if j not in schedules:
                 _check_horizon(horizon)
                 schedules[j] = _uniform_schedule(ledger, horizon, volume)
             band = impact_model.friction_band(quality, schedules[j].participation)
-            k = band_index.setdefault(band, len(band_index))
-            columns.append((f"/{quality.value}/{horizon}y", schedules[j], k))
-    return list(band_index), columns
+            suffixes.append(f"/{quality.value}/{horizon}y")
+            column_schedules.append(schedules[j])
+            indices.append(band_index.setdefault(band, len(band_index)))
+    return list(band_index), suffixes, column_schedules, indices

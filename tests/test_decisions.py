@@ -16,8 +16,9 @@ from overhang.decisions import (
     rank_terminal_states,
     supply_effect,
 )
+from overhang.impact import ExecutionQuality
 from overhang.ledger import SupplyLedger
-from overhang.scenarios import builtin_scenarios, run_scenario
+from overhang.scenarios import builtin_scenarios, run_scenario, sensitivity_sweep
 
 EXPECTED_ORDER = [
     TerminalStateKind.DORMANCY_NON_RECOVERY,
@@ -278,3 +279,28 @@ def test_bear_case_summary_zero_position(matrix):
         effect = supply_effect(TerminalState(kind), ledger, -0.25)
         assert effect.delta_effective_float == 0.0
         assert effect.market_sign is MarketSign.NEUTRAL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    position=st.floats(1e4, 2e6),
+    epsilons=st.lists(st.floats(0.3, 1.5), min_size=1, max_size=4),
+    qualities=st.lists(st.sampled_from(ExecutionQuality), min_size=1, max_size=3),
+    horizons=st.lists(st.floats(2.0, 30.0), min_size=1, max_size=4),
+)
+def test_bear_bound_is_the_first_minimal_sweep_total(position, epsilons, qualities, horizons):
+    ledger = SupplyLedger.from_btc(position=position)
+    results = sensitivity_sweep(ledger, epsilons, qualities, horizons).results
+    report = bear_case_summary(consistency_matrix(), ledger, results)
+    assert report.worst_case_bound is min(results, key=lambda r: r.total[0]).total
+
+
+def test_bear_bound_takes_the_first_of_tied_totals(ledger, matrix):
+    """Totals tied on their low end: the first one is the bound, as the
+    keyed min over the results finds, whatever its high end."""
+    cell = run_scenario(builtin_scenarios()[2], ledger)
+    low = cell.total[0]
+    results = [cell._replace(total=total) for total in
+               [(low + 0.01, -0.01), (low, low + 0.02), (low, low + 0.01), (low, low + 0.03)]]
+    report = bear_case_summary(matrix, ledger, results)
+    assert report.worst_case_bound is results[1].total

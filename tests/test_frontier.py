@@ -431,3 +431,65 @@ def test_trajectory_matches_50_digit_closed_form(periods, total, volatility, tau
     assert_matches_exact(model, trajectory.holdings, trajectory.expected_cost,
                          trajectory.cost_variance)
     assert all(a >= b for a, b in zip(trajectory.holdings, trajectory.holdings[1:]))
+
+
+def reference_row_costs(holdings, model):
+    """_row_costs with trades as -np.diff and sums as np.sum: the reference
+    for its sliced subtraction and np.add.reduce."""
+    tau = model.period_length
+    sigma = model.volatility
+    try:
+        sigma_squared_tau = sigma**2 * tau
+    except OverflowError:
+        sigma_squared_tau = sigma * (sigma * tau)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trades = -np.diff(holdings, axis=1)
+        expected = (
+            0.5 * model.permanent_coeff * model.total_units**2
+            + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
+        )
+        variance = sigma_squared_tau * np.sum(holdings[:, 1:] ** 2, axis=1)
+    return expected, variance
+
+
+def assert_same_floats(fast, slow):
+    """Equal arrays, NaN matching NaN, and bit-identical wherever not NaN."""
+    fast, slow = np.asarray(fast), np.asarray(slow)
+    assert fast.dtype == slow.dtype and np.array_equal(fast, slow, equal_nan=True)
+    finite = ~np.isnan(slow)
+    assert fast[finite].tobytes() == slow[finite].tobytes()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_row_costs_match_the_diff_and_sum_reference(seed):
+    """Random models, among them 200-period rows whose large risk aversions
+    underflow the holdings and volatilities near the float range, give the
+    reference's costs bit for bit, optimal rows and arbitrary rows alike."""
+    rng = np.random.default_rng(seed)
+    for periods in (1, 10, 50, 200):
+        for volatility in (0.0, 1.0, 1600.0, rng.uniform(0, 5e3), 1e150, 1e155, 1e300):
+            model = desk_model(total_units=float(rng.uniform(1, 1e4)), periods=periods,
+                               volatility=volatility, period_length=float(rng.uniform(0.25, 4)))
+            lambdas = np.concatenate(([0.0, 1e-2, 1.0, 1e6], 10.0 ** rng.uniform(-12, 2, 12)))
+            rows = [_optimal_holdings(model, lambdas),
+                    rng.normal(0, 1e3, (5, periods + 1)),
+                    rng.choice([0.0, 1.0, -2.5, 1e160, -1e200, math.inf, math.nan],
+                               (5, periods + 1))]
+            for holdings in rows:
+                fast, slow = _row_costs(holdings, model), reference_row_costs(holdings, model)
+                for a, b in zip(fast, slow):
+                    assert_same_floats(a, b)
+            path = rows[0][1]
+            reference = reference_row_costs(path[np.newaxis], model)
+            assert bits(cost_of(path, model)) == bits(float(v[0]) for v in reference)
+
+
+def test_frontier_points_are_the_same_for_a_list_and_an_array_of_lambdas():
+    model = desk_model(periods=50)
+    lambdas = [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0]
+    from_list = frontier(model, lambdas)
+    from_array = frontier(model, np.array(lambdas))
+    assert from_list == from_array
+    for a, b, lam in zip(from_list, from_array, lambdas):
+        assert a.risk_aversion == b.risk_aversion == lam
+        assert bits([a.expected_cost, a.cost_variance]) == bits([b.expected_cost, b.cost_variance])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -221,3 +222,36 @@ def test_overshoot_decay_and_convergence():
     # after 10 half-lives the transient is below 1e-3 of the magnitude
     _, terminal = path[30]
     assert abs(terminal - 0.9) < 1e-3 * params.magnitude
+
+
+def reference_overshoot_path(mechanical_total, params, horizon):
+    """overshoot_path as one loop over the days: the reference for its comprehension."""
+    base = 1.0 + mechanical_total
+    path = []
+    for day in range(horizon + 1):
+        transient = params.magnitude * 2.0 ** (-day / params.half_life)
+        path.append((day, base * (1.0 - transient)))
+    return path
+
+
+def test_overshoot_path_matches_the_loop_reference():
+    rng = random.Random(23)
+    for _ in range(200):
+        total = rng.uniform(-0.5, 0.0)
+        params = OvershootParams(rng.uniform(0.0, 1.0), rng.uniform(0.01, 60.0))
+        horizon = rng.randint(1, 400)
+        path = overshoot_path(total, params, horizon)
+        assert [(d, v.hex()) for d, v in path] == [
+            (d, v.hex()) for d, v in reference_overshoot_path(total, params, horizon)]
+
+
+@pytest.mark.parametrize("horizon", [5.5, 5.0, "5", None])
+def test_overshoot_horizon_must_be_an_integer(horizon):
+    with pytest.raises(ImpactError, match="non-integer horizon"):
+        overshoot_path(-0.1, OvershootParams(), horizon)
+
+
+def test_overshoot_horizon_may_be_a_numpy_integer():
+    path = overshoot_path(-0.1, OvershootParams(), np.int64(5))
+    assert path == overshoot_path(-0.1, OvershootParams(), 5)
+    assert all(type(day) is int for day, _ in path)

@@ -4,6 +4,7 @@ every public name it defines is used inside it, and its records follow one idiom
 import ast
 import graphlib
 import importlib
+import inspect
 import math
 import os
 import subprocess
@@ -195,7 +196,8 @@ CHECKED_EXAMPLES = {
 def test_every_checked_record_validates_every_construction(record_type, error):
     """A checked record is an immutable named tuple equal to the plain tuple of
     its fields, and its constructor, _replace and _make all raise its module's
-    own error for a bad field."""
+    own error for a bad field. Its constructor has the record's own signature:
+    a missing or extra argument raises TypeError."""
     assert record_type in CHECKED_EXAMPLES, f"{record_type.__name__} has no example"
     record, field, bad, message = CHECKED_EXAMPLES[record_type]
     values = tuple(getattr(record, name) for name in record_type._fields)
@@ -213,3 +215,32 @@ def test_every_checked_record_validates_every_construction(record_type, error):
     for name in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, bad)
+
+    # The constructor takes the record's own fields and defaults, as a
+    # collections.namedtuple's does, and builds what tuple.__new__ builds.
+    fields, defaults = record_type._fields, record_type._field_defaults
+    parameters = inspect.signature(record_type.__new__).parameters
+    assert list(parameters) == ["_cls", *fields]
+    assert {name: p.default for name, p in parameters.items()
+            if p.default is not inspect.Parameter.empty} == defaults
+    plain = tuple.__new__(record_type, values)
+    for built in (record_type(*values), record_type(**dict(zip(fields, values)))):
+        assert type(built) is record_type and built == plain
+    required = len(fields) - len(defaults)
+    for given in range(required, len(fields)):  # the rest left to their defaults
+        filled = (*values[:given], *list(defaults.values())[given - required:])
+        try:
+            tuple.__new__(record_type, filled)._check()
+        except error:
+            with pytest.raises(error):
+                record_type(*values[:given])
+        else:
+            built = record_type(*values[:given])
+            assert type(built) is record_type and built == tuple.__new__(record_type, filled)
+    calls = [lambda: record_type(*values, values[0]), lambda: record_type(*values, extra=bad),
+             lambda: record_type(*values, **{fields[0]: values[0]})]
+    if required:
+        calls.append(lambda: record_type(*values[:required - 1]))
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

@@ -298,3 +298,22 @@ def test_factored_sweep_matches_cellwise_sweep(
         assert all(type(cell) is ScenarioResult for cell in fast.results + slow.results)
         assert fast == slow
         assert repr(fast) == repr(slow)
+
+
+def test_cells_of_one_column_share_its_schedule_and_band(ledger):
+    """Every ε's cell of a (quality, horizon) column holds the very schedule
+    and band objects of that column; a horizon's schedule is one object for
+    every quality, and each band is one of impact's shared constants."""
+    otc, mixed, public = ExecutionQuality
+    epsilons, qualities, horizons = [0.3, 0.7, 1.5], [otc, mixed, public, otc], [5, 10, 12]
+    results = sensitivity_sweep(ledger, epsilons, qualities, horizons).results
+    columns = len(qualities) * len(horizons)
+    assert len(results) == len(epsilons) * columns
+    constants = (impact.OTC_BAND_LOW, impact.OTC_BAND_HIGH, impact.MIXED_BAND,
+                 impact.PUBLIC_VENUE_BAND)
+    for c in range(columns):
+        column = results[c::columns]
+        assert all(cell.schedule is column[0].schedule for cell in column)
+        assert all(cell.friction is column[0].friction for cell in column)
+        assert any(column[0].friction is band for band in constants)
+        assert column[0].schedule is results[c % len(horizons)].schedule
