@@ -320,7 +320,14 @@ def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
             for i, (condition, amount) in enumerate(program.tranches)
         ]
     else:
-        rows = schedule.schedule_rows(sched)
+        rows = [{
+            "position_btc": ledger.sats_to_btc(sched.position_sats),
+            "horizon_years": sched.horizon,
+            "annual_btc": float(sched.annual_btc),
+            "daily_btc": float(sched.daily_btc),
+            "daily_usd": sched.daily_usd,
+            "participation": sched.participation,
+        }]
     _emit(rows, args.fmt, out)
 
 

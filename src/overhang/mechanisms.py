@@ -1,7 +1,8 @@
 """Desk-scale disposition mechanisms on a simulated integer clock.
 
-Covers k-of-n secret sharding over GF(256), timelocks and tranche programs,
-the dead-man's-switch state machine, and end-to-end disposition replays.
+Covers k-of-n secret sharding over GF(256), the dead-man's-switch state
+machine, and end-to-end disposition replays; a patient liquidation replays a
+schedule's tranche program.
 Everything is deterministic: randomness comes from a caller-seeded generator
 and time is an explicit epoch counter.
 """
@@ -16,11 +17,12 @@ from bisect import bisect_right
 from functools import partial, reduce
 from itertools import repeat
 from operator import itemgetter, xor
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from overhang import checked
 from overhang.decisions import TerminalState, TerminalStateKind
 from overhang.ledger import btc_to_sats, burn_sats, sats_to_btc
+from overhang.schedule import TrancheProgram
 
 GF_REDUCTION_POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
@@ -151,27 +153,6 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# Timelocks
-
-@checked
-class TimelockCondition(NamedTuple):
-    """CLTV-style absolute timelock: spendable at or after epoch `value`
-    (schedule._unchecked_lock skips the check, for epochs known nonnegative)."""
-
-    value: int
-
-    def _check(self) -> None:
-        if self.value < 0:
-            raise MechanismError("timelock epoch must be nonnegative")
-
-
-class TrancheProgram(NamedTuple):
-    """Ordered timelocked tranches; amounts in satoshis sum to the position."""
-
-    tranches: Sequence[tuple[TimelockCondition, int]]
-
-
-# ---------------------------------------------------------------------------
 # Dead-man's switch
 
 class DmsAction(enum.Enum):
@@ -233,10 +214,9 @@ def dms_step(state: DmsState, config: DmsConfig, event: DmsEvent) -> DmsState:
         return state
     missed = state.missed + 1
     if missed >= config.grace_missed:
-        triggered = DmsState(DmsPhase.TRIGGERED, missed=missed)
         if config.action is DmsAction.DESTROY_SHARDS:
             return UNRECOVERABLE
-        return triggered
+        return DmsState(DmsPhase.TRIGGERED, missed=missed)
     return DmsState(DmsPhase.GRACE, missed=missed)
 
 

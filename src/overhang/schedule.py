@@ -25,25 +25,43 @@ import math
 import operator
 from fractions import Fraction
 from functools import cache, partial
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from overhang import checked
-from overhang.ledger import DEFAULT_REFERENCE_PRICE_USD, SATS_PER_BTC, btc_to_sats, sats_to_btc
-from overhang.mechanisms import MechanismError, TimelockCondition, TrancheProgram
+from overhang.ledger import DEFAULT_REFERENCE_PRICE_USD, SATS_PER_BTC, btc_to_sats
 
 DAYS_PER_YEAR = 365
 MAX_TRANCHES = 100 * DAYS_PER_YEAR  # a century of daily tranches
 PERIOD_DAYS = 2 * DAYS_PER_YEAR  # unlock offsets repeat every two years (module docstring)
 DEFAULT_DAILY_VOLUME_USD = 15e9  # midpoint of the 10-20 billion real-spot range
 
+
+class ScheduleError(ValueError):
+    """Raised for invalid schedule parameters and timelocks."""
+
+
+@checked
+class TimelockCondition(NamedTuple):
+    """CLTV-style absolute timelock: spendable at or after epoch `value`
+    (_unchecked_lock skips the check, for epochs known nonnegative)."""
+
+    value: int
+
+    def _check(self) -> None:
+        if self.value < 0:
+            raise ScheduleError("timelock epoch must be nonnegative")
+
+
+class TrancheProgram(NamedTuple):
+    """Ordered timelocked tranches; amounts in satoshis sum to the position."""
+
+    tranches: Sequence[tuple[TimelockCondition, int]]
+
+
 # Builds a TimelockCondition from a one-tuple (epoch,) without its checked
 # __new__: to_tranche_program checks its start once, and every epoch it makes
 # is that start plus a nonnegative offset, so none can be negative.
 _unchecked_lock = partial(tuple.__new__, TimelockCondition)
-
-
-class ScheduleError(ValueError):
-    """Raised for invalid schedule parameters."""
 
 
 @checked
@@ -107,7 +125,7 @@ def to_tranche_program(
     i - 2 * granularity. Any satoshi remainder goes to the final tranche. A
     program holds at most MAX_TRANCHES tranches, so its size is checked,
     before rounding, before any is built. A negative start then raises the
-    MechanismError of a negative TimelockCondition, checked once here for
+    ScheduleError of a negative TimelockCondition, checked once here for
     every lock.
     """
     try:
@@ -121,8 +139,7 @@ def to_tranche_program(
     count = schedule.horizon * granularity
     if count > MAX_TRANCHES + 0.5:  # round(count) > MAX_TRANCHES, checked before round() overflows
         raise ScheduleError(f"{count:g} tranches exceed the limit of {MAX_TRANCHES}")
-    if start < 0:
-        raise MechanismError("timelock epoch must be nonnegative")
+    TimelockCondition(start)  # the one check that covers every lock
     n = max(1, round(count))
     offsets = _period_offsets(granularity)
     stop = start + PERIOD_DAYS * -(-n // len(offsets))
@@ -148,16 +165,3 @@ def _period_offsets(granularity: int) -> tuple[int, ...]:
         offsets.append(q + (2 * r > granularity or (2 * r == granularity and q & 1)))
     return tuple(offsets)
 
-
-def schedule_rows(schedule: Schedule) -> list[dict]:
-    """One summary row for CSV/JSON emission."""
-    return [
-        {
-            "position_btc": sats_to_btc(schedule.position_sats),
-            "horizon_years": schedule.horizon,
-            "annual_btc": float(schedule.annual_btc),
-            "daily_btc": float(schedule.daily_btc),
-            "daily_usd": schedule.daily_usd,
-            "participation": schedule.participation,
-        }
-    ]

@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from overhang.cli import (
     EXIT_OK,
     EXIT_UNKNOWN,
     EXIT_VALIDATION,
+    FLAG_FORMS,
     TERMINALS,
     build_parser,
     main,
@@ -390,6 +393,17 @@ def test_every_flag_changes_the_output_or_exits_2(command, form, flag, flag_outc
         assert text == "" and len(errors) == 1
     else:
         assert (code, text) != flag_outcome(base)[:2], f"{flag} changes nothing"
+
+
+def test_readme_lists_exactly_the_flags_of_some_forms():
+    """The README's table of flags that apply to some forms only names each
+    (command, flag) pair of FLAG_FORMS and no other."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("### Which flags each form takes")[1].split("\n\n")[2]
+    first_cells = re.findall(r"^\| (`\w.*?) \|", table, re.M)
+    listed = {(cell[1:].split()[0], flag)
+              for cell in first_cells for flag in re.findall(r"--[\w-]+", cell)}
+    assert listed == {(command, flag) for command, flags in FLAG_FORMS.items() for flag in flags}
 
 
 # A config that sets every key, and for each key a value unlike its base

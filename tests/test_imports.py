@@ -1,5 +1,6 @@
 """The package's internal import graph is one-way and fully visible at module top,
-every public name it defines is used inside it, and its records follow one idiom."""
+its one runtime dependency is numpy, every public name it defines is used
+inside it, and its records follow one idiom."""
 
 import ast
 import graphlib
@@ -7,6 +8,7 @@ import importlib
 import inspect
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -73,6 +75,37 @@ def test_sharding_and_schedules_load_no_numpy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_pace_and_scenario_arithmetic_load_no_mechanism():
+    """Schedules, tranche programs, scenarios and configs are arithmetic: they
+    load neither the mechanism simulator nor the preference map."""
+    probe = ("import sys, overhang.schedule, overhang.scenarios, overhang.config; "
+             "print(sorted({'overhang.mechanisms', 'overhang.decisions'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    """Every module the package imports is in the standard library, numpy or
+    overhang itself, and numpy is the one dependency pyproject.toml declares:
+    no runtime dependency is one that only the tests use."""
+    imported = set()
+    for path in MODULES.values():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported - sys.stdlib_module_names == {"numpy", "overhang"}
+    # [project] dependencies is the one `dependencies = [...]` list; the test
+    # extras are `test = [...]` under [project.optional-dependencies].
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    (dependencies,) = re.findall(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
+    assert re.findall(r'"([\w-]+)', dependencies) == ["numpy"]
 
 
 # Public names that only the acceptance criteria or the benchmark call.
@@ -173,9 +206,9 @@ CHECKED_EXAMPLES = {
     impact.FrictionBand: (impact.OTC_BAND_LOW, "low", 3.0, "invalid friction band"),
     impact.OvershootParams: (impact.OvershootParams(), "half_life", math.inf, "half-life"),
     schedule.ScheduleParams: (schedule.ScheduleParams(1.0, 10.0), "horizon", 0.5, "horizon must"),
+    schedule.TimelockCondition: (
+        schedule.TimelockCondition(3), "value", -1, "timelock epoch must be nonnegative"),
     mechanisms.Share: (mechanisms.Share(1, b"x"), "index", 256, "share index 256"),
-    mechanisms.TimelockCondition: (
-        mechanisms.TimelockCondition(3), "value", -1, "timelock epoch must be nonnegative"),
     mechanisms.DmsConfig: (
         mechanisms.DmsConfig(30, 3, mechanisms.DmsAction.PUBLISH_SHARDS), "grace_missed", 0,
         "grace_missed must be at least 1"),

@@ -26,8 +26,6 @@ from overhang.mechanisms import (
     MechanismError,
     Share,
     SimEvent,
-    TimelockCondition,
-    TrancheProgram,
     _gf_inv,
     _gf_mul,
     dms_step,
@@ -37,7 +35,10 @@ from overhang.mechanisms import (
 )
 from overhang.schedule import (
     DAYS_PER_YEAR,
+    ScheduleError,
     ScheduleParams,
+    TimelockCondition,
+    TrancheProgram,
     build_uniform_schedule,
     to_tranche_program,
 )
@@ -251,7 +252,7 @@ def test_spendable_exactly_from_unlock_epoch(other_epoch, value):
 
 
 def test_negative_lock_rejected():
-    with pytest.raises(MechanismError, match="timelock epoch must be nonnegative"):
+    with pytest.raises(ScheduleError, match="timelock epoch must be nonnegative"):
         TimelockCondition(-1)
 
 

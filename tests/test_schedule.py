@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overhang.ledger import SATS_PER_BTC, btc_to_sats, format_percent
-from overhang.mechanisms import MechanismError, TimelockCondition
 from overhang.schedule import (
     DAYS_PER_YEAR,
     MAX_TRANCHES,
     ScheduleError,
     ScheduleParams,
+    TimelockCondition,
     _period_offsets,
     build_uniform_schedule,
     to_tranche_program,
@@ -203,7 +203,7 @@ def test_unchecked_locks_equal_the_checked_constructor():
 def test_negative_start_rejected_after_the_schedule_checks():
     # to_tranche_program checks the start once, as TimelockCondition would
     # check each lock, and only after the granularity and the tranche count
-    with pytest.raises(MechanismError, match="^timelock epoch must be nonnegative$"):
+    with pytest.raises(ScheduleError, match="^timelock epoch must be nonnegative$"):
         to_tranche_program(make_schedule(1), granularity=4, start=-1)
     with pytest.raises(ScheduleError, match="granularity must be"):
         to_tranche_program(make_schedule(1), granularity=0, start=-1)
