@@ -258,7 +258,7 @@ def _scenario_row(result: scenarios.ScenarioResult) -> dict:
 def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
     cfg = RunConfig()
     if args.config:
-        with open(args.config, encoding="utf-8") as handle:
+        with open(args.config, encoding="utf-8-sig") as handle:  # a BOM is dropped
             cfg = load_config(handle.read())
     if args.volume is not None:
         cfg = cfg._replace(volume=args.volume)

@@ -1,16 +1,16 @@
 """Run configuration: flat key = value sections, strict about unknown keys.
 
-The same schema parses from INI-style text (section headers, one key per
-line) or from a JSON object keyed by section. `dump_config` writes every key
-`load_config` reads, and the loader accepts exactly those keys, so a dumped
-run loads back to an equal `RunConfig`. INI values are literal, with no `%`
-interpolation, and a key under [DEFAULT] is rejected as an unknown section.
+The same schema parses from a JSON object keyed by section or from INI-style
+lines, each stripped: blank and `#` or `;` comment lines are skipped, `[name]`
+opens a section, and `key = value`, split at the first `=`, adds a key new to
+its section; any other line is rejected. Keys are case-sensitive and values
+literal. `dump_config` writes every key `load_config` reads and the loader
+accepts exactly those, so a dumped run loads back to an equal `RunConfig`.
 Defaults are the built-in calibration parameters.
 """
 
 from __future__ import annotations
 
-import configparser
 import json
 from typing import NamedTuple, Optional
 
@@ -80,8 +80,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_config(text: str) -> RunConfig:
     """Parse a config document (INI-style sections or a JSON object)."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         try:
             sections = json.loads(text, object_pairs_hook=_unique_keys)
         except (json.JSONDecodeError, RecursionError) as exc:
@@ -97,14 +96,15 @@ def load_config(text: str) -> RunConfig:
             for name, body in sections.items()
         }
     else:
-        parser = configparser.ConfigParser(interpolation=None)
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"invalid config: {exc}") from exc
-        if parser.defaults():
-            raise ConfigError(f"unknown config section [{parser.default_section}]")
-        sections = {name: dict(parser[name]) for name in parser.sections()}
+        sections = {}
+        for number, line in enumerate(map(str.strip, text.split("\n")), 1):
+            key, equals, value = line.partition("=")
+            if line[:1] == "[" and line[-1] == "]" and line[1:-1] not in sections:
+                body = sections[line[1:-1]] = {}
+            elif equals and sections and line[0] not in "[#;" and key.strip() not in body:
+                body[key.strip()] = value.strip()
+            elif line[:1] not in "#;":  # neither a comment nor blank: "" is in every string
+                raise ConfigError(f"invalid config line {number}: {line!r}")
 
     for name, body in sections.items():
         if name not in _KNOWN_KEYS:

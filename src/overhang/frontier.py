@@ -12,6 +12,7 @@ holdings values, so its memory is bounded at any number of them.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -41,6 +42,10 @@ class ExecutionModel(NamedTuple):
     risk_aversion: float = 0.0
 
     def _check(self) -> None:
+        try:
+            operator.index(self.periods)  # a numpy integer passes, a float does not
+        except TypeError:
+            raise FrontierError(f"non-integer periods {self.periods!r}") from None
         if not all(map(math.isfinite, (
             self.total_units, self.period_length, self.volatility,
             self.permanent_coeff, self.temporary_coeff, self.risk_aversion,

@@ -16,7 +16,7 @@ import random
 from bisect import bisect_right
 from functools import partial, reduce
 from itertools import repeat
-from operator import itemgetter, xor
+from operator import index, itemgetter, xor
 from typing import Iterable, NamedTuple, Optional
 
 from overhang import checked
@@ -167,6 +167,10 @@ class DmsConfig(NamedTuple):
     action: DmsAction
 
     def _check(self) -> None:
+        try:
+            index(self.heartbeat_interval), index(self.grace_missed)
+        except TypeError:
+            raise MechanismError("heartbeat interval and grace_missed must be integers") from None
         if self.heartbeat_interval <= 0:
             raise MechanismError("heartbeat interval must be positive")
         if self.grace_missed < 1:

@@ -60,6 +60,8 @@ class Scenario(NamedTuple):
     def _check(self) -> None:
         if not self.name:
             raise ScenarioError("scenario name must be non-empty")
+        if not self.name.isprintable():  # a newline or escape would forge table output
+            raise ScenarioError(f"scenario name must be printable, got {self.name!r}")
         _check_horizon(self.horizon)
 
 

@@ -146,6 +146,13 @@ _SCENARIO_JSON = '"epsilon": 0.5, "quality": "mixed", "horizon": 8'
                      + "}}", id="json-overshoot"),
         pytest.param('{"scenario": {"name": null, ' + _SCENARIO_JSON + "}}", id="json-null-name"),
         pytest.param('{"scenario": {"name": true, ' + _SCENARIO_JSON + "}}", id="json-true-name"),
+        # a value that would print a forged table row, or a raw terminal escape
+        pytest.param("[scenario]\nname = custom\n  | injected | row\nepsilon = 0.5\n"
+                     "quality = mixed\nhorizon = 8\n", id="ini-continuation-line"),
+        *(pytest.param('{"scenario": {"name": ' + json.dumps(name) + ", " + _SCENARIO_JSON + "}}",
+                       id=f"json-name-{kind}")
+          for kind, name in [("newline", "custom\n| injected | row"), ("tab", "a\tb"),
+                             ("escape", "\x1b[31mred")]),
     ],
 )
 def test_config_without_effect_or_shape_rejected(tmp_path, text):
@@ -165,9 +172,19 @@ def test_config_without_effect_or_shape_rejected(tmp_path, text):
         "[DEFAULT]\nposition = 5\n[ledger]\nlost_estimate = 3500000\n",
         '{"ledger": {"position": 1000, "position": 2000}}',
         '{"run": {"volume": 1e10}, "run": {"volume": 2e10}}',
+        "[ledger] trailing words\nposition = 1000000\n",
+        "[run]\nVOLUME = 2e10\n",
+        "[run]\nvolume: 2e10\n",
+        "position = 1000000\nreference_price = 80000\n",
+        "position = 1000000\n[run]\nvolume = 2e10\n",
+        "[ledger]\nposition = 1000000\n[ledger]\nreference_price = 80000\n",
+        "[run]\nvolume = 2e10\nvolume = 3e10\n",
+        "[run]\nvolume\n",
     ],
     ids=["percent", "deep-json", "default-alone", "default-with-ledger", "repeated-key",
-         "repeated-section"],
+         "repeated-section", "header-trailing-text", "case-folded-key", "colon-delimiter",
+         "no-section-header", "key-before-section", "ini-repeated-section", "ini-repeated-key",
+         "no-equals"],
 )
 def test_malformed_config_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "run.cfg"
@@ -175,6 +192,18 @@ def test_malformed_config_exits_2_with_one_error_line(tmp_path, text):
     code, out, err, _ = _run_captured(["scenario", "B", "--config", str(path)])
     assert (code, out) == (EXIT_VALIDATION, "")
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["run.json", "custom.ini"])
+def test_config_saved_with_a_byte_order_mark_loads(tmp_path, name):
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(ROUND_TRIP_CONFIGS[name])
+    marked.write_text(ROUND_TRIP_CONFIGS[name], encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    for fmt in ([], ["--json"]):
+        code, text = run_cli("scenario", "--config", str(marked), *fmt)
+        assert (code, text) == run_cli("scenario", "--config", str(plain), *fmt)
+        assert code == EXIT_OK
 
 
 def test_volume_flag_over_config_over_default(tmp_path):
@@ -678,7 +707,7 @@ _FLAGS = {
                    participation=_float(0, 0.06), table=_SWITCH),
     "scenario": dict(config=st.sampled_from(
                          ["run.ini", "ledger.ini", "bad.ini", "percent.ini", "missing.ini",
-                          "repeated.json"]),
+                          "nosection.ini", "repeated.json"]),
                      volume=_float(1e8, 3e10), nominal=_SWITCH, epsilons=_floats(0.05, 3),
                      horizons=_floats(0.5, 30), allow_out_of_range=_SWITCH, emit_config=_SWITCH),
     "schedule": dict(position=_float(1, 2e6), horizon=_float(0.5, 20),
@@ -729,6 +758,7 @@ def config_dir(tmp_path_factory):
         "[scenario]\nname = custom\nepsilon = 0.5\nquality = mixed\nhorizon = 8\n")
     (path / "bad.ini").write_text("[ledger]\nbogus_key = 1\n")
     (path / "percent.ini").write_text("[ledger]\nposition = 100%\n")
+    (path / "nosection.ini").write_text("position = 1148000\n")
     (path / "repeated.json").write_text('{"ledger": {"position": 1000, "position": 2000}}')
     return path
 
@@ -750,5 +780,9 @@ def test_fuzzed_argv_exits_cleanly(argv, config_dir):
     assert text == "" or code == EXIT_OK
     assert "Traceback" not in err and "Warning" not in err
     assert len([line for line in err.splitlines() if "error:" in line]) == (code != EXIT_OK)
+    if code != EXIT_OK:  # one error line, after the usage argparse wraps to the terminal
+        *usage, _ = err.splitlines()
+        assert usage == [] or (usage[0].startswith("usage:")
+                               and all(line.startswith(" ") for line in usage[1:]))
     assert caught == []
     assert _run_captured(argv)[:2] == (code, text)

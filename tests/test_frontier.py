@@ -344,6 +344,19 @@ def test_periods_out_of_range_rejected(periods):
         desk_model(periods=periods)
 
 
+@pytest.mark.parametrize("periods", [10.5, 10.0, "10", None])
+def test_non_integer_periods_rejected(periods):
+    # 10.5 periods once gave a trajectory of 12 holdings
+    with pytest.raises(FrontierError, match="non-integer periods"):
+        desk_model(periods=periods)
+
+
+def test_numpy_integer_periods_give_the_int_trajectory():
+    model = desk_model(periods=np.int64(10), risk_aversion=1e-6)
+    assert optimal_trajectory(model) == optimal_trajectory(desk_model(risk_aversion=1e-6))
+    assert frontier(model, [0.0, 1e-6]) == frontier(desk_model(), [0.0, 1e-6])
+
+
 @pytest.mark.parametrize("lambdas", [[math.nan], [0.0, math.inf], [1e-6, -1e-6]])
 def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
     with pytest.raises(FrontierError):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import overhang
 from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "overhang"
@@ -67,14 +68,20 @@ def test_overhang_imports_sit_at_module_top(module):
     assert not hidden, f"{module}: {hidden}"
 
 
+def _probe(code: str) -> str:
+    """The stripped stdout of `code` run in a fresh interpreter that imports
+    the package from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout.strip()
+
+
 def test_sharding_and_schedules_load_no_numpy():
     """Only the frontier needs numpy, and the package itself imports no module."""
     probe = "import sys, overhang.mechanisms, overhang.schedule; print('numpy' in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "False"
+    assert _probe(probe) == "False"
 
 
 def test_pace_and_scenario_arithmetic_load_no_mechanism():
@@ -82,11 +89,7 @@ def test_pace_and_scenario_arithmetic_load_no_mechanism():
     load neither the mechanism simulator nor the preference map."""
     probe = ("import sys, overhang.schedule, overhang.scenarios, overhang.config; "
              "print(sorted({'overhang.mechanisms', 'overhang.decisions'} & set(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout.strip() == "[]"
+    assert _probe(probe) == "[]"
 
 
 def test_numpy_is_the_one_runtime_dependency():
@@ -106,6 +109,20 @@ def test_numpy_is_the_one_runtime_dependency():
     pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
     (dependencies,) = re.findall(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S)
     assert re.findall(r'"([\w-]+)', dependencies) == ["numpy"]
+
+
+def test_the_cli_loads_no_configparser():
+    """A config file is read by the loader's own grammar: importing the CLI
+    adds no configparser to what the bare interpreter has loaded."""
+    probe = ("import sys; bare = set(sys.modules); import overhang.cli; "
+             "print(sorted({'configparser'} & (set(sys.modules) - bare)))")
+    assert _probe(probe) == "[]"
+
+
+def test_pyproject_version_is_the_package_version():
+    # [project] version is pyproject.toml's one `version = "..."` line.
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, re.M) == [overhang.__version__]
 
 
 # Public names that only the acceptance criteria or the benchmark call.

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from scipy import stats
@@ -260,6 +261,20 @@ def test_negative_lock_rejected():
 
 def cfg(grace=3, action=DmsAction.PUBLISH_SHARDS):
     return DmsConfig(heartbeat_interval=30, grace_missed=grace, action=action)
+
+
+@pytest.mark.parametrize("interval, grace", [(30.5, 3), (30.0, 3), (30, 3.0), ("30", 3)])
+def test_non_integer_switch_clock_rejected(interval, grace):
+    # a 30.5-epoch interval once replayed a trigger at epoch 91.5
+    with pytest.raises(MechanismError, match="must be integers"):
+        DmsConfig(interval, grace, DmsAction.PUBLISH_SHARDS)
+
+
+def test_numpy_integer_switch_clock_replays_as_int():
+    terminal = TerminalState(TerminalStateKind.ADVERSARIAL_SWITCH)
+    config = DmsConfig(np.int64(30), np.int32(3), DmsAction.PUBLISH_SHARDS)
+    assert simulate_disposition(terminal, config, clock_horizon=400) == simulate_disposition(
+        terminal, cfg(), clock_horizon=400)
 
 
 def test_heartbeat_keeps_armed():
