@@ -6,7 +6,8 @@ paths gives the hyperbolic-sine profile in closed form (Almgren & Chriss,
 2000), evaluated here in one form that stays finite for every κτ; zero
 stiffness degenerates to the linear (uniform-pace) trajectory. The frontier
 evaluates its risk aversions in array passes of at most FRONTIER_BLOCK_CELLS
-holdings values, so its memory is bounded at any number of them.
+holdings values, written into two buffers of at most 8 MB that every pass
+reuses, so its memory is bounded at any number of them.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -22,9 +24,12 @@ from overhang import checked
 
 MAX_PERIODS = 100 * 365  # a century of daily periods
 # Holdings values (risk aversions x (periods + 1)) that one frontier pass
-# evaluates, about 8 MB per array: a 200 x 201 frontier is one pass, and a
-# century of daily periods takes 28 risk aversions a pass.
+# evaluates, in two buffers of at most 8 MB: a 200 x 201 frontier is one pass,
+# and a century of daily periods takes 28 risk aversions a pass.
 FRONTIER_BLOCK_CELLS = 2**20
+# np.exp is +0.0 for every argument below about -745.13 and takes a slow path
+# to say so; an argument below this is set to 0 and its result to +0.0 instead.
+EXP_ZERO_BELOW = -746.0
 
 
 class FrontierError(ValueError):
@@ -95,32 +100,37 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
         raise FrontierError(f"expected {model.periods + 1} holdings values, got {x.shape}")
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
-    expected, variance = _row_costs(x[np.newaxis], model)
+    expected, variance = _row_costs(x[np.newaxis], model, np.empty(model.periods))
     return float(expected[0]), float(variance[0])
 
 
-def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray, np.ndarray]:
+def _row_costs(holdings: np.ndarray, model: ExecutionModel,
+               work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """cost_of for each row of a (rows, periods + 1) holdings array; a cost
     past the float range is inf or NaN, without a warning. The trades are
     -np.diff and the sums np.add.reduce, the reduction np.sum wraps, without
-    either wrapper's per-call work."""
+    either wrapper's per-call work; each squared term is written into the
+    flat buffer `work`, of at least rows * periods values."""
     tau = model.period_length
     sigma = model.volatility
     try:
         sigma_squared_tau = sigma**2 * tau
     except OverflowError:  # σ² alone leaves the float range; σ²τ may not
         sigma_squared_tau = sigma * (sigma * tau)
+    squares = work[:len(holdings) * model.periods].reshape(len(holdings), model.periods)
     with np.errstate(over="ignore", invalid="ignore"):
-        trades = holdings[:, :-1] - holdings[:, 1:]
+        np.square(np.subtract(holdings[:, :-1], holdings[:, 1:], out=squares), out=squares)
         expected = (
             0.5 * model.permanent_coeff * model.total_units**2
-            + model.adjusted_temporary / tau * np.add.reduce(trades**2, axis=1)
+            + model.adjusted_temporary / tau * np.add.reduce(squares, axis=1)
         )
-        variance = sigma_squared_tau * np.add.reduce(holdings[:, 1:] ** 2, axis=1)
+        variance = sigma_squared_tau * np.add.reduce(
+            np.square(holdings[:, 1:], out=squares), axis=1)
     return expected, variance
 
 
-def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
+def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray,
+                      out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Closed-form optimal holdings, one row per risk aversion in `lambdas`.
 
     Each row is x·sinh(κτ(n−j))/sinh(κτn) written with decaying exponentials,
@@ -128,12 +138,15 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     2·arcsinh(√stiffness/2), which is arccosh(1 + stiffness/2) without
     rounding a small stiffness away. Zero-stiffness rows are linear. Every
     operation is elementwise, so each row is bit-identical to evaluating its
-    risk aversion alone.
+    risk aversion alone. The rows are written into the flat buffer `out`, with
+    `work` as scratch, each of at least len(lambdas) * (periods + 1) values.
     """
     n = model.periods
     x_total = model.total_units
     tau = model.period_length
     j = np.arange(n + 1)
+    holdings = out[:len(lambdas) * (n + 1)].reshape(len(lambdas), n + 1)
+    scratch = work[:holdings.size].reshape(holdings.shape)
     # σ·τ is squared as one product, so a huge σ and a tiny τ do not meet as
     # inf·0; past the float range the square is inf and λ·στ goes first. An
     # overflowed stiffness gives κτ = inf, the immediate-liquidation row; its
@@ -141,12 +154,27 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         sigma_tau = np.float64(model.volatility * tau)
         square = sigma_tau**2
-        scaled = lambdas * square if np.isfinite(square) else lambdas * sigma_tau * sigma_tau
+        scaled = lambdas * square if math.isfinite(square) else lambdas * sigma_tau * sigma_tau
         stiffness = scaled / model.adjusted_temporary
         kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)[:, np.newaxis]
-        holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(-2 * kappa_tau * (n - j))
-                    / np.expm1(-2 * kappa_tau * n))
-    holdings[stiffness == 0] = x_total * (1 - j / n)
+        # x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), one step at a time; the
+        # last column, −κτn, holds each row's smallest exp argument
+        np.multiply(-kappa_tau, j, out=holdings)
+        if np.minimum.reduce(holdings[:, -1]) < EXP_ZERO_BELOW:
+            zero = holdings < EXP_ZERO_BELOW
+            np.putmask(holdings, zero, 0.0)
+            np.exp(holdings, out=holdings)
+            np.putmask(holdings, zero, 0.0)
+        else:
+            np.exp(holdings, out=holdings)
+        np.multiply(x_total, holdings, out=holdings)
+        minus_2kt = -2 * kappa_tau
+        np.expm1(np.multiply(minus_2kt, n - j, out=scratch), out=scratch)
+        np.multiply(holdings, scratch, out=holdings)
+        np.divide(holdings, np.expm1(minus_2kt * n), out=holdings)
+    linear = stiffness == 0
+    if linear.any():
+        holdings[linear] = x_total * (1 - j / n)
     holdings[:, 0] = x_total
     holdings[:, -1] = 0.0
     return holdings
@@ -154,8 +182,9 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
 
 def optimal_trajectory(model: ExecutionModel) -> Trajectory:
     """Closed-form minimizer of expected cost + risk_aversion * variance."""
-    holdings = _optimal_holdings(model, np.array([model.risk_aversion], dtype=float))
-    expected, variance = _row_costs(holdings, model)
+    out, work = np.empty(model.periods + 1), np.empty(model.periods + 1)
+    holdings = _optimal_holdings(model, np.array([model.risk_aversion], dtype=float), out, work)
+    expected, variance = _row_costs(holdings, model, work)
     return Trajectory(
         holdings=tuple(holdings[0].tolist()),
         expected_cost=float(expected[0]),
@@ -168,14 +197,21 @@ def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPo
     if len(lambdas) == 0:
         raise FrontierError("lambdas must be non-empty")
     values = np.asarray(lambdas, dtype=float)
+    if values.ndim != 1:
+        raise FrontierError("lambdas must be a flat sequence of risk aversions")
     if not np.all(np.isfinite(values) & (values >= 0)):
         raise FrontierError("risk aversion must be finite and nonnegative")
     block = max(1, FRONTIER_BLOCK_CELLS // (model.periods + 1))
+    out, work = np.empty((2, min(block, len(values)) * (model.periods + 1)))
     expected: list[float] = []
     variance: list[float] = []
     for first in range(0, len(values), block):
-        holdings = _optimal_holdings(model, values[first:first + block])
-        block_expected, block_variance = _row_costs(holdings, model)
+        holdings = _optimal_holdings(model, values[first:first + block], out, work)
+        block_expected, block_variance = _row_costs(holdings, model, work)
         expected += block_expected.tolist()
         variance += block_variance.tolist()
-    return list(map(FrontierPoint, lambdas, expected, variance))
+    # FrontierPoint's frozen __init__ without a frame per point (any() drains each map)
+    points = list(map(object.__new__, repeat(FrontierPoint, len(values))))
+    for field, column in zip(FrontierPoint.__dataclass_fields__, (lambdas, expected, variance)):
+        any(map(object.__setattr__, points, repeat(field), column))
+    return points

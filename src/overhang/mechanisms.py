@@ -80,6 +80,10 @@ class Share(NamedTuple):
     payload: bytes
 
     def _check(self) -> None:
+        try:
+            index(self.index)  # a numpy integer passes, a float does not
+        except TypeError:
+            raise MechanismError(f"non-integer share index {self.index!r}") from None
         if not 1 <= self.index <= 255:
             raise MechanismError(f"share index {self.index} outside 1..255")
 

@@ -197,6 +197,13 @@ GOLDEN = [
      "b3a0df64615021e8875fef81014d54d32bedb5b462f1939ce2038032a45fe1ad"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--markdown'), 0,
      "3267a33a4fa445ca433fc20f99b34a88a5d1c3556025908b50740c779ff66256"),
+    # exp(−κτj) underflows: the holdings tail runs through subnormals to zeros
+    (('frontier', '--periods', '200', '--lambdas', '1e-2', '--sigma', '1600'), 0,
+     "2b123cb3fca73c1cee6ec39130ded5c284990ac6a1ac9cb589ee382295008730"),
+    (('frontier', '--periods', '200', '--lambdas', '1e-2', '--sigma', '1600', '--json'), 0,
+     "f5c2196dd2f6fb8aebf53a591a474b8d2f86c6d1a35b0b122014a7861a447cdf"),
+    (('frontier', '--periods', '200', '--lambdas', '1e-8,1e-5,1e-2', '--sigma', '1600', '--json'), 0,
+     "6be6cb5fa61081823a2f910567b519adf6a0c0407bcbf93315e8568a42ab0276"),
     (('decision-map',), 0,
      "142cf685663ed2561bb663b179d5506e1aaeec1eb590e6c4326a2d04255f586d"),
     (('decision-map', '--json'), 0,

@@ -15,6 +15,7 @@ from scipy import optimize
 
 import overhang.frontier
 from overhang.frontier import (
+    EXP_ZERO_BELOW,
     MAX_PERIODS,
     ExecutionModel,
     FrontierError,
@@ -24,6 +25,17 @@ from overhang.frontier import (
     frontier,
     optimal_trajectory,
 )
+
+
+def holdings_of(model, lambdas):
+    """_optimal_holdings into NaN-filled buffers of exactly its size, so a cell
+    the kernel leaves unwritten shows."""
+    out, work = np.full((2, len(lambdas) * (model.periods + 1)), np.nan)
+    return _optimal_holdings(model, np.asarray(lambdas, dtype=float), out, work)
+
+
+def row_costs_of(holdings, model):
+    return _row_costs(holdings, model, np.full(holdings.size, np.nan))
 
 
 def desk_model(**overrides):
@@ -260,7 +272,7 @@ def assert_frontier_matches_closed_form(model, lambdas):
     within 1e-12 of the sinh ratio wherever that ratio stays finite."""
     points = frontier(model, lambdas)
     assert [p.risk_aversion for p in points] == lambdas
-    for lam, point, row in zip(lambdas, points, _optimal_holdings(model, np.array(lambdas))):
+    for lam, point, row in zip(lambdas, points, holdings_of(model, lambdas)):
         variant = model._replace(risk_aversion=lam)
         trajectory = optimal_trajectory(variant)
         assert bits(row) == bits(trajectory.holdings)
@@ -363,6 +375,13 @@ def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
         frontier(desk_model(), lambdas)
 
 
+@pytest.mark.parametrize("lambdas", [[[1e-6], [1e-5]], [[1e-6, 1e-5]], "12"])
+def test_frontier_rejects_lambdas_that_are_not_one_flat_sequence(lambdas):
+    # a column of risk aversions once gave points whose costs were lists
+    with pytest.raises(FrontierError, match="flat sequence"):
+        frontier(desk_model(), lambdas)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     periods=st.sampled_from([1, 10, 200, 2000, MAX_PERIODS]),
@@ -371,23 +390,30 @@ def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
     tau=st.floats(0.25, 4.0),
     lambdas=st.lists(st.just(0.0) | st.floats(-12, 0).map(lambda e: 10.0**e),
                      min_size=1, max_size=30),
-    data=st.data(),
+    block=st.integers(1, 30),
+    spare=st.integers(0, MAX_PERIODS),
 )
+# blocks of 2, 2 and 1 rows: the short last block follows rows whose exp
+# underflowed, in buffers that still hold them
+@example(periods=200, total=100.0, volatility=1600.0, tau=1.0,
+         lambdas=[1e-2, 1.0, 1e-8, 1e-5, 0.0], block=2, spare=0)
 def test_blocked_frontier_is_bit_identical_to_one_pass(periods, total, volatility, tau,
-                                                       lambdas, data):
+                                                       lambdas, block, spare):
     model = desk_model(total_units=total, periods=periods, volatility=volatility,
                        period_length=tau, permanent_coeff=0.1 / tau)
     values = np.array(lambdas)
-    holdings = _optimal_holdings(model, values)
-    expected, variance = _row_costs(holdings, model)
-    block = data.draw(st.integers(1, len(lambdas)), label="block")
+    holdings = holdings_of(model, values)
+    expected, variance = row_costs_of(holdings, model)
+    block = min(block, len(lambdas))
+    # one pair of buffers for every block, as frontier reuses its own
+    out, work = np.full((2, block * (periods + 1)), np.nan)
     for first in range(0, len(lambdas), block):
-        rows = _optimal_holdings(model, values[first:first + block])
+        rows = _optimal_holdings(model, values[first:first + block], out, work)
         assert rows.tobytes() == holdings[first:first + block].tobytes()
-        row_expected, row_variance = _row_costs(rows, model)
+        row_expected, row_variance = _row_costs(rows, model, work)
         assert row_expected.tobytes() == expected[first:first + block].tobytes()
         assert row_variance.tobytes() == variance[first:first + block].tobytes()
-    cells = block * (periods + 1) + data.draw(st.integers(0, periods), label="spare cells")
+    cells = block * (periods + 1) + spare % (periods + 1)
     with mock.patch.object(overhang.frontier, "FRONTIER_BLOCK_CELLS", cells):
         points = frontier(model, lambdas)
     assert bits(p.expected_cost for p in points) == bits(expected)
@@ -396,10 +422,11 @@ def test_blocked_frontier_is_bit_identical_to_one_pass(periods, total, volatilit
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
 def test_many_lambdas_at_a_century_of_periods_stay_in_bounded_memory():
-    # 500 risk aversions at 36,500 periods peaked at about 446 MB in one pass;
-    # in blocks it peaked at 52 to 68 MB, about 30 MB of it the interpreter and
-    # numpy. The probe reads its own VmHWM: a child's ru_maxrss keeps the
-    # high-water mark of the process it was forked from, here pytest's.
+    # 500 risk aversions at 36,500 periods peaked at about 446 MB in one pass,
+    # and at 52 to 68 MB in blocks with fresh temporaries; in blocks written
+    # into two reused buffers it peaks at about 45 MB, about 30 MB of it the
+    # interpreter and numpy. The probe reads its own VmHWM: a child's ru_maxrss
+    # keeps the high-water mark of the process it was forked from, here pytest's.
     probe = (
         "from overhang.frontier import ExecutionModel, frontier\n"
         "model = ExecutionModel(total_units=100.0, periods=36_500, volatility=1600.0,"
@@ -446,6 +473,88 @@ def test_trajectory_matches_50_digit_closed_form(periods, total, volatility, tau
     assert all(a >= b for a, b in zip(trajectory.holdings, trajectory.holdings[1:]))
 
 
+def reference_optimal_holdings(model, lambdas):
+    """_optimal_holdings as one expression into fresh arrays: the reference
+    for its reused buffers and for the exp zeros it skips."""
+    n = model.periods
+    x_total = model.total_units
+    tau = model.period_length
+    j = np.arange(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_tau = np.float64(model.volatility * tau)
+        square = sigma_tau**2
+        scaled = lambdas * square if np.isfinite(square) else lambdas * sigma_tau * sigma_tau
+        stiffness = scaled / model.adjusted_temporary
+        kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)[:, np.newaxis]
+        holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(-2 * kappa_tau * (n - j))
+                    / np.expm1(-2 * kappa_tau * n))
+    holdings[stiffness == 0] = x_total * (1 - j / n)
+    holdings[:, 0] = x_total
+    holdings[:, -1] = 0.0
+    return holdings
+
+
+def assert_holdings_match_the_reference(model, lambdas):
+    """Bit-identical rows, and whether the kernel masked exp's zeros."""
+    values = np.array(lambdas, dtype=float)
+    with mock.patch.object(np, "putmask", wraps=np.putmask) as putmask:
+        fast = holdings_of(model, values)
+    assert fast.tobytes() == reference_optimal_holdings(model, values).tobytes()
+    return putmask.called
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    periods=st.sampled_from([1, 2, 10, 200, 2000]),
+    total=st.floats(1.0, 1e4),
+    volatility=st.sampled_from([0.0, 1.0, 1600.0, 1e160]) | st.floats(0.0, 5e3),
+    tau=st.floats(0.25, 4.0),
+    edge=st.floats(0.0, 0.999999),
+    lambdas=st.lists(st.just(0.0) | st.floats(-12, 10).map(lambda e: 10.0**e),
+                     min_size=1, max_size=20),
+)
+# exp(−κτj) underflows past j ≈ 73: the mask fires
+@example(periods=200, total=100.0, volatility=1600.0, tau=1.0, edge=0.05,
+         lambdas=[1e-2, 0.0, 1e-8])
+# κτn stays below 746: the plain exp
+@example(periods=10, total=100.0, volatility=1600.0, tau=1.0, edge=0.05, lambdas=[1e-6, 0.0])
+# γτ/2 just under η: a tiny adjusted η and a huge stiffness
+@example(periods=200, total=1.0, volatility=1e160, tau=1.0, edge=0.999999, lambdas=[1e10, 1.0])
+def test_optimal_holdings_match_the_one_expression_reference(
+    periods, total, volatility, tau, edge, lambdas
+):
+    # edge is γτ/2 as a share of η = 1, the ill-posed limit
+    model = desk_model(total_units=total, periods=periods, volatility=volatility,
+                       period_length=tau, permanent_coeff=2 * edge / tau)
+    assert_holdings_match_the_reference(model, lambdas)
+
+
+def test_optimal_holdings_match_the_reference_on_random_models_either_side_of_the_mask():
+    # Full-mantissa draws, half of whose models reach exp's zeros.
+    rng = random.Random(26)
+    masked = []
+    for _ in range(300):
+        tau = rng.uniform(0.25, 4.0)
+        model = desk_model(total_units=rng.uniform(1.0, 1e4), periods=rng.randint(1, 400),
+                           volatility=10 ** rng.uniform(-3, 160), period_length=tau,
+                           permanent_coeff=2 * rng.uniform(0.0, 0.999999) / tau)
+        lambdas = [0.0] + [10 ** rng.uniform(-12, 10) for _ in range(rng.randint(0, 8))]
+        masked.append(assert_holdings_match_the_reference(model, lambdas))
+    assert any(masked) and not all(masked)
+
+
+def test_exp_is_positive_zero_wherever_the_kernel_skips_it():
+    """The mask's premise: every argument below EXP_ZERO_BELOW, and -inf, has
+    np.exp +0.0, sign bit clear, so setting such a result to +0.0 moves no bit.
+    A numpy whose exp differs there fails here."""
+    below = np.linspace(-1000.0, EXP_ZERO_BELOW, 1_000_001)
+    arguments = np.concatenate((below, [np.nextafter(EXP_ZERO_BELOW, -np.inf), -np.inf]))
+    assert np.exp(arguments).tobytes() == bytes(8 * len(arguments))
+    for argument in arguments[::9973]:  # the short-array and scalar loops
+        assert np.exp(np.array([argument])).tobytes() == bytes(8)
+        assert np.exp(argument).tobytes() == bytes(8)
+
+
 def reference_row_costs(holdings, model):
     """_row_costs with trades as -np.diff and sums as np.sum: the reference
     for its sliced subtraction and np.add.reduce."""
@@ -484,12 +593,12 @@ def test_row_costs_match_the_diff_and_sum_reference(seed):
             model = desk_model(total_units=float(rng.uniform(1, 1e4)), periods=periods,
                                volatility=volatility, period_length=float(rng.uniform(0.25, 4)))
             lambdas = np.concatenate(([0.0, 1e-2, 1.0, 1e6], 10.0 ** rng.uniform(-12, 2, 12)))
-            rows = [_optimal_holdings(model, lambdas),
+            rows = [holdings_of(model, lambdas),
                     rng.normal(0, 1e3, (5, periods + 1)),
                     rng.choice([0.0, 1.0, -2.5, 1e160, -1e200, math.inf, math.nan],
                                (5, periods + 1))]
             for holdings in rows:
-                fast, slow = _row_costs(holdings, model), reference_row_costs(holdings, model)
+                fast, slow = row_costs_of(holdings, model), reference_row_costs(holdings, model)
                 for a, b in zip(fast, slow):
                     assert_same_floats(a, b)
             path = rows[0][1]

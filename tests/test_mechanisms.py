@@ -175,6 +175,19 @@ def test_parameter_validation():
         reconstruct([Share(1, b"x" * 65), Share(2, b"x" * 65)], 2)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+def test_non_integer_share_index_rejected(bad):
+    # Share(1.5, b"x") once built, and reconstruct then raised a bare TypeError
+    with pytest.raises(MechanismError, match="non-integer share index"):
+        Share(bad, b"x")
+
+
+def test_numpy_integer_share_indices_reconstruct_like_ints():
+    shares = split(b"secret", 3, 5, random.Random(7))
+    numpy_shares = [Share(np.int64(s.index), s.payload) for s in shares]
+    assert reconstruct(numpy_shares[1:4], 3) == reconstruct(shares[1:4], 3) == b"secret"
+
+
 def test_split_deterministic_given_seed():
     a = split(b"secret", 3, 5, random.Random(1234))
     b = split(b"secret", 3, 5, random.Random(1234))
