@@ -1,5 +1,4 @@
-import sys
+from overhang.cli import run
 
-from overhang.cli import main
-
-sys.exit(main())
+if __name__ == "__main__":  # run() ends the process: an import must not reach it
+    run()

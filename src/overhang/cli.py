@@ -14,8 +14,15 @@ Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError: a missing config file, a malformed index:hex share line, a NaN,
 infinite or out-of-domain number, a flag given outside the forms FLAG_FORMS
 lists for it); 3 an unknown or missing scenario; 4 a NaN or infinite result,
-or a float overflow (any ArithmeticError). Only exit 0 writes stdout; any
-other leaves it empty. Output is deterministic per (config, seed) pair.
+or a float overflow (any ArithmeticError); 1 stdout closed by its reader
+before all of it was written (a broken pipe), with nothing on stderr.
+stdout is written on exit 0, and cut short on exit 1; any other exit leaves
+it empty. Output is deterministic per (config, seed) pair.
+
+`python -m overhang` and the `overhang` script enter through run(), which
+flushes stdout and stderr after main() and ends the process with os._exit,
+skipping interpreter teardown: a command must close whatever it opens for
+writing before main() returns.
 """
 
 from __future__ import annotations
@@ -29,13 +36,14 @@ import math
 import os
 import random
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule
 from overhang.config import RunConfig, dump_config, load_config, parse_quality
 from overhang.ledger import ShareBasis, format_percent
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1  # the code Python's note on SIGPIPE exits with
 EXIT_VALIDATION = 2
 EXIT_UNKNOWN = 3
 EXIT_COMPUTATION = 4
@@ -463,3 +471,21 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_COMPUTATION
     (out or sys.stdout).write(rendered.getvalue())
     return EXIT_OK
+
+
+def run() -> NoReturn:
+    """The process entry: main() on sys.argv, then stdout and stderr flushed
+    and the process ended with os._exit, without the interpreter's teardown.
+    argparse's SystemExit (--help, a usage error) gives its code; any other
+    exception propagates as it would."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started with it closed
+                stream.flush()
+    except BrokenPipeError:  # the reader closed stdout; what is unwritten is dropped
+        code = EXIT_CLOSED_STDOUT
+    os._exit(code)

@@ -90,7 +90,8 @@ class FrontierPoint:
 
 
 def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, float]:
-    """Expected cost and variance of an arbitrary admissible holdings path.
+    """Expected cost and variance of an arbitrary admissible holdings path:
+    finite holdings from total_units down to zero.
 
     E = (gamma/2) X^2 + (eta_tilde/tau) sum n_k^2,  V = sigma^2 tau sum x_k^2
     where n_k are period trades and x_k the post-trade holdings.
@@ -98,6 +99,8 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
     x = np.asarray(holdings, dtype=float)
     if x.shape != (model.periods + 1,):
         raise FrontierError(f"expected {model.periods + 1} holdings values, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise FrontierError("holdings must be finite")
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
     expected, variance = _row_costs(x[np.newaxis], model, np.empty(model.periods))

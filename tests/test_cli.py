@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 from overhang import frontier
 from overhang.cli import (
+    EXIT_CLOSED_STDOUT,
     EXIT_COMPUTATION,
     EXIT_OK,
     EXIT_UNKNOWN,
@@ -786,3 +790,72 @@ def test_fuzzed_argv_exits_cleanly(argv, config_dir):
                                and all(line.startswith(" ") for line in usage[1:]))
     assert caught == []
     assert _run_captured(argv)[:2] == (code, text)
+
+
+# The process entry: `python -m overhang` ends with os._exit once its output
+# is flushed, and must print what main() prints in process.
+SRC = Path(__file__).resolve().parents[1] / "src"
+PROCESS_ARGV = [
+    (["anchors"], EXIT_OK),
+    (["scenario", "B", "--json"], EXIT_OK),
+    (["--seed", "7", "mechanism", "split", "--secret-hex", "00ff10", "-k", "2", "-n", "3"],
+     EXIT_OK),
+    (["frontier", "--lambdas", "0,1e-6", "--markdown"], EXIT_OK),
+    (["--help"], EXIT_OK),
+    (["schedule", "--horizon", "0"], EXIT_VALIDATION),
+    (["mechanism", "reconstruct", "-k", "2", "1:zz"], EXIT_VALIDATION),
+    (["impact", "--no-such-flag"], EXIT_VALIDATION),
+    (["scenario", "Z"], EXIT_UNKNOWN),
+    (["schedule", "--volume", "1e-320"], EXIT_COMPUTATION),
+    (["frontier", "--sigma", "1e300"], EXIT_COMPUTATION),
+]
+
+
+@pytest.fixture
+def process_env(monkeypatch):
+    """One environment for the process and for main() in process: argparse
+    wraps its usage to COLUMNS, and the seed falls back to OVERHANG_SEED.
+    stdout is block-buffered, as it is for a user, so output that the entry
+    did not flush would be lost."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("OVERHANG_SEED", raising=False)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    return dict(os.environ, PYTHONPATH=str(SRC))
+
+
+def _overhang_process(argv, env):
+    return subprocess.Popen([sys.executable, "-m", "overhang", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("argv, code", PROCESS_ARGV, ids=[" ".join(a) for a, _ in PROCESS_ARGV])
+def test_the_process_prints_and_exits_as_main_does(argv, code, process_env, capsys):
+    process = _overhang_process(argv, process_env)
+    stdout, stderr = process.communicate(timeout=60)
+    try:
+        in_process = main(argv)
+    except SystemExit as exc:  # argparse: --help and usage errors
+        in_process = exc.code
+    captured = capsys.readouterr()
+    assert process.returncode == in_process == code
+    assert (stdout, stderr) == (captured.out.encode(), captured.err.encode())
+
+
+def test_a_process_started_with_stdout_closed_still_reports_its_error(process_env):
+    """With no stdout to flush, an error still exits 2 with its one line."""
+    shell = 'exec "$0" -m overhang schedule --horizon 0 >&-'
+    result = subprocess.run(["/bin/sh", "-c", shell, sys.executable], env=process_env,
+                            capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (
+        EXIT_VALIDATION, b"error: horizon must be finite and at least one year\n")
+
+
+def test_a_closed_pipe_exits_1_without_a_traceback(process_env):
+    """About 1 MB of tranche rows into a pipe whose reader closes at once: the
+    write fails past the pipe's buffer, and the process exits quietly."""
+    argv = ["schedule", "--tranches-per-year", "365", "--horizon", "90"]
+    with _overhang_process(argv, process_env) as process:
+        process.stdout.close()
+        stderr = process.stderr.read()
+        assert process.wait(timeout=60) == EXIT_CLOSED_STDOUT
+    assert stderr == b""

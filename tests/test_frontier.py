@@ -182,6 +182,17 @@ def test_cost_of_rejects_bad_endpoints():
         cost_of([90, 50, 20, 0], model)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_cost_of_rejects_a_non_finite_holding(bad, at):
+    """An inadmissible path raises rather than costing NaN or inf: a
+    non-finite interior holding as well as a non-finite endpoint."""
+    holdings = [100.0, 50.0, 20.0, 0.0]
+    holdings[at] = bad
+    with pytest.raises(FrontierError, match="holdings must be finite"):
+        cost_of(holdings, desk_model(periods=3))
+
+
 def scalar_trajectory(model):
     """The closed form for one risk aversion as a ratio of sinh on numpy
     floats, with its cost and whether that ratio broke down (an infinite
