@@ -20,7 +20,10 @@ def checked(cls):
     constructor, _make and _replace. NamedTuple forbids __new__ and _make in
     the class body, so a decorator sets them. Like collections.namedtuple,
     it generates a __new__ that takes the record's own fields and defaults,
-    so a construction runs one Python frame besides _check."""
+    so a construction runs one Python frame besides _check. A builder that
+    makes named-tuple records in bulk uses starmap(tuple.__new__,
+    zip(repeat(cls), rows)): the same records from C calls alone, with no
+    __new__ frame and so no _check, for rows whose fields it has checked."""
     fields = ", ".join(cls._fields)
     namespace = {"__builtins__": {}, "__name__": cls.__module__, "_tuple_new": tuple.__new__}
     exec(f"def __new__(_cls, {fields}):\n    _self = _tuple_new(_cls, ({fields},))\n"

@@ -15,7 +15,8 @@ ValueError: a missing config file, a malformed index:hex share line, a NaN,
 infinite or out-of-domain number, a flag given outside the forms FLAG_FORMS
 lists for it); 3 an unknown or missing scenario; 4 a NaN or infinite result,
 or a float overflow (any ArithmeticError); 1 stdout closed by its reader
-before all of it was written (a broken pipe), with nothing on stderr.
+before all of it was written (a broken pipe), or closed when the process
+started, with nothing on stderr.
 stdout is written on exit 0, and cut short on exit 1; any other exit leaves
 it empty. Output is deterministic per (config, seed) pair.
 
@@ -469,7 +470,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         message = "a value overflowed the float range" if isinstance(exc, OverflowError) else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_COMPUTATION
-    (out or sys.stdout).write(rendered.getvalue())
+    out = out or sys.stdout
+    if out is None:  # the process started with stdout closed: as a broken pipe
+        return EXIT_CLOSED_STDOUT
+    out.write(rendered.getvalue())
     return EXIT_OK
 
 

@@ -91,7 +91,8 @@ class FrontierPoint:
 
 def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, float]:
     """Expected cost and variance of an arbitrary admissible holdings path:
-    finite holdings from total_units down to zero.
+    finite holdings from total_units down to zero, whose cost and variance
+    are finite floats too.
 
     E = (gamma/2) X^2 + (eta_tilde/tau) sum n_k^2,  V = sigma^2 tau sum x_k^2
     where n_k are period trades and x_k the post-trade holdings.
@@ -104,7 +105,10 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
     expected, variance = _row_costs(x[np.newaxis], model, np.empty(model.periods))
-    return float(expected[0]), float(variance[0])
+    costs = float(expected[0]), float(variance[0])
+    if not all(map(math.isfinite, costs)):
+        raise FrontierError(f"the path's cost or variance is not a finite float: {costs}")
+    return costs
 
 
 def _row_costs(holdings: np.ndarray, model: ExecutionModel,

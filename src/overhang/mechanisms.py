@@ -14,8 +14,8 @@ import json
 import math
 import random
 from bisect import bisect_right
-from functools import partial, reduce
-from itertools import repeat
+from functools import reduce
+from itertools import repeat, starmap
 from operator import index, itemgetter, xor
 from typing import Iterable, NamedTuple, Optional
 
@@ -248,11 +248,6 @@ class SimEvent(NamedTuple):
         )
 
 
-# Builds a SimEvent from an (epoch, kind, amount_sats) tuple in C, without
-# the Python-level __new__ that a named tuple's constructor runs.
-_event = partial(tuple.__new__, SimEvent)
-
-
 def simulate_disposition(
     terminal: TerminalState,
     config: DmsConfig,
@@ -293,7 +288,8 @@ def simulate_disposition(
         # each lock is the one-tuple (epoch,); a stable sort on the epoch alone
         # keeps tied tranches in index order
         epochs = map(itemgetter(0), map(itemgetter(0), tranches))
-        events = sorted(map(_event, zip(epochs, repeat("release"), amounts)), key=itemgetter(0))
+        rows = zip(epochs, repeat("release"), amounts)
+        events = sorted(starmap(tuple.__new__, zip(repeat(SimEvent), rows)), key=itemgetter(0))
         del events[bisect_right(events, clock_horizon, key=itemgetter(0)):]
         return events
 

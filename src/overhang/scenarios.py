@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from functools import partial
-from itertools import chain, repeat
+from itertools import chain, repeat, starmap
 from typing import NamedTuple, Optional, Sequence
 
 from overhang import checked
@@ -87,11 +86,6 @@ class ScenarioResult(NamedTuple):
     friction: FrictionBand
     total: tuple[float, float]
     anchor_class: AnchorClass
-
-
-# Builds a ScenarioResult from one tuple of its fields in C, without the
-# Python-level __new__ that a named tuple's constructor runs.
-_result = partial(tuple.__new__, ScenarioResult)
 
 
 def builtin_scenarios() -> list[Scenario]:
@@ -224,9 +218,9 @@ def sensitivity_sweep(
             cell_bands = [bands[k] for k in indices]
         band_totals, classes = zip(*[_classified_total(permanent, band) for band in bands])
         totals += band_totals
-        results += map(_result, zip(
+        results += starmap(tuple.__new__, zip(repeat(ScenarioResult), zip(
             map(f"eps={eps}".__add__, suffixes), schedules, repeat(permanent), cell_bands,
-            map(band_totals.__getitem__, indices), map(classes.__getitem__, indices)))
+            map(band_totals.__getitem__, indices), map(classes.__getitem__, indices))))
     return SweepSummary(
         results=tuple(results),
         min_abs_total=min(map(abs, chain.from_iterable(totals))),

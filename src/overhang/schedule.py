@@ -24,7 +24,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
+from itertools import repeat, starmap
 from typing import NamedTuple, Sequence
 
 from overhang import checked
@@ -42,8 +43,9 @@ class ScheduleError(ValueError):
 
 @checked
 class TimelockCondition(NamedTuple):
-    """CLTV-style absolute timelock: spendable at or after epoch `value`
-    (_unchecked_lock skips the check, for epochs known nonnegative)."""
+    """CLTV-style absolute timelock: spendable at or after epoch `value`.
+    to_tranche_program builds its locks in bulk (overhang.checked), without
+    this check, from a start it checks once."""
 
     value: int
 
@@ -56,12 +58,6 @@ class TrancheProgram(NamedTuple):
     """Ordered timelocked tranches; amounts in satoshis sum to the position."""
 
     tranches: Sequence[tuple[TimelockCondition, int]]
-
-
-# Builds a TimelockCondition from a one-tuple (epoch,) without its checked
-# __new__: to_tranche_program checks its start once, and every epoch it makes
-# is that start plus a nonnegative offset, so none can be negative.
-_unchecked_lock = partial(tuple.__new__, TimelockCondition)
 
 
 @checked
@@ -148,7 +144,8 @@ def to_tranche_program(
     base = schedule.position_sats // n
     amounts = [base] * n
     amounts[-1] = schedule.position_sats - base * (n - 1)
-    return TrancheProgram(tranches=tuple(zip(map(_unchecked_lock, zip(epochs)), amounts)))
+    locks = starmap(tuple.__new__, zip(repeat(TimelockCondition), zip(epochs)))
+    return TrancheProgram(tranches=tuple(zip(locks, amounts)))
 
 
 @cache

@@ -850,6 +850,14 @@ def test_a_process_started_with_stdout_closed_still_reports_its_error(process_en
         EXIT_VALIDATION, b"error: horizon must be finite and at least one year\n")
 
 
+def test_a_process_started_with_stdout_closed_exits_1_without_a_traceback(process_env):
+    """A command that succeeds has nowhere to write: it exits as a closed pipe does."""
+    shell = 'exec "$0" -m overhang anchors >&-'
+    result = subprocess.run(["/bin/sh", "-c", shell, sys.executable], env=process_env,
+                            capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (EXIT_CLOSED_STDOUT, b"")
+
+
 def test_a_closed_pipe_exits_1_without_a_traceback(process_env):
     """About 1 MB of tranche rows into a pipe whose reader closes at once: the
     write fails past the pipe's buffer, and the process exits quietly."""

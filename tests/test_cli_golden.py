@@ -1,9 +1,13 @@
-"""Golden CLI output: the exit code and the sha256 of stdout for each argv.
+"""Golden CLI output: the exit code and the sha256 of stdout and of stderr
+for each argv.
 
 The table pins what the CLI prints byte for byte, over every subcommand in
 each output format, config files in both syntaxes, seeded sharding and each
-replayed terminal state. Change a digest only for an output change that is
-intended and recorded in CHANGES.md.
+replayed terminal state. stderr is pinned too: a row that exits 0 must leave
+it empty, and each failing row carries the digest of its error text, with the
+config directory written as "{dir}" and argparse's usage wrapped at 80
+columns. Change a digest only for an output change that is intended and
+recorded in CHANGES.md.
 """
 
 import hashlib
@@ -39,8 +43,9 @@ JSON_CONFIG = """{
 
 BAD_KEY_CONFIG = "[ledger]\nbogus_key = 1\n"
 
-# (argv, exit code, sha256 of stdout); "{dir}" is the directory holding the
-# config files above.
+# (argv, exit code, sha256 of stdout[, sha256 of stderr]); "{dir}" is the
+# directory holding the config files above. Only a failing row writes stderr,
+# so only a failing row pins its digest; the others pin it empty.
 GOLDEN = [
     (('impact',), 0,
      "e333327a5100473f1230f4ad4481e5f758dab955a1b41ce5559228dd627daccf"),
@@ -247,7 +252,8 @@ GOLDEN = [
     (('scenario', '--config', '{dir}/run.json', '--emit-config'), 0,
      "4109f821bbfaed2db3ce769c750735eaad8a07436d27b76ffacecfe1bc21fc2e"),
     (('scenario', 'sweep', '--config', '{dir}/run.ini', '--json'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "20c36f25a5adda7d9abd61644afc8d1eae28138fc26f49e9ccd6743f34f3864e"),
     (('scenario', 'sweep', '--config', '{dir}/ledger.ini', '--json'), 0,
      "a6a3551a6c38aa0bbbe6edc7f7fe10a39865f7850845ca762b6d3b2a5323d1e1"),
     (('mechanism', 'simulate', '--terminal', 'dormancy'), 0,
@@ -284,29 +290,43 @@ GOLDEN = [
     (('mechanism', 'reconstruct', '-k', '3', '5:f6b3bc97ca4d', '2:7e109a39a64d', '4:1e61a931b4bf'), 0,
      "0cf3a399c9089fcd0798f18febc9962632c675edf87abaa86bec2b8e08c23366"),
     (('scenario', 'Z'), 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "285454475f6876a17d5bc6d8300843e6165742bba378c1ba2f1fb4e6366b50d9"),
     (('scenario',), 3,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e93779d227b8aa26c63d13de3f038c70f4ac3999f1b5e47a4fa88384ba944a41"),
     (('scenario', 'B', '--config', '{dir}/missing.ini'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "31cf700619cc16c48181115ccff3f11ea2f1a0833515fef09bad6a390142cb66"),
     (('scenario', 'B', '--config', '{dir}/bad.ini'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "7634fa797dd703ed4e70067260b93e4c404251248d65262715992be0602442ff"),
     (('impact', '--quality', 'bogus'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "b56f9959b939e09717b25f711e906093dfba1787b0c1c107cdec4bdcaeef0ff4"),
     (('mechanism', 'simulate', '--terminal', 'bogus'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "0d8940c6146f670f70bb98a9ef9ad912a5d507a73714cab97cec5832387e4ac1"),
     (('scenario', 'B', '--config', '{dir}/run.ini'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "5a2f08c7a595834ce3cf3bb8bd69ab65e383302cb615044e0fea19e2669a0785"),
     (('scenario', 'Z', '--config', '{dir}/run.ini'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "b50262df7922c493ef9d02f8daab1e14a7d3af5594d2265a39132782fdf3eb2c"),
 ]
 
 
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+
 @pytest.mark.parametrize(
-    "argv, code, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+    "argv, code, digest, stderr_digest",
+    [(argv, code, digest, *(pinned or [EMPTY])) for argv, code, digest, *pinned in GOLDEN],
+    ids=[" ".join(argv) for argv, *_ in GOLDEN],
 )
-def test_cli_golden(argv, code, digest, tmp_path, monkeypatch):
+def test_cli_golden(argv, code, digest, stderr_digest, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("OVERHANG_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
     (tmp_path / "run.ini").write_text(INI_CONFIG)
     (tmp_path / "ledger.ini").write_text(LEDGER_CONFIG)
     (tmp_path / "run.json").write_text(JSON_CONFIG)
@@ -318,3 +338,5 @@ def test_cli_golden(argv, code, digest, tmp_path, monkeypatch):
         got = exc.code
     assert got == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    stderr = capsys.readouterr().err.replace(str(tmp_path), "{dir}")
+    assert hashlib.sha256(stderr.encode()).hexdigest() == stderr_digest, stderr

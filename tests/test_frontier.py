@@ -193,6 +193,18 @@ def test_cost_of_rejects_a_non_finite_holding(bad, at):
         cost_of(holdings, desk_model(periods=3))
 
 
+def test_cost_of_rejects_a_cost_past_the_float_range():
+    """A finite path whose cost leaves the float range raises; frontier()
+    keeps such a point, which the CLI turns into exit 4."""
+    with pytest.raises(FrontierError, match="not a finite float"):  # the trades' squares
+        cost_of([100, 1e300, 0], ExecutionModel(100.0, 2, volatility=1.0))
+    model = ExecutionModel(100.0, 2, volatility=1e200)  # σ² overflows: the variance alone
+    with pytest.raises(FrontierError, match="not a finite float"):
+        cost_of([100, 50, 0], model)
+    (point,) = frontier(model, [0.0])
+    assert math.isfinite(point.expected_cost) and point.cost_variance == math.inf
+
+
 def scalar_trajectory(model):
     """The closed form for one risk aversion as a ratio of sinh on numpy
     floats, with its cost and whether that ratio broke down (an infinite
@@ -613,8 +625,12 @@ def test_row_costs_match_the_diff_and_sum_reference(seed):
                 for a, b in zip(fast, slow):
                     assert_same_floats(a, b)
             path = rows[0][1]
-            reference = reference_row_costs(path[np.newaxis], model)
-            assert bits(cost_of(path, model)) == bits(float(v[0]) for v in reference)
+            reference = [float(v[0]) for v in reference_row_costs(path[np.newaxis], model)]
+            if all(map(math.isfinite, reference)):
+                assert bits(cost_of(path, model)) == bits(reference)
+            else:  # cost_of raises where the row's cost is not finite
+                with pytest.raises(FrontierError, match="not a finite float"):
+                    cost_of(path, model)
 
 
 def test_frontier_points_are_the_same_for_a_list_and_an_array_of_lambdas():

@@ -545,6 +545,32 @@ def test_tied_tranches_release_in_index_order():
     assert all(type(e) is SimEvent and e.kind == "release" for e in events)
 
 
+def test_release_events_equal_the_constructor():
+    """The replay builds its events without SimEvent's constructor. They are
+    the records the constructor builds, in (epoch, tranche index) order: for a
+    program to_tranche_program built, and for as many tranches in random order
+    on a few tied epochs."""
+    rng = random.Random(28)
+    built = to_tranche_program(
+        build_uniform_schedule(ScheduleParams(position=1000.5, horizon=4)), granularity=52, start=5)
+    # distinct amounts, so a tie released out of index order shows
+    shuffled = [(TimelockCondition(rng.randint(0, 40)), rng.randint(0, 10**9))
+                for _ in built.tranches]
+    for program in (built, TrancheProgram(tuple(shuffled))):
+        in_order = sorted(enumerate(program.tranches), key=lambda t: (t[1][0].value, t[0]))
+        for horizon in (3650, 400, 20, 0):
+            events = simulate_disposition(
+                TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
+                cfg(),
+                tranche_program=program,
+                clock_horizon=horizon,
+                position_btc=total_btc(program),
+            )
+            expected = [SimEvent(lock.value, "release", amount)
+                        for _, (lock, amount) in in_order if lock.value <= horizon]
+            assert events == expected and all(type(ev) is SimEvent for ev in events)
+
+
 def test_liquidation_replay_matches_epoch_scan():
     rng = random.Random(3650)
     for _ in range(300):

@@ -300,6 +300,14 @@ def test_factored_sweep_matches_cellwise_sweep(
         assert repr(fast) == repr(slow)
 
 
+def test_sweep_cells_equal_the_constructor(ledger):
+    """The sweep builds its cells without ScenarioResult's constructor; each is
+    the record the constructor builds from the cell's fields."""
+    results = sensitivity_sweep(ledger, [0.3, 0.7, 1.5], list(ExecutionQuality), [1, 5, 12]).results
+    assert len(results) == 3 * 3 * 3
+    assert all(type(cell) is ScenarioResult and cell == ScenarioResult(*cell) for cell in results)
+
+
 def test_cells_of_one_column_share_its_schedule_and_band(ledger):
     """Every ε's cell of a (quality, horizon) column holds the very schedule
     and band objects of that column; a horizon's schedule is one object for
