@@ -137,10 +137,11 @@ def rank_terminal_states(matrix: ConsistencyMatrix) -> list[TerminalStateKind]:
     the marks are tallied in one pass, and the stable sort keeps tied states in order."""
     consistent = dict.fromkeys(TerminalStateKind, 0)
     weak = dict.fromkeys(TerminalStateKind, 0)
+    consistent_mark, weak_mark = Mark.CONSISTENT, Mark.WEAK  # read once, not once per entry
     for (_, state), mark in matrix.entries.items():
-        if mark is Mark.CONSISTENT:
+        if mark is consistent_mark:
             consistent[state] += 1
-        elif mark is Mark.WEAK:
+        elif mark is weak_mark:
             weak[state] += 1
     return sorted(TerminalStateKind, key=lambda state: (-consistent[state], -weak[state]))
 

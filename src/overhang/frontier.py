@@ -82,7 +82,7 @@ class Trajectory(NamedTuple):
     cost_variance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrontierPoint:
     risk_aversion: float
     expected_cost: float
@@ -131,8 +131,10 @@ def _row_costs(holdings: np.ndarray, model: ExecutionModel,
             0.5 * model.permanent_coeff * model.total_units**2
             + model.adjusted_temporary / tau * np.add.reduce(squares, axis=1)
         )
-        variance = sigma_squared_tau * np.add.reduce(
-            np.square(holdings[:, 1:], out=squares), axis=1)
+        held = np.add.reduce(np.square(holdings[:, 1:], out=squares), axis=1)
+        variance = sigma_squared_tau * held
+    if math.isinf(sigma_squared_tau):  # inf·0 is NaN; a path that holds nothing has no variance
+        np.putmask(variance, held == 0, 0.0)
     return expected, variance
 
 

@@ -62,6 +62,8 @@ OTC_BAND_LOW = FrictionBand(1.0, 2.0)
 OTC_BAND_HIGH = FrictionBand(2.0, 3.0)
 MIXED_BAND = FrictionBand(3.0, 5.0)
 PUBLIC_VENUE_BAND = FrictionBand(5.0, 8.0, extrapolated=True)
+# As globals: EnumType's __getattr__ slows every attribute read off the class.
+_DISCIPLINED_OTC, _MIXED = ExecutionQuality.DISCIPLINED_OTC, ExecutionQuality.MIXED
 
 
 @checked
@@ -99,9 +101,9 @@ def friction_band(quality: ExecutionQuality, participation: float) -> FrictionBa
         raise ImpactError(
             f"participation {participation} outside [0, {MAX_PARTICIPATION}]"
         )
-    if quality is ExecutionQuality.DISCIPLINED_OTC:
+    if quality is _DISCIPLINED_OTC:
         return OTC_BAND_LOW if participation <= OTC_LOW_PARTICIPATION else OTC_BAND_HIGH
-    if quality is ExecutionQuality.MIXED:
+    if quality is _MIXED:
         return MIXED_BAND
     return PUBLIC_VENUE_BAND
 

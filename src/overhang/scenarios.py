@@ -3,9 +3,10 @@
 A scenario bundles an elasticity, an execution quality, and a horizon; a
 run composes the effective-float share, the uniform schedule, permanent
 impact, friction, and an anchor classification. The sweep evaluates the
-full cross-product and reports the impact bound, computing each schedule,
-permanent impact and friction band once, and each total and anchor class
-once per (ε, band).
+full cross-product and reports the impact bound: a schedule and label per
+horizon, a permanent impact per ε, a friction band per (quality, horizon)
+column, and a total and anchor class per (ε, band), picked for all columns
+at once; a cell costs only its own name and record.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from itertools import chain, repeat, starmap
+from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
 from overhang import checked
@@ -141,22 +143,12 @@ def run_scenario(
 ) -> ScenarioResult:
     """Evaluate one scenario against a ledger and reference daily volume."""
     share = supply_ledger.position_share(ledger, basis)
-    schedule = _uniform_schedule(ledger, scenario.horizon, volume)
+    schedule = liquidation_schedule.build_uniform_schedule(
+        ScheduleParams(ledger.position, scenario.horizon, volume, ledger.reference_price))
     permanent = impact_model.permanent_impact(share, scenario.elasticity)
     band = impact_model.friction_band(scenario.quality, schedule.participation)
     total, anchor_class = _classified_total(permanent, band)
     return ScenarioResult(scenario.name, schedule, permanent, band, total, anchor_class)
-
-
-def _uniform_schedule(ledger: SupplyLedger, horizon: float, volume: float) -> Schedule:
-    return liquidation_schedule.build_uniform_schedule(
-        ScheduleParams(
-            position=ledger.position,
-            horizon=horizon,
-            reference_daily_volume=volume,
-            price=ledger.reference_price,
-        )
-    )
 
 
 def _classified_total(
@@ -215,12 +207,15 @@ def sensitivity_sweep(
             # several faults raises the one the cell-by-cell order meets first.
             bands, suffixes, schedules, indices = _sweep_columns(
                 ledger, quality_set, horizons, volume)
-            cell_bands = [bands[k] for k in indices]
+            # itemgetter of one index returns the item, not a 1-tuple; a single
+            # column has a single band, so its picks are the whole tuple
+            pick = itemgetter(*indices) if len(indices) > 1 else tuple
+            cell_bands = pick(bands)
         band_totals, classes = zip(*[_classified_total(permanent, band) for band in bands])
         totals += band_totals
         results += starmap(tuple.__new__, zip(repeat(ScenarioResult), zip(
             map(f"eps={eps}".__add__, suffixes), schedules, repeat(permanent), cell_bands,
-            map(band_totals.__getitem__, indices), map(classes.__getitem__, indices))))
+            pick(band_totals), pick(classes))))
     return SweepSummary(
         results=tuple(results),
         min_abs_total=min(map(abs, chain.from_iterable(totals))),
@@ -235,23 +230,27 @@ def _sweep_columns(
     volume: float,
 ) -> tuple[list[FrictionBand], list[str], list[Schedule], list[int]]:
     """The distinct friction bands in order of first appearance, and the
-    (quality, horizon) cells' name suffixes, schedules and band indices, one
-    list each in sweep order.
+    (quality, horizon) columns' name suffixes, schedules and band indices,
+    one list each in sweep order.
 
-    The schedule is built once per position in the sorted horizon grid and
-    the band once per (quality, horizon); the sweep then combines each band
-    once per (ε, band).
+    The first quality's pass checks and schedules each horizon in turn, so
+    faults keep the cell-by-cell order. Only the first horizon's
+    ScheduleParams runs its check; later ones differ only in the horizon,
+    just checked, and are built in bulk (overhang.checked). A column then
+    costs one friction band, and its suffix joins two labels built once.
     """
-    schedules: dict[int, Schedule] = {}
+    schedules: list[Schedule] = []
     band_index: dict[FrictionBand, int] = {}
-    suffixes, column_schedules, indices = [], [], []
+    indices = []
     for quality in quality_set:
         for j, horizon in enumerate(horizons):
-            if j not in schedules:
+            if j == len(schedules):
                 _check_horizon(horizon)
-                schedules[j] = _uniform_schedule(ledger, horizon, volume)
+                row = (ledger.position, horizon, volume, ledger.reference_price)
+                params = tuple.__new__(ScheduleParams, row) if schedules else ScheduleParams(*row)
+                schedules.append(liquidation_schedule.build_uniform_schedule(params))
             band = impact_model.friction_band(quality, schedules[j].participation)
-            suffixes.append(f"/{quality.value}/{horizon}y")
-            column_schedules.append(schedules[j])
             indices.append(band_index.setdefault(band, len(band_index)))
-    return list(band_index), suffixes, column_schedules, indices
+    labels = [f"/{horizon}y" for horizon in horizons]
+    suffixes = [*chain.from_iterable(map(("/" + q.value).__add__, labels) for q in quality_set)]
+    return list(band_index), suffixes, schedules * len(quality_set), indices

@@ -98,14 +98,14 @@ def build_uniform_schedule(params: ScheduleParams) -> Schedule:
     per_year = SATS_PER_BTC * num
     per_day = per_year * DAYS_PER_YEAR
     daily_usd = position_sats * den / per_day * params.price
-    return Schedule(
-        position_sats=position_sats,
-        horizon=params.horizon,
-        annual_btc=Fraction(position_sats * den, per_year),
-        daily_btc=Fraction(position_sats * den, per_day),
-        daily_usd=daily_usd,
-        participation=daily_usd / params.reference_daily_volume,
-    )
+    return tuple.__new__(Schedule, (  # Schedule's fields in order, without its keyword __new__
+        position_sats,
+        params.horizon,
+        Fraction(position_sats * den, per_year),  # annual_btc
+        Fraction(position_sats * den, per_day),  # daily_btc
+        daily_usd,
+        daily_usd / params.reference_daily_volume,  # participation
+    ))
 
 
 def to_tranche_program(

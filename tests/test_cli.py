@@ -513,9 +513,9 @@ def test_float_overflow_exits_4_with_one_readable_line(argv):
 @pytest.mark.parametrize(
     "argv, expected_code, stdout_md5",
     [
-        # σ²τ overflows to inf and meets Σx² = 0 in the variance: NaN, exit 4
-        (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_COMPUTATION,
-         "d41d8cd98f00b204e9800998ecf8427e"),
+        # σ²τ overflows to inf and meets Σx² = 0 in the variance: exactly 0, exit 0
+        (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_OK,
+         "a615abece91fc6d5c8873e2009000815"),
         # the stiffness overflows to inf: the immediate-liquidation limit
         (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
          "3ad136b32926cdcde965f144850fabc6"),

@@ -209,6 +209,9 @@ GOLDEN = [
      "f5c2196dd2f6fb8aebf53a591a474b8d2f86c6d1a35b0b122014a7861a447cdf"),
     (('frontier', '--periods', '200', '--lambdas', '1e-8,1e-5,1e-2', '--sigma', '1600', '--json'), 0,
      "6be6cb5fa61081823a2f910567b519adf6a0c0407bcbf93315e8568a42ab0276"),
+    # σ²τ overflows to inf, and the path sells everything at once: its variance is 0
+    (('frontier', '--sigma', '1e300', '--periods', '2', '--lambdas', '1e6', '--json'), 0,
+     "ed8fd952aea3eacd8a9d1c97363d5b2e5b7f0ef58e3d7cae2808870ad4266f02"),
     (('decision-map',), 0,
      "142cf685663ed2561bb663b179d5506e1aaeec1eb590e6c4326a2d04255f586d"),
     (('decision-map', '--json'), 0,

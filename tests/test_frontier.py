@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from overhang.frontier import (
     MAX_PERIODS,
     ExecutionModel,
     FrontierError,
+    FrontierPoint,
     _optimal_holdings,
     _row_costs,
     cost_of,
@@ -203,6 +205,32 @@ def test_cost_of_rejects_a_cost_past_the_float_range():
         cost_of([100, 50, 0], model)
     (point,) = frontier(model, [0.0])
     assert math.isfinite(point.expected_cost) and point.cost_variance == math.inf
+
+
+def test_a_path_that_holds_nothing_has_zero_variance_at_any_sigma():
+    """σ²τ = 1e600 overflows to inf, and inf·0 would make the variance of a
+    path that sells everything in its first period NaN; it is exactly 0, and
+    the same path at a finite σ keeps its bits."""
+    for volatility in (1e300, 1600.0):
+        model = ExecutionModel(100.0, 2, volatility=volatility)
+        assert bits(cost_of([100, 0, 0], model)) == bits((10000.0, 0.0))
+    (point,) = frontier(ExecutionModel(100.0, 2, volatility=1e300), [1e6])
+    assert bits([point.expected_cost, point.cost_variance]) == bits([10000.0, 0.0])
+
+
+def test_frontier_point_is_a_slotted_frozen_dataclass():
+    """frontier() builds its points without __init__; dataclasses.replace and
+    asdict, which the CLI and the benchmark's planted fault use, still work."""
+    point = frontier(desk_model(), [1e-6])[0]
+    assert not hasattr(point, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.expected_cost = 0.0
+    nan = dataclasses.replace(point, expected_cost=math.nan)
+    assert type(nan) is FrontierPoint and math.isnan(nan.expected_cost)
+    assert (nan.risk_aversion, nan.cost_variance) == (point.risk_aversion, point.cost_variance)
+    assert dataclasses.asdict(point) == {"risk_aversion": 1e-6, "expected_cost": point.expected_cost,
+                                         "cost_variance": point.cost_variance}
+    assert point == FrontierPoint(1e-6, point.expected_cost, point.cost_variance)
 
 
 def scalar_trajectory(model):
@@ -580,7 +608,9 @@ def test_exp_is_positive_zero_wherever_the_kernel_skips_it():
 
 def reference_row_costs(holdings, model):
     """_row_costs with trades as -np.diff and sums as np.sum: the reference
-    for its sliced subtraction and np.add.reduce."""
+    for its sliced subtraction and np.add.reduce. A row that holds nothing
+    after its first trade has variance 0, where σ²τ·0 would be NaN at an
+    infinite σ²τ."""
     tau = model.period_length
     sigma = model.volatility
     try:
@@ -593,7 +623,8 @@ def reference_row_costs(holdings, model):
             0.5 * model.permanent_coeff * model.total_units**2
             + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
         )
-        variance = sigma_squared_tau * np.sum(holdings[:, 1:] ** 2, axis=1)
+        held = np.sum(holdings[:, 1:] ** 2, axis=1)
+        variance = np.where(held == 0, 0.0, sigma_squared_tau * held)
     return expected, variance
 
 

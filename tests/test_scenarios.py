@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -250,7 +251,7 @@ _EPSILONS = st.one_of(
     st.floats(0.05, 3.0),
 )
 _HORIZONS = st.one_of(
-    st.sampled_from([1, 1.0, 5, 10, 12]),
+    st.sampled_from([1, 1.0, 5, 10, 12, math.inf]),
     st.floats(1.0, 40.0),
     st.integers(1, 30).map(lambda k: k / 4),
 )
@@ -282,6 +283,10 @@ _HORIZONS = st.one_of(
     qualities=[ExecutionQuality.DISCIPLINED_OTC, ExecutionQuality.MIXED,
                ExecutionQuality.DISCIPLINED_OTC],
     horizons=[12, 5, 10], volume=15e9, allow_out_of_range=False,
+)
+@example(  # participation past the cap at the first horizon, before an infinite one is checked
+    position=1148000.0, epsilons=[0.7], qualities=[ExecutionQuality.MIXED],
+    horizons=[1, math.inf], volume=1e9, allow_out_of_range=False,
 )
 def test_factored_sweep_matches_cellwise_sweep(
     position, epsilons, qualities, horizons, volume, allow_out_of_range

@@ -11,6 +11,7 @@ from overhang.ledger import SATS_PER_BTC, btc_to_sats, format_percent
 from overhang.schedule import (
     DAYS_PER_YEAR,
     MAX_TRANCHES,
+    Schedule,
     ScheduleError,
     ScheduleParams,
     TimelockCondition,
@@ -73,6 +74,29 @@ def test_participation_homogeneity():
     base = make_schedule(10)
     scaled = make_schedule(10, price=160_000.0, position=POSITION / 2)
     assert scaled.participation == pytest.approx(base.participation, rel=1e-12)
+
+
+@pytest.mark.parametrize("horizon", [1, 2.5, 10, 12.0, 1e300])
+def test_schedule_is_the_record_its_keyword_constructor_builds(horizon):
+    """build_uniform_schedule builds its Schedule positionally, without the
+    keyword constructor; it is that exact type, field for field."""
+    params = ScheduleParams(position=POSITION, horizon=horizon, price=80_000.0)
+    sched = build_uniform_schedule(params)
+    position_sats = btc_to_sats(POSITION)
+    num, den = Fraction(horizon).as_integer_ratio()
+    annual = Fraction(position_sats * den, SATS_PER_BTC * num)
+    daily_usd = position_sats * den / (SATS_PER_BTC * num * DAYS_PER_YEAR) * 80_000.0
+    keyword = Schedule(
+        position_sats=position_sats,
+        horizon=horizon,
+        annual_btc=annual,
+        daily_btc=annual / DAYS_PER_YEAR,
+        daily_usd=daily_usd,
+        participation=daily_usd / params.reference_daily_volume,
+    )
+    assert type(sched) is Schedule
+    assert sched == keyword and repr(sched) == repr(keyword)
+    assert [type(field) for field in sched] == [type(field) for field in keyword]
 
 
 def test_invalid_horizon():
