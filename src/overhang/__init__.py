@@ -7,7 +7,7 @@ terminal dispositions, and simulates the cryptographic disposition
 mechanisms (secret sharding, timelocks, dead-man's switch) on a simulated
 clock.
 
-Import each name from its module (``from overhang.mechanisms import split``).
+Import each name from its module (``from overhang.shamir import split``).
 The package holds only ``__version__`` and ``checked`` and imports nothing,
 so importing one module loads no other module it does not need.
 """

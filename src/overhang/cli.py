@@ -8,7 +8,9 @@ so --json, --csv and --emit-config print the same bytes for any --seed: the
 one flag accepted where it changes nothing. The seed comes from --seed or the
 OVERHANG_SEED environment variable. A scenario run resolves into one
 RunConfig: the config file or the defaults, then --volume, then the scenario
-name, which a config [scenario] section excludes.
+name, which a config [scenario] section excludes. A frontier of one λ prints
+one row, whose `holdings` field is the trajectory's holdings, each `.6g`,
+joined by ", ".
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError: a missing config file, a malformed index:hex share line, a NaN,
@@ -39,7 +41,7 @@ import random
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule
+from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule, shamir
 from overhang.config import RunConfig, dump_config, load_config, parse_quality
 from overhang.ledger import ShareBasis, format_percent
 
@@ -222,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_impact(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_impact(args: argparse.Namespace, out) -> None:
     band = impact.friction_band(parse_quality(args.quality), args.participation)
     rows = []
     if args.table:
@@ -264,7 +266,7 @@ def _scenario_row(result: scenarios.ScenarioResult) -> dict:
     }
 
 
-def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_scenario(args: argparse.Namespace, out) -> None:
     cfg = RunConfig()
     if args.config:
         with open(args.config, encoding="utf-8-sig") as handle:  # a BOM is dropped
@@ -309,7 +311,7 @@ def _cmd_scenario(args: argparse.Namespace, out, seed: int) -> None:
         _emit([_scenario_row(result)], args.fmt, out)
 
 
-def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_schedule(args: argparse.Namespace, out) -> None:
     volume = schedule.DEFAULT_DAILY_VOLUME_USD if args.volume is None else args.volume
     price = ledger.DEFAULT_REFERENCE_PRICE_USD if args.price is None else args.price
     params = schedule.ScheduleParams(
@@ -340,7 +342,7 @@ def _cmd_schedule(args: argparse.Namespace, out, seed: int) -> None:
     _emit(rows, args.fmt, out)
 
 
-def _cmd_frontier(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_frontier(args: argparse.Namespace, out) -> None:
     model = frontier.ExecutionModel(
         total_units=args.total,
         periods=args.periods,
@@ -356,11 +358,11 @@ def _cmd_frontier(args: argparse.Namespace, out, seed: int) -> None:
     (lam,) = args.lambdas
     trajectory = frontier.optimal_trajectory(model._replace(risk_aversion=lam))
     point = frontier.FrontierPoint(lam, trajectory.expected_cost, trajectory.cost_variance)
-    _emit([dataclasses.asdict(point)], args.fmt, out)
-    out.write("holdings: " + ", ".join(f"{x:.6g}" for x in trajectory.holdings) + "\n")
+    holdings = ", ".join(f"{x:.6g}" for x in trajectory.holdings)
+    _emit([dataclasses.asdict(point) | {"holdings": holdings}], args.fmt, out)
 
 
-def _cmd_decision_map(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_decision_map(args: argparse.Namespace, out) -> None:
     matrix = decisions.consistency_matrix(retention_variant=args.retention_variant)
     run_ledger = ledger.SupplyLedger.from_btc()
     builtin = [scenarios.run_scenario(s, run_ledger) for s in scenarios.builtin_scenarios()]
@@ -387,19 +389,19 @@ def _cmd_decision_map(args: argparse.Namespace, out, seed: int) -> None:
     _emit(matrix_rows, args.fmt, out)
 
 
-def _cmd_split(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_split(args: argparse.Namespace, out) -> None:
     secret = bytes.fromhex(args.secret_hex)
-    shares = mechanisms.split(secret, args.threshold, args.shares, random.Random(seed))
+    shares = shamir.split(secret, args.threshold, args.shares, random.Random(args.seed))
     for share in shares:
         out.write(share.serialize() + "\n")
 
 
-def _cmd_reconstruct(args: argparse.Namespace, out, seed: int) -> None:
-    shares = [mechanisms.Share.deserialize(line) for line in args.share_lines]
-    out.write(mechanisms.reconstruct(shares, args.threshold).hex() + "\n")
+def _cmd_reconstruct(args: argparse.Namespace, out) -> None:
+    shares = [shamir.Share.deserialize(line) for line in args.share_lines]
+    out.write(shamir.reconstruct(shares, args.threshold).hex() + "\n")
 
 
-def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_simulate(args: argparse.Namespace, out) -> None:
     kind = TERMINALS[args.terminal]
     position = ledger.DEFAULT_POSITION_BTC if args.position is None else args.position
     terminal = decisions.TerminalState(kind=kind, retention_fraction=args.retention)
@@ -431,7 +433,7 @@ def _cmd_simulate(args: argparse.Namespace, out, seed: int) -> None:
     out.write(f"# events: {len(events)}\n")
 
 
-def _cmd_anchors(args: argparse.Namespace, out, seed: int) -> None:
+def _cmd_anchors(args: argparse.Namespace, out) -> None:
     rows = []
     for anchor in scenarios.builtin_anchors():
         band = anchor.observed_impact
@@ -450,16 +452,17 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     rendered = io.StringIO()
     try:
-        seed = args.seed if args.seed is not None else int(os.environ.get("OVERHANG_SEED", "0"))
+        if args.seed is None:
+            args.seed = int(os.environ.get("OVERHANG_SEED", "0"))
         if args.fmt in ("table", "markdown"):
-            rendered.write(f"# seed {seed}\n")
+            rendered.write(f"# seed {args.seed}\n")
         for flag, forms in FLAG_FORMS.get(args.command, {}).items():
             value = (args.fmt == "config" if flag == "--emit-config"  # it stores a format
                      else getattr(args, flag[2:].replace("-", "_"), None))
             if value is not None and value is not False and args.form(args) not in forms:
                 raise ValueError(f"{flag} does not apply to {args.form(args)}, "
                                  f"only to {' or '.join(sorted(forms))}")
-        args.run(args, rendered, seed)
+        args.run(args, rendered)
     except UnknownEntityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN

@@ -25,13 +25,11 @@ from overhang.mechanisms import (
     DmsConfig,
     DmsEvent,
     DmsPhase,
-    InsufficientSharesError,
     dms_step,
-    reconstruct,
-    split,
 )
 from overhang.scenarios import builtin_scenarios, run_scenario, sensitivity_sweep
 from overhang.schedule import ScheduleParams, build_uniform_schedule
+from overhang.shamir import InsufficientSharesError, reconstruct, split
 
 
 def report(line):

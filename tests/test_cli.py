@@ -515,19 +515,19 @@ def test_float_overflow_exits_4_with_one_readable_line(argv):
     [
         # σ²τ overflows to inf and meets Σx² = 0 in the variance: exactly 0, exit 0
         (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_OK,
-         "a615abece91fc6d5c8873e2009000815"),
+         "da0532fd67b28ea240e7a66e0b737f7e"),
         # the stiffness overflows to inf: the immediate-liquidation limit
         (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
          "3ad136b32926cdcde965f144850fabc6"),
         # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
         (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
-         "1bdd9316e5c33435c2d10e910307e388"),
+         "d2ecc05ece158950f7f17febbebf5880"),
         # (στ)² overflows a float, but λ·στ is taken first: λ(στ)² = 1e20, exit 0
         (("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas",
           "1e-300,0", "--json"), EXIT_OK, "a6fd3fff27aca475176b3c05759b0a4d"),
         # σ² overflows a float, but the variance is taken as σ·(σ·τ): σ²τ = 1e220, exit 0
         (("frontier", "--sigma", "1e160", "--tau", "1e-100", "--lambdas", "0", "--json"),
-         EXIT_OK, "5e04fc07f1f9cc51076ca76fccfc7e65"),
+         EXIT_OK, "f71340d05565b48b349ae9fb9e028be6"),
     ],
 )
 def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdout_md5):
@@ -539,11 +539,10 @@ def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdou
 
 
 def assert_frontier_rows_match_exact(argv, lambdas, **model):
-    """The argv's JSON rows carry the 50-digit costs of the model at each λ;
-    a holdings line may follow them."""
+    """The argv's JSON rows carry the 50-digit costs of the model at each λ."""
     code, text = run_cli("frontier", *argv, "--json")
     assert code == EXIT_OK
-    rows = json.loads(text.partition("]\n")[0] + "]")
+    rows = json.loads(text)
     assert [row["risk_aversion"] for row in rows] == lambdas
     for row in rows:
         variant = ExecutionModel(total_units=100.0, periods=10, risk_aversion=row["risk_aversion"],
@@ -571,9 +570,8 @@ def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():
         warnings.simplefilter("error")
         code, text = run_cli("frontier", "--periods", "200", "--lambdas", "0.01", "--json")
     assert code == EXIT_OK
-    rows, _, line = text.partition("]\n")
-    point = json.loads(rows + "]")[0]
-    holdings = [float(x) for x in line.removeprefix("holdings: ").split(", ")]
+    (point,) = json.loads(text)
+    holdings = [float(x) for x in point["holdings"].split(", ")]
     assert len(holdings) == 201 and holdings[0] == 100 and holdings[-1] == 0
     assert all(map(math.isfinite, holdings + [point["expected_cost"], point["cost_variance"]]))
     assert all(a >= b for a, b in zip(holdings, holdings[1:]))

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import overhang
-from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule
+from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule, shamir
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "overhang"
 MODULES = {path.stem: path for path in sorted(PACKAGE.glob("*.py"))}
@@ -80,8 +80,18 @@ def _probe(code: str) -> str:
 
 def test_sharding_and_schedules_load_no_numpy():
     """Only the frontier needs numpy, and the package itself imports no module."""
-    probe = "import sys, overhang.mechanisms, overhang.schedule; print('numpy' in sys.modules)"
+    probe = ("import sys, overhang.shamir, overhang.mechanisms, overhang.schedule; "
+             "print('numpy' in sys.modules)")
     assert _probe(probe) == "False"
+
+
+def test_sharding_loads_no_other_overhang_module():
+    """Sharding stands alone: beside the package itself, importing it loads
+    no overhang module and no numpy."""
+    probe = ("import sys; bare = set(sys.modules); import overhang.shamir; "
+             "print(sorted(name for name in set(sys.modules) - bare "
+             "if name.startswith(('overhang.', 'numpy'))))")
+    assert _probe(probe) == "['overhang.shamir']"
 
 
 def test_pace_and_scenario_arithmetic_load_no_mechanism():
@@ -225,7 +235,7 @@ CHECKED_EXAMPLES = {
     schedule.ScheduleParams: (schedule.ScheduleParams(1.0, 10.0), "horizon", 0.5, "horizon must"),
     schedule.TimelockCondition: (
         schedule.TimelockCondition(3), "value", -1, "timelock epoch must be nonnegative"),
-    mechanisms.Share: (mechanisms.Share(1, b"x"), "index", 256, "share index 256"),
+    shamir.Share: (shamir.Share(1, b"x"), "index", 256, "share index 256"),
     mechanisms.DmsConfig: (
         mechanisms.DmsConfig(30, 3, mechanisms.DmsAction.PUBLISH_SHARDS), "grace_missed", 0,
         "grace_missed must be at least 1"),

@@ -15,24 +15,16 @@ from overhang.decisions import (
 )
 from overhang.ledger import SATS_PER_BTC, SupplyLedger, apply_burn, btc_to_sats, sats_to_btc
 from overhang.mechanisms import (
-    GF_REDUCTION_POLY,
-    MAX_SECRET_LEN,
     DmsAction,
     DmsConfig,
     DmsEvent,
     DmsPhase,
     DmsState,
     ARMED,
-    InsufficientSharesError,
     MechanismError,
-    Share,
     SimEvent,
-    _gf_inv,
-    _gf_mul,
     dms_step,
-    reconstruct,
     simulate_disposition,
-    split,
 )
 from overhang.schedule import (
     DAYS_PER_YEAR,
@@ -42,6 +34,17 @@ from overhang.schedule import (
     TrancheProgram,
     build_uniform_schedule,
     to_tranche_program,
+)
+from overhang.shamir import (
+    GF_REDUCTION_POLY,
+    MAX_SECRET_LEN,
+    InsufficientSharesError,
+    Share,
+    ShamirError,
+    _gf_inv,
+    _gf_mul,
+    reconstruct,
+    split,
 )
 
 
@@ -90,7 +93,7 @@ def test_table_multiply_matches_bitwise_on_all_pairs(bitwise_products):
 
 def test_inverse_times_element_is_one(bitwise_products):
     assert all(bitwise_products[a][_gf_inv(a)] == 1 for a in range(1, 256))
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         _gf_inv(0)
 
 
@@ -150,35 +153,35 @@ def test_insufficient_shares():
 
 def test_duplicate_indices_rejected():
     shares = split(b"secret", 2, 3, random.Random(3))
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         reconstruct([shares[0], shares[0]], 2)
 
 
 def test_parameter_validation():
     rng = random.Random(0)
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         split(b"s", 2, 1, rng)
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         split(b"", 1, 1, rng)
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         split(b"x" * 65, 1, 1, rng)
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         Share(index=0, payload=b"x")
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         reconstruct([Share(index=1, payload=b"x")], 0)
     # every share given is checked, not only the first k
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         reconstruct([Share(1, b"ab"), Share(2, b"cd"), Share(3, b"e")], 2)
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         reconstruct([Share(1, b"")], 1)
-    with pytest.raises(MechanismError):
+    with pytest.raises(ShamirError):
         reconstruct([Share(1, b"x" * 65), Share(2, b"x" * 65)], 2)
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
 def test_non_integer_share_index_rejected(bad):
     # Share(1.5, b"x") once built, and reconstruct then raised a bare TypeError
-    with pytest.raises(MechanismError, match="non-integer share index"):
+    with pytest.raises(ShamirError, match="non-integer share index"):
         Share(bad, b"x")
 
 
@@ -209,6 +212,12 @@ def test_share_serialization_round_trip():
     share = Share(index=7, payload=b"\x01\xab")
     assert share.serialize() == "7:01ab"
     assert Share.deserialize("7:01ab") == share
+
+
+@pytest.mark.parametrize("line", ["x:aa", "1:zz", "1", "1:aa:bb", ":aa", "1:a"])
+def test_malformed_share_line_names_the_line_and_the_form(line):
+    with pytest.raises(ShamirError, match=f"^share line '{line}' is not index:hex$"):
+        Share.deserialize(line)
 
 
 # --- timelocks --------------------------------------------------------------
