@@ -13,12 +13,14 @@ one row, whose `holdings` field is the trajectory's holdings, each `.6g`,
 joined by ", ".
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
-ValueError: a missing config file, a malformed index:hex share line, a NaN,
-infinite or out-of-domain number, a flag given outside the forms FLAG_FORMS
-lists for it); 3 an unknown or missing scenario; 4 a NaN or infinite result,
-or a float overflow (any ArithmeticError); 1 stdout closed by its reader
-before all of it was written (a broken pipe), or closed when the process
-started, with nothing on stderr.
+ValueError: a missing config file, a share line that is not ASCII digits,
+one colon and an even number of ASCII hex digits, a --secret-hex that is not
+such hex, a share beyond the first k off the polynomial through them, a
+NaN, infinite or out-of-domain number, a flag given outside the forms
+FLAG_FORMS lists for it); 3 an unknown or missing scenario; 4 a NaN or
+infinite result, or a float overflow (any ArithmeticError); 1 stdout closed
+by its reader before all of it was written (a broken pipe), or closed when
+the process started, with nothing on stderr.
 stdout is written on exit 0, and cut short on exit 1; any other exit leaves
 it empty. Output is deterministic per (config, seed) pair.
 
@@ -390,7 +392,7 @@ def _cmd_decision_map(args: argparse.Namespace, out) -> None:
 
 
 def _cmd_split(args: argparse.Namespace, out) -> None:
-    secret = bytes.fromhex(args.secret_hex)
+    secret = shamir.parse_hex(args.secret_hex, "--secret-hex")
     shares = shamir.split(secret, args.threshold, args.shares, random.Random(args.seed))
     for share in shares:
         out.write(share.serialize() + "\n")

@@ -81,7 +81,15 @@ def _is_terminal(state: DmsState, config: DmsConfig) -> bool:
 
 
 def dms_step(state: DmsState, config: DmsConfig, event: DmsEvent) -> DmsState:
-    """Advance the switch by one event; terminal states absorb."""
+    """Advance the switch by one event; terminal states absorb.
+
+    Key destruction ends any state unrecoverable. Each interval that elapses
+    without a heartbeat counts one miss, and the grace_missed-th miss
+    triggers the action: destroying the shards ends unrecoverable, and a
+    triggered destroy switch takes no further event but key destruction.
+    A triggered publish switch stays triggered when an interval elapses and
+    re-arms on a heartbeat. A heartbeat re-arms any live switch.
+    """
     if event is DmsEvent.KEY_DESTRUCTION:
         return UNRECOVERABLE
     if _is_terminal(state, config):

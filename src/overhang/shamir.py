@@ -6,9 +6,8 @@ Deterministic: the polynomial coefficients come from a caller-seeded generator.
 from __future__ import annotations
 
 import random
-from functools import reduce
-from operator import index, xor
-from typing import Iterable, NamedTuple
+from operator import index
+from typing import Callable, Iterable, NamedTuple
 
 from overhang import checked
 
@@ -43,6 +42,11 @@ def _gf_tables() -> tuple[list[int], list[int]]:
 
 
 _GF_EXP, _GF_LOG = _gf_tables()
+# Byte tables for bytes.translate: a byte's logarithm, with 0 sent to 255, a
+# slot no power uses; and the powers, sliced per weight into a row of 255
+# powers and a 0 that takes the 255 back to 0.
+_LOG_BYTES = bytes([255, *_GF_LOG[1:]])
+_EXP_BYTES = bytes(_GF_EXP)
 
 
 def _gf_mul(a: int, b: int) -> int:
@@ -51,10 +55,16 @@ def _gf_mul(a: int, b: int) -> int:
     return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
 
 
-def _gf_inv(a: int) -> int:
-    if a == 0:
-        raise ShamirError("zero has no inverse in GF(256)")
-    return _GF_EXP[255 - _GF_LOG[a]]
+def parse_hex(text: str, name: str) -> bytes:
+    """The bytes that text spells as an even number of ASCII hex digits and
+    nothing else. Any other text raises ShamirError naming it as `name`."""
+    try:
+        data = bytes.fromhex(text)
+        if 2 * len(data) == len(text):  # else fromhex skipped whitespace
+            return data
+    except ValueError:
+        pass
+    raise ShamirError(f"{name} {text!r} is not hex")
 
 
 @checked
@@ -77,9 +87,13 @@ class Share(NamedTuple):
 
     @classmethod
     def deserialize(cls, line: str) -> "Share":
+        """Read `index:hex`, ASCII digits, one colon and parse_hex's hex, once
+        stripped of surrounding whitespace."""
         try:  # a missing or second colon fails the unpacking
             index_str, hex_payload = line.strip().split(":")
-            share_index, payload = int(index_str), bytes.fromhex(hex_payload)
+            if not (index_str.isascii() and index_str.isdigit()):  # int() takes "+2", "1_0"
+                raise ValueError
+            share_index, payload = int(index_str), parse_hex(hex_payload, "payload")
         except ValueError:
             raise ShamirError(f"share line {line!r} is not index:hex") from None
         return cls(index=share_index, payload=payload)
@@ -112,16 +126,52 @@ def split(secret: bytes, k: int, n: int, rng: random.Random) -> list[Share]:
     return shares
 
 
+def _polynomial(xs: bytes, payloads: list[bytes]) -> Callable[[int], int]:
+    """The byte-wise polynomial of degree below k through the k points
+    (xs[i], payloads[i]), as a function from a point to the payload there,
+    packed big-endian into an int.
+
+    Lagrange's form, p(a) = sum_i w_i(a) * payloads[i], with each weight
+    w_i(a) = prod_{j!=i} (a ^ x_j) / (x_i ^ x_j) taken as its logarithm,
+    sum_{j!=i} log(a ^ x_j) - sum_{j!=i} log(x_i ^ x_j) mod 255. Each product
+    is one translate of a payload's logarithms through the row of powers
+    that starts at the weight's. The point must not be one of the xs.
+    """
+    k = len(xs)
+    packed, ones = int.from_bytes(xs), int.from_bytes(b"\1" * k)
+
+    def logs_from(point: int) -> bytes:
+        # log(point ^ x_j) for each j; 255, which is 0 mod 255, where point is x_j
+        return (packed ^ point * ones).to_bytes(k).translate(_LOG_BYTES)
+
+    log_denominators = [sum(logs_from(x)) for x in xs]
+    log_payloads = [payload.translate(_LOG_BYTES) for payload in payloads]
+
+    def at(point: int) -> int:
+        log_diffs = logs_from(point)
+        log_numerator = sum(log_diffs)
+        value = 0
+        for log_diff, log_denominator, logs in zip(log_diffs, log_denominators, log_payloads):
+            weight = (log_numerator - log_diff - log_denominator) % 255
+            value ^= int.from_bytes(logs.translate(_EXP_BYTES[weight:weight + 255] + b"\0"))
+        return value
+
+    return at
+
+
 def reconstruct(shares: Iterable[Share], k: int) -> bytes:
     """Recover the secret from the first k of the shares by interpolation at zero.
 
     Every share given must have a distinct index and a payload of the same
-    length, 1..MAX_SECRET_LEN bytes.
+    length, 1..MAX_SECRET_LEN bytes. Each share beyond the first k must lie
+    on the polynomial through the first k, or ShamirError names its index:
+    extra shares detect a corrupt or foreign share. With exactly k shares no
+    such check is possible, and a corrupt share yields a wrong secret.
     """
     if k < 1:
         raise ShamirError(f"threshold k must be at least 1, got {k}")
     shares = list(shares)
-    indices = [s.index for s in shares]
+    indices = [index(s.index) for s in shares]  # a numpy integer becomes an int
     if len(set(indices)) != len(indices):
         raise ShamirError("duplicate share indices")
     if len(shares) < k:
@@ -129,17 +179,8 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
     lengths = {len(s.payload) for s in shares}
     if len(lengths) != 1 or not 1 <= min(lengths) <= MAX_SECRET_LEN:
         raise ShamirError(f"share payloads must share one length of 1..{MAX_SECRET_LEN} bytes")
-    xs = indices[:k]
-    # Lagrange basis at x=0: prod_{j!=i} x_j / (x_i ^ x_j), the same for every byte
-    weights = []
-    for i, x_i in enumerate(xs):
-        num, den = 1, 1
-        for j, x_j in enumerate(xs):
-            if i != j:
-                num = _gf_mul(num, x_j)
-                den = _gf_mul(den, x_i ^ x_j)
-        weights.append(_gf_mul(num, _gf_inv(den)))
-    return bytes(
-        reduce(xor, map(_gf_mul, column, weights))
-        for column in zip(*(s.payload for s in shares[:k]))
-    )
+    polynomial = _polynomial(bytes(indices[:k]), [s.payload for s in shares[:k]])
+    for x, share in zip(indices[k:], shares[k:]):
+        if polynomial(x) != int.from_bytes(share.payload):
+            raise ShamirError(f"share {x} does not lie on the polynomial of the first {k} shares")
+    return polynomial(0).to_bytes(lengths.pop())

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from overhang.mechanisms import (
     DmsPhase,
     DmsState,
     ARMED,
+    UNRECOVERABLE,
     MechanismError,
     SimEvent,
     dms_step,
@@ -41,8 +43,8 @@ from overhang.shamir import (
     InsufficientSharesError,
     Share,
     ShamirError,
-    _gf_inv,
     _gf_mul,
+    parse_hex,
     reconstruct,
     split,
 )
@@ -84,17 +86,32 @@ def power_sum_split(secret, k, n, rng, products):
     return shares
 
 
+def per_byte_reconstruct(shares, k, products):
+    """Lagrange interpolation at zero from the first k shares, one byte and one
+    product at a time in bitwise arithmetic: the reference for `reconstruct`."""
+    xs = [int(s.index) for s in shares[:k]]
+    weights = []
+    for i, x_i in enumerate(xs):
+        num, den = 1, 1
+        for j, x_j in enumerate(xs):
+            if i != j:
+                num = products[num][x_j]
+                den = products[den][x_i ^ x_j]
+        weights.append(products[num][products[den].index(1)])
+    secret = bytearray()
+    for column in zip(*(s.payload for s in shares[:k])):
+        byte = 0
+        for y, weight in zip(column, weights):
+            byte ^= products[y][weight]
+        secret.append(byte)
+    return bytes(secret)
+
+
 def test_table_multiply_matches_bitwise_on_all_pairs(bitwise_products):
     mismatches = [
         (a, b) for a in range(256) for b in range(256) if _gf_mul(a, b) != bitwise_products[a][b]
     ]
     assert not mismatches
-
-
-def test_inverse_times_element_is_one(bitwise_products):
-    assert all(bitwise_products[a][_gf_inv(a)] == 1 for a in range(1, 256))
-    with pytest.raises(ShamirError):
-        _gf_inv(0)
 
 
 def test_split_matches_power_sum_evaluation(bitwise_products):
@@ -143,6 +160,70 @@ def test_all_k_subsets_agree():
         reconstruct(subset, 3) for subset in itertools.combinations(shares, 3)
     }
     assert recovered == {secret}
+
+
+def shares_with_numpy_indices(shares, draws):
+    """The shares, each index kept as an int or made one of numpy's integer types."""
+    kinds = [int, np.uint8, np.int16, np.int64]
+    return [Share(draws.choice(kinds)(s.index), s.payload) for s in shares]
+
+
+def sharing_cases(count, seed):
+    """(secret, k, shares) over k up to 40, n up to 255 and 1..64-byte
+    secrets: mostly small shapes, some large; the shares are a shuffled
+    subset of k or more, with numpy and mixed int and numpy indices."""
+    draws = random.Random(seed)
+    for case in range(count):
+        n = draws.choice([draws.randint(1, 8), draws.randint(1, 50), draws.randint(1, 255)])
+        k = draws.randint(1, min(n, 40))
+        secret = draws.randbytes(draws.randint(1, MAX_SECRET_LEN if n <= 50 else 8))
+        shares = split(secret, k, n, random.Random(draws.getrandbits(32)))
+        shares = draws.sample(shares, draws.randint(k, min(n, k + 5)))
+        if case % 2:
+            shares = shares_with_numpy_indices(shares, draws)
+        yield secret, k, shares
+
+
+def test_reconstruct_matches_the_per_byte_oracle_and_the_secret(bitwise_products):
+    for secret, k, shares in sharing_cases(300, 20261020):
+        assert reconstruct(shares, k) == per_byte_reconstruct(shares, k, bitwise_products) == secret
+
+
+def test_a_flipped_byte_in_any_extra_share_names_that_share():
+    draws = random.Random(31)
+    checked = 0
+    for secret, k, shares in sharing_cases(300, 20261021):
+        for extra in range(k, len(shares)):
+            position, flip = draws.randrange(len(secret)), draws.randint(1, 255)
+            payload = bytearray(shares[extra].payload)
+            payload[position] ^= flip
+            corrupt = list(shares)
+            corrupt[extra] = Share(shares[extra].index, bytes(payload))
+            with pytest.raises(ShamirError, match=f"^share {int(shares[extra].index)} does not"):
+                reconstruct(corrupt, k)
+            checked += 1
+    assert checked > 300
+
+
+@given(
+    st.integers(1, 255).flatmap(lambda n: st.tuples(
+        st.integers(1, min(n, 40)).map(lambda k: (k, n)),
+        st.binary(min_size=1, max_size=MAX_SECRET_LEN if n <= 50 else 8),
+        st.randoms(use_true_random=False))),
+)
+def test_reconstruct_recovers_the_secret_from_any_subset_property(case):
+    (k, n), secret, draws = case
+    shares = split(secret, k, n, draws)
+    subset = draws.sample(shares, draws.randint(k, min(n, k + 3)))
+    assert reconstruct(shares_with_numpy_indices(subset, draws), k) == secret
+
+
+def test_with_exactly_k_shares_a_corrupt_share_goes_unseen():
+    shares = split(b"secret", 2, 3, random.Random(4))
+    corrupt = Share(shares[1].index, bytes([shares[1].payload[0] ^ 1]) + shares[1].payload[1:])
+    assert reconstruct([shares[0], corrupt], 2) != b"secret"
+    with pytest.raises(ShamirError, match="^share 3 does not lie on the polynomial"):
+        reconstruct([shares[0], corrupt, shares[2]], 2)
 
 
 def test_insufficient_shares():
@@ -214,10 +295,30 @@ def test_share_serialization_round_trip():
     assert Share.deserialize("7:01ab") == share
 
 
-@pytest.mark.parametrize("line", ["x:aa", "1:zz", "1", "1:aa:bb", ":aa", "1:a"])
+@pytest.mark.parametrize("line", [
+    "x:aa", "1:zz", "1", "1:aa:bb", ":aa", "1:a",
+    # int() and bytes.fromhex take these, the index:hex form does not
+    "1:aa bb", "+2:cc", "1_0:aa", "\u0661:aa", "1 :aa", "1: aa", "-1:aa",
+])
 def test_malformed_share_line_names_the_line_and_the_form(line):
-    with pytest.raises(ShamirError, match=f"^share line '{line}' is not index:hex$"):
+    with pytest.raises(ShamirError, match=f"^share line {re.escape(repr(line))} is not index:hex$"):
         Share.deserialize(line)
+
+
+def test_share_line_is_read_after_stripping_surrounding_whitespace():
+    assert Share.deserialize(" 07:01AB\n") == Share(7, b"\x01\xab")
+    assert Share.deserialize("1:") == (1, b"")  # reconstruct rejects the empty payload
+
+
+@pytest.mark.parametrize("text, expected", [("", b""), ("00ff", b"\x00\xff"), ("AbCd", b"\xab\xcd")])
+def test_parse_hex_reads_pairs_of_ascii_hex_digits(text, expected):
+    assert parse_hex(text, "--secret-hex") == expected
+
+
+@pytest.mark.parametrize("text", ["zz", "aa bb", " aa", "aa\n", "a", "abc", "\u0661\u0661", "0x00"])
+def test_parse_hex_rejects_anything_else_naming_the_text(text):
+    with pytest.raises(ShamirError, match=f"^--secret-hex {re.escape(repr(text))} is not hex$"):
+        parse_hex(text, "--secret-hex")
 
 
 # --- timelocks --------------------------------------------------------------
@@ -351,6 +452,43 @@ def test_unrecoverable_absorbs():
     assert dms_step(state, config, DmsEvent.KEY_DESTRUCTION).phase is (
         DmsPhase.UNRECOVERABLE
     )
+
+
+def expected_step(state, grace, action, event):
+    """The switch's table, case by case; None where dms_step must raise."""
+    if event is DmsEvent.KEY_DESTRUCTION:
+        return UNRECOVERABLE
+    if state.phase is DmsPhase.UNRECOVERABLE:
+        return None
+    if state.phase is DmsPhase.TRIGGERED:
+        if action is DmsAction.DESTROY_SHARDS:
+            return None
+        # a published switch stays triggered until a heartbeat re-arms it
+        return ARMED if event is DmsEvent.HEARTBEAT else state
+    if event is DmsEvent.HEARTBEAT:
+        return ARMED
+    if state.missed + 1 < grace:
+        return DmsState(DmsPhase.GRACE, state.missed + 1)
+    if action is DmsAction.DESTROY_SHARDS:
+        return UNRECOVERABLE
+    return DmsState(DmsPhase.TRIGGERED, state.missed + 1)
+
+
+def test_switch_table_over_phase_missed_action_and_event():
+    cases = itertools.product(range(1, 6), DmsAction, DmsPhase, range(6), DmsEvent)
+    stepped = 0
+    for grace, action, phase, missed, event in cases:
+        if missed > grace:
+            continue
+        config, state = cfg(grace=grace, action=action), DmsState(phase, missed)
+        expected = expected_step(state, grace, action, event)
+        if expected is None:
+            with pytest.raises(MechanismError, match="no transitions from terminal state"):
+                dms_step(state, config, event)
+        else:
+            assert dms_step(state, config, event) == expected, (grace, action, state, event)
+            stepped += 1
+    assert stepped > 300
 
 
 # --- disposition replay -----------------------------------------------------
