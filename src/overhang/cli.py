@@ -392,7 +392,10 @@ def _cmd_decision_map(args: argparse.Namespace, out) -> None:
 
 
 def _cmd_split(args: argparse.Namespace, out) -> None:
-    secret = shamir.parse_hex(args.secret_hex, "--secret-hex")
+    try:
+        secret = shamir.parse_hex(args.secret_hex)
+    except ValueError:
+        raise shamir.ShamirError(f"--secret-hex {args.secret_hex!r} is not hex") from None
     shares = shamir.split(secret, args.threshold, args.shares, random.Random(args.seed))
     for share in shares:
         out.write(share.serialize() + "\n")

@@ -55,16 +55,13 @@ def _gf_mul(a: int, b: int) -> int:
     return _GF_EXP[_GF_LOG[a] + _GF_LOG[b]]
 
 
-def parse_hex(text: str, name: str) -> bytes:
+def parse_hex(text: str) -> bytes:
     """The bytes that text spells as an even number of ASCII hex digits and
-    nothing else. Any other text raises ShamirError naming it as `name`."""
-    try:
-        data = bytes.fromhex(text)
-        if 2 * len(data) == len(text):  # else fromhex skipped whitespace
-            return data
-    except ValueError:
-        pass
-    raise ShamirError(f"{name} {text!r} is not hex")
+    nothing else. Any other text raises ValueError; callers word the error."""
+    data = bytes.fromhex(text)
+    if 2 * len(data) != len(text):  # fromhex skips whitespace
+        raise ValueError(f"{text!r} is not hex")
+    return data
 
 
 @checked
@@ -93,7 +90,7 @@ class Share(NamedTuple):
             index_str, hex_payload = line.strip().split(":")
             if not (index_str.isascii() and index_str.isdigit()):  # int() takes "+2", "1_0"
                 raise ValueError
-            share_index, payload = int(index_str), parse_hex(hex_payload, "payload")
+            share_index, payload = int(index_str), parse_hex(hex_payload)
         except ValueError:
             raise ShamirError(f"share line {line!r} is not index:hex") from None
         return cls(index=share_index, payload=payload)
@@ -138,11 +135,11 @@ def _polynomial(xs: bytes, payloads: list[bytes]) -> Callable[[int], int]:
     that starts at the weight's. The point must not be one of the xs.
     """
     k = len(xs)
-    packed, ones = int.from_bytes(xs), int.from_bytes(b"\1" * k)
+    packed, ones = int.from_bytes(xs, "big"), int.from_bytes(b"\1" * k, "big")
 
     def logs_from(point: int) -> bytes:
         # log(point ^ x_j) for each j; 255, which is 0 mod 255, where point is x_j
-        return (packed ^ point * ones).to_bytes(k).translate(_LOG_BYTES)
+        return (packed ^ point * ones).to_bytes(k, "big").translate(_LOG_BYTES)
 
     log_denominators = [sum(logs_from(x)) for x in xs]
     log_payloads = [payload.translate(_LOG_BYTES) for payload in payloads]
@@ -153,7 +150,7 @@ def _polynomial(xs: bytes, payloads: list[bytes]) -> Callable[[int], int]:
         value = 0
         for log_diff, log_denominator, logs in zip(log_diffs, log_denominators, log_payloads):
             weight = (log_numerator - log_diff - log_denominator) % 255
-            value ^= int.from_bytes(logs.translate(_EXP_BYTES[weight:weight + 255] + b"\0"))
+            value ^= int.from_bytes(logs.translate(_EXP_BYTES[weight:weight + 255] + b"\0"), "big")
         return value
 
     return at
@@ -179,8 +176,9 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
     lengths = {len(s.payload) for s in shares}
     if len(lengths) != 1 or not 1 <= min(lengths) <= MAX_SECRET_LEN:
         raise ShamirError(f"share payloads must share one length of 1..{MAX_SECRET_LEN} bytes")
-    polynomial = _polynomial(bytes(indices[:k]), [s.payload for s in shares[:k]])
-    for x, share in zip(indices[k:], shares[k:]):
-        if polynomial(x) != int.from_bytes(share.payload):
+    payloads = [bytes(s.payload) for s in shares]  # a memoryview or a list of ints too
+    polynomial = _polynomial(bytes(indices[:k]), payloads[:k])
+    for x, payload in zip(indices[k:], payloads[k:]):
+        if polynomial(x) != int.from_bytes(payload, "big"):
             raise ShamirError(f"share {x} does not lie on the polynomial of the first {k} shares")
-    return polynomial(0).to_bytes(lengths.pop())
+    return polynomial(0).to_bytes(lengths.pop(), "big")

@@ -1,6 +1,6 @@
 """The package's internal import graph is one-way and fully visible at module top,
 its one runtime dependency is numpy, every public name it defines is used
-inside it, and its records follow one idiom."""
+inside it, its records follow one idiom, and it keeps to Python 3.10."""
 
 import ast
 import graphlib
@@ -304,3 +304,15 @@ def test_every_checked_record_validates_every_construction(record_type, error):
     for call in calls:
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_int_byte_conversions_name_their_byte_order(module):
+    # int.from_bytes and int.to_bytes default the byte order only from Python 3.11
+    bare = [
+        node.lineno for node in ast.walk(ast.parse(MODULES[module].read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("from_bytes", "to_bytes")
+        and len(node.args) < 2 and not any(kw.arg == "byteorder" for kw in node.keywords)
+    ]
+    assert not bare, f"{module}.py lines {bare} leave out the byte order"

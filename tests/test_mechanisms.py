@@ -272,6 +272,16 @@ def test_numpy_integer_share_indices_reconstruct_like_ints():
     assert reconstruct(numpy_shares[1:4], 3) == reconstruct(shares[1:4], 3) == b"secret"
 
 
+@pytest.mark.parametrize("kind", [bytearray, memoryview, list])
+def test_bytes_like_payloads_reconstruct_like_bytes(kind):
+    shares = split(b"secret", 2, 4, random.Random(8))
+    given = [Share(s.index, kind(s.payload)) for s in shares[1:]]
+    assert reconstruct(given, 2) == b"secret"
+    given[2] = Share(given[2].index, kind(b"x" * 6))
+    with pytest.raises(ShamirError, match="^share 4 does not lie on the polynomial"):
+        reconstruct(given, 2)
+
+
 def test_split_deterministic_given_seed():
     a = split(b"secret", 3, 5, random.Random(1234))
     b = split(b"secret", 3, 5, random.Random(1234))
@@ -312,13 +322,13 @@ def test_share_line_is_read_after_stripping_surrounding_whitespace():
 
 @pytest.mark.parametrize("text, expected", [("", b""), ("00ff", b"\x00\xff"), ("AbCd", b"\xab\xcd")])
 def test_parse_hex_reads_pairs_of_ascii_hex_digits(text, expected):
-    assert parse_hex(text, "--secret-hex") == expected
+    assert parse_hex(text) == expected
 
 
 @pytest.mark.parametrize("text", ["zz", "aa bb", " aa", "aa\n", "a", "abc", "\u0661\u0661", "0x00"])
-def test_parse_hex_rejects_anything_else_naming_the_text(text):
-    with pytest.raises(ShamirError, match=f"^--secret-hex {re.escape(repr(text))} is not hex$"):
-        parse_hex(text, "--secret-hex")
+def test_parse_hex_rejects_anything_else(text):
+    with pytest.raises(ValueError):
+        parse_hex(text)
 
 
 # --- timelocks --------------------------------------------------------------
