@@ -86,9 +86,7 @@ class NonFiniteError(ArithmeticError):
 
 
 def _emit(rows: list[dict], fmt: str, out) -> None:
-    """Render rows as an aligned table, CSV, JSON, or a markdown table."""
-    if not rows:
-        return
+    """Render rows, at least one, as an aligned table, CSV, JSON, or a markdown table."""
     if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row.values()):
         raise NonFiniteError("a computed value is not finite; nothing printed")
     if fmt == "json":

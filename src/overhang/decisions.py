@@ -41,6 +41,8 @@ class TerminalStateKind(enum.Enum):
 
 
 MAX_BURN_RETENTION = 0.05
+# A global: EnumType's __getattr__ slows every attribute read off the class.
+_SILENT_BURN = TerminalStateKind.SILENT_BURN
 
 
 @checked
@@ -49,7 +51,7 @@ class TerminalState(NamedTuple):
     retention_fraction: float = 0.0
 
     def _check(self) -> None:
-        if self.kind is TerminalStateKind.SILENT_BURN:
+        if self.kind is _SILENT_BURN:
             if not 0.0 <= self.retention_fraction <= MAX_BURN_RETENTION:
                 raise DecisionError(
                     f"burn retention {self.retention_fraction} outside "

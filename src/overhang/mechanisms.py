@@ -23,6 +23,14 @@ from overhang.schedule import TrancheProgram
 from overhang.shamir import Share, reconstruct, split
 
 
+# As globals: EnumType's __getattr__ slows every attribute read off the class.
+_PATIENT_LIQUIDATION, _DORMANCY, _SILENT_BURN = (
+    TerminalStateKind.PATIENT_LIQUIDATION,
+    TerminalStateKind.DORMANCY_NON_RECOVERY,
+    TerminalStateKind.SILENT_BURN,
+)
+
+
 class MechanismError(ValueError):
     """Raised for invalid mechanism parameters or transitions."""
 
@@ -153,7 +161,7 @@ def simulate_disposition(
     if clock_horizon < 0:
         raise MechanismError(f"clock horizon must be nonnegative, got {clock_horizon}")
     kind = terminal.kind
-    if kind is TerminalStateKind.PATIENT_LIQUIDATION:
+    if kind is _PATIENT_LIQUIDATION:
         if tranche_program is None:
             raise MechanismError("patient liquidation requires a tranche program")
         tranches = tranche_program.tranches
@@ -175,9 +183,9 @@ def simulate_disposition(
     trigger = config.heartbeat_interval * config.grace_missed
     if trigger > clock_horizon:
         return []
-    if kind is TerminalStateKind.DORMANCY_NON_RECOVERY:
+    if kind is _DORMANCY:
         outcome = [SimEvent(trigger, "shards-destroyed"), SimEvent(trigger, "unrecoverable")]
-    elif kind is TerminalStateKind.SILENT_BURN:
+    elif kind is _SILENT_BURN:
         outcome = [SimEvent(trigger, "burn", burn_sats(position_sats, terminal.retention_fraction))]
     else:  # adversarial switch
         outcome = [SimEvent(trigger, "dump", position_sats)]

@@ -41,6 +41,11 @@ class AnchorClass(enum.Enum):
     NEAR_GERMAN = "NearGerman"
 
 
+# As globals: EnumType's __getattr__ slows every attribute read off the class.
+_NEAR_SILK_ROAD, _BETWEEN, _NEAR_GERMAN = (
+    AnchorClass.NEAR_SILK_ROAD, AnchorClass.BETWEEN, AnchorClass.NEAR_GERMAN
+)
+
 # Classification thresholds calibrated so the three built-ins bracket the
 # anchors (A near Silk Road, C near German, B between); a calibration choice.
 SILK_ROAD_THRESHOLD = -0.08
@@ -129,10 +134,10 @@ def builtin_anchors() -> list[AnchorEvent]:
 def classify_against_anchors(total: tuple[float, float]) -> AnchorClass:
     low, high = total
     if high >= SILK_ROAD_THRESHOLD:
-        return AnchorClass.NEAR_SILK_ROAD
+        return _NEAR_SILK_ROAD
     if low <= GERMAN_THRESHOLD:
-        return AnchorClass.NEAR_GERMAN
-    return AnchorClass.BETWEEN
+        return _NEAR_GERMAN
+    return _BETWEEN
 
 
 def run_scenario(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from fractions import Fraction
 from functools import cache
 from itertools import repeat, starmap
@@ -45,13 +46,20 @@ class ScheduleError(ValueError):
 class TimelockCondition(NamedTuple):
     """CLTV-style absolute timelock: spendable at or after epoch `value`.
     to_tranche_program builds its locks in bulk (overhang.checked), without
-    this check, from a start it checks once."""
+    this check, from a start it checks once, and keeps them in _LOCKS: the
+    immutable lock of an epoch is shared by every program that unlocks on it."""
 
     value: int
 
     def _check(self) -> None:
         if self.value < 0:
             raise ScheduleError("timelock epoch must be nonnegative")
+
+
+# Unlock epoch -> its lock, for to_tranche_program. A fill holds _FILL, and
+# clears the dict first if it would take it past MAX_TRANCHES entries.
+_LOCKS: dict[int, TimelockCondition] = {}
+_FILL = threading.Lock()
 
 
 class TrancheProgram(NamedTuple):
@@ -122,7 +130,9 @@ def to_tranche_program(
     program holds at most MAX_TRANCHES tranches, so its size is checked,
     before rounding, before any is built. A negative start then raises the
     ScheduleError of a negative TimelockCondition, checked once here for
-    every lock.
+    every lock. Locks are looked up by epoch in _LOCKS, shared and immutable;
+    a program with an epoch not yet there builds all its locks and stores
+    them, clearing the dict first if it would hold more than MAX_TRANCHES.
     """
     try:
         granularity, start = operator.index(granularity), operator.index(start)
@@ -144,8 +154,16 @@ def to_tranche_program(
     base = schedule.position_sats // n
     amounts = [base] * n
     amounts[-1] = schedule.position_sats - base * (n - 1)
-    locks = starmap(tuple.__new__, zip(repeat(TimelockCondition), zip(epochs)))
-    return TrancheProgram(tranches=tuple(zip(locks, amounts)))
+    try:
+        tranches = tuple(zip(map(_LOCKS.__getitem__, epochs), amounts))
+    except KeyError:
+        locks = list(starmap(tuple.__new__, zip(repeat(TimelockCondition), zip(epochs))))
+        with _FILL:
+            if len(_LOCKS) + n > MAX_TRANCHES:
+                _LOCKS.clear()
+            _LOCKS.update(zip(epochs, locks))
+        tranches = tuple(zip(locks, amounts))
+    return TrancheProgram(tranches=tranches)
 
 
 @cache

@@ -29,6 +29,7 @@ from overhang.cli import (
 )
 from overhang.config import _KNOWN_KEYS, load_config
 from overhang.frontier import ExecutionModel
+from test_cli_golden import ON_BASELINE_KERNELS, outputs_with_avx512_kernels_off, pinned
 from test_frontier import assert_close, exact_trajectory
 
 
@@ -510,32 +511,42 @@ def test_float_overflow_exits_4_with_one_readable_line(argv):
     assert err == "error: a value overflowed the float range\n"
 
 
-@pytest.mark.parametrize(
-    "argv, expected_code, stdout_md5",
-    [
-        # σ²τ overflows to inf and meets Σx² = 0 in the variance: exactly 0, exit 0
-        (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_OK,
-         "da0532fd67b28ea240e7a66e0b737f7e"),
-        # the stiffness overflows to inf: the immediate-liquidation limit
-        (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
-         "3ad136b32926cdcde965f144850fabc6"),
-        # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
-        (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
-         "d2ecc05ece158950f7f17febbebf5880"),
-        # (στ)² overflows a float, but λ·στ is taken first: λ(στ)² = 1e20, exit 0
-        (("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas",
-          "1e-300,0", "--json"), EXIT_OK, "a6fd3fff27aca475176b3c05759b0a4d"),
-        # σ² overflows a float, but the variance is taken as σ·(σ·τ): σ²τ = 1e220, exit 0
-        (("frontier", "--sigma", "1e160", "--tau", "1e-100", "--lambdas", "0", "--json"),
-         EXIT_OK, "f71340d05565b48b349ae9fb9e028be6"),
-    ],
-)
+OVERFLOWING_FRONTIERS = [
+    # σ²τ overflows to inf and meets Σx² = 0 in the variance: exactly 0, exit 0
+    (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_OK,
+     "da0532fd67b28ea240e7a66e0b737f7e"),
+    # the stiffness overflows to inf: the immediate-liquidation limit
+    (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
+     "3ad136b32926cdcde965f144850fabc6"),
+    # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
+    (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
+     "d2ecc05ece158950f7f17febbebf5880"),
+    # (στ)² overflows a float, but λ·στ is taken first: λ(στ)² = 1e20, exit 0
+    (("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas",
+      "1e-300,0", "--json"), EXIT_OK, "a6fd3fff27aca475176b3c05759b0a4d"),
+    # σ² overflows a float, but the variance is taken as σ·(σ·τ): σ²τ = 1e220, exit 0
+    (("frontier", "--sigma", "1e160", "--tau", "1e-100", "--lambdas", "0", "--json"),
+     EXIT_OK, "f71340d05565b48b349ae9fb9e028be6"),
+]
+
+
+@pytest.mark.parametrize("argv, expected_code, stdout_md5", OVERFLOWING_FRONTIERS)
 def test_overflowing_frontier_writes_no_numpy_warning(argv, expected_code, stdout_md5):
     code, text, err, caught = _run_captured(argv)
     assert code == expected_code
-    assert hashlib.md5(text.encode()).hexdigest() == stdout_md5
+    assert hashlib.md5(text.encode()).hexdigest() == pinned(stdout_md5)
     assert "Warning" not in err and caught == []
     assert len([line for line in err.splitlines() if "error:" in line]) == (code != EXIT_OK)
+
+
+def test_overflowing_frontier_digests_hold_with_numpy_avx512_kernels_off():
+    rows = [row for row in OVERFLOWING_FRONTIERS if row[2] in ON_BASELINE_KERNELS]
+    assert len(rows) == 1
+    kernels, runs = outputs_with_avx512_kernels_off([list(argv) for argv, _, _ in rows])
+    assert kernels == "baseline"
+    for (argv, code, md5), (got, text) in zip(rows, runs):
+        assert got == code, argv
+        assert hashlib.md5(text.encode()).hexdigest() == pinned(md5, "baseline"), argv
 
 
 def assert_frontier_rows_match_exact(argv, lambdas, **model):

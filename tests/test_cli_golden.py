@@ -12,7 +12,14 @@ recorded in CHANGES.md.
 
 import hashlib
 import io
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from overhang.cli import main
@@ -380,10 +387,68 @@ GOLDEN = [
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
+# numpy picks its exp, expm1, arcsinh and log kernels by CPU at import. Its
+# baseline kernels give libm's bits; its AVX-512 ones differ from them in the
+# last bit on some arguments, which a frontier printed in full (--json, --csv)
+# shows. A digest above is that of the AVX-512 kernels; where the baseline
+# kernels print other bytes, this maps it to theirs.
+ON_BASELINE_KERNELS = {
+    # frontier --lambdas 1e-6 --json, then --csv
+    "68f13e28b23dd85b3bdb03717b1134ae654b7ce63f8943dc1f8600f2dfca04d6":
+        "088b84a72cd6c7222ebe5029087ac720fbdeac22c015caa131c53e80faeda6c5",
+    "1c9cc572e8e308d8778ed5bd244c7621fb0e503188564e4bcea6dc4d298e99b6":
+        "1f9d453b405327599c02d3025341b1a34d57dd4b5a437fb69ef63b216ea65610",
+    # frontier --lambdas 0,1e-6,1e-5 --periods 20 --json, then --csv
+    "e092964eeaf68747e16a55da3db7e4da8fc498757b4cac44f4fbf3c3eedafe09":
+        "d248bc2658a6500a45f4d24f159779c1cf86d0603d363f2af1b3b2bf5e3f3191",
+    "b3a0df64615021e8875fef81014d54d32bedb5b462f1939ce2038032a45fe1ad":
+        "4aea5011653c3d14f532f73939dff080eaa39e08ca5ae4682c93961fa941c409",
+    # the md5 of test_cli.py's (στ)² overflow row, frontier --sigma 1e140 ... --json
+    "a6fd3fff27aca475176b3c05759b0a4d": "236495b4f527380e6a7c9c30c5184d37",
+}
+# NPY_DISABLE_CPU_FEATURES set to this turns numpy's AVX-512 kernels off
+AVX512_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def numpy_kernels() -> str:
+    """"baseline" if numpy's exp gives libm's bits on a fixed vector, else "avx512"."""
+    probe = np.linspace(-20, 20, 401)
+    return "baseline" if np.array_equal(np.exp(probe), list(map(math.exp, probe))) else "avx512"
+
+
+NUMPY_KERNELS = numpy_kernels()
+
+
+def pinned(digest: str, kernels: str = NUMPY_KERNELS) -> str:
+    """The digest a row pins for the kernels numpy runs here."""
+    return ON_BASELINE_KERNELS.get(digest, digest) if kernels == "baseline" else digest
+
+
+def outputs_with_avx512_kernels_off(argvs):
+    """The kernels probe and each argv's (exit code, stdout) from main, in a
+    process whose numpy runs its baseline kernels."""
+    script = (
+        "import io, json, sys\n"
+        "from overhang.cli import main\n"
+        "from test_cli_golden import numpy_kernels\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    runs.append((main(argv, out=out), out.getvalue()))\n"
+        "print(json.dumps([numpy_kernels(), runs]))\n"
+    )
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_FEATURES, COLUMNS="80",
+               PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    env.pop("OVERHANG_SEED", None)
+    result = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                            capture_output=True, text=True, check=True)
+    return json.loads(result.stdout)
+
 
 @pytest.mark.parametrize(
     "argv, code, digest, stderr_digest",
-    [(argv, code, digest, *(pinned or [EMPTY])) for argv, code, digest, *pinned in GOLDEN],
+    [(argv, code, pinned(digest), *(err or [EMPTY])) for argv, code, digest, *err in GOLDEN],
     ids=[" ".join(argv) for argv, *_ in GOLDEN],
 )
 def test_cli_golden(argv, code, digest, stderr_digest, tmp_path, monkeypatch, capsys):
@@ -402,3 +467,16 @@ def test_cli_golden(argv, code, digest, stderr_digest, tmp_path, monkeypatch, ca
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
     stderr = capsys.readouterr().err.replace(str(tmp_path), "{dir}")
     assert hashlib.sha256(stderr.encode()).hexdigest() == stderr_digest, stderr
+
+
+def test_baseline_kernel_digests_hold_with_numpy_avx512_kernels_off():
+    # On an AVX-512 CPU the rows above check the AVX-512 digests in process;
+    # this reruns each row with a baseline digest on the baseline kernels.
+    rows = [(argv, code, digest) for argv, code, digest, *_ in GOLDEN
+            if digest in ON_BASELINE_KERNELS]
+    assert len(rows) == 4
+    kernels, runs = outputs_with_avx512_kernels_off([list(argv) for argv, _, _ in rows])
+    assert kernels == "baseline"
+    for (argv, code, digest), (got, text) in zip(rows, runs):
+        assert got == code, argv
+        assert hashlib.sha256(text.encode()).hexdigest() == pinned(digest, "baseline"), argv

@@ -1,5 +1,8 @@
 import math
 import re
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overhang import schedule
 from overhang.ledger import SATS_PER_BTC, btc_to_sats, format_percent
 from overhang.schedule import (
     DAYS_PER_YEAR,
@@ -15,6 +19,7 @@ from overhang.schedule import (
     ScheduleError,
     ScheduleParams,
     TimelockCondition,
+    _LOCKS,
     _period_offsets,
     build_uniform_schedule,
     to_tranche_program,
@@ -226,13 +231,115 @@ def test_unchecked_locks_equal_the_checked_constructor():
 
 def test_negative_start_rejected_after_the_schedule_checks():
     # to_tranche_program checks the start once, as TimelockCondition would
-    # check each lock, and only after the granularity and the tranche count
+    # check each lock, and only after the granularity and the tranche count,
+    # and before it looks up or stores any lock
+    to_tranche_program(make_schedule(2), granularity=4, start=3)
+    before = dict(_LOCKS)
     with pytest.raises(ScheduleError, match="^timelock epoch must be nonnegative$"):
         to_tranche_program(make_schedule(1), granularity=4, start=-1)
     with pytest.raises(ScheduleError, match="granularity must be"):
         to_tranche_program(make_schedule(1), granularity=0, start=-1)
     with pytest.raises(ScheduleError, match="tranches exceed the limit"):
         to_tranche_program(make_schedule(MAX_TRANCHES + 1), granularity=1, start=-1)
+    assert _LOCKS == before
+
+
+def _prepare_locks(state, granularity, start):
+    """Empty the lock dict, then leave it holding the first year of the
+    program at (granularity, start), or full of a century of daily locks
+    that hold every epoch of that program or none."""
+    _LOCKS.clear()
+    if state == "partial":
+        to_tranche_program(make_schedule(1), granularity=granularity, start=start)
+    elif state.startswith("full"):
+        century = start if state == "full of its epochs" else start + 10**9
+        to_tranche_program(make_schedule(100), granularity=DAYS_PER_YEAR, start=century)
+        assert len(_LOCKS) == MAX_TRANCHES
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    state=st.sampled_from(["empty", "partial", "full of its epochs", "full of others"]),
+    horizon=st.floats(min_value=1, max_value=30),
+    granularity=st.integers(min_value=1, max_value=DAYS_PER_YEAR),
+    start=st.one_of(st.integers(0, 10**6), st.integers(10**12, 10**15)),
+)
+@example(state="full of others", horizon=100, granularity=DAYS_PER_YEAR, start=0)
+def test_looked_up_locks_equal_the_checked_constructor(state, horizon, granularity, start):
+    # Whatever the lock dict holds, a program's locks are those the checked
+    # constructor builds at the fraction rule's epochs, the dict then holds
+    # each of them, and it never holds more than MAX_TRANCHES.
+    _prepare_locks(state, granularity, start)
+    sched = make_schedule(horizon)
+    program = to_tranche_program(sched, granularity=granularity, start=start)
+    count = round(horizon * granularity)
+    base = sched.position_sats // count
+    amounts = [base] * (count - 1) + [sched.position_sats - base * (count - 1)]
+    locks = [TimelockCondition(epoch) for epoch in _fraction_epochs(granularity, count, start)]
+    assert program.tranches == tuple(zip(locks, amounts))
+    assert all(type(lock) is TimelockCondition and _LOCKS[lock.value] is lock
+               for lock, _ in program.tranches)
+    assert len(_LOCKS) <= MAX_TRANCHES
+
+
+def test_the_lock_dict_is_cleared_only_before_it_would_pass_max_tranches():
+    # ten 3,650-lock programs fill it exactly; the eleventh clears it first
+    _LOCKS.clear()
+    sched = make_schedule(10)
+    for k in range(25):
+        to_tranche_program(sched, granularity=DAYS_PER_YEAR, start=k * 10**4)
+        assert len(_LOCKS) == (k % 10 + 1) * 10 * DAYS_PER_YEAR
+
+
+class _SlowFillDict(dict):
+    """A lock dict that records its size after each store and, once given a
+    pause, sleeps before each store, so other threads run between a fill's
+    room check and its store."""
+
+    pause = 0.0
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def update(self, *args):
+        time.sleep(self.pause)
+        super().update(*args)
+        self.sizes.append(len(self))
+
+
+def test_concurrent_fills_keep_the_lock_dict_within_max_tranches(monkeypatch):
+    # Four threads fill at once a dict with room for one more program. Each
+    # fill finds room and stores under one lock; without it, each thread
+    # would find room while the first store sleeps, and all four would store.
+    locks = _SlowFillDict()
+    monkeypatch.setattr(schedule, "_LOCKS", locks)
+    sched = make_schedule(10)
+    for k in range(9):
+        to_tranche_program(sched, granularity=DAYS_PER_YEAR, start=k * 10**4)
+    locks.pause = 0.05
+    starts = [10**7 * (t + 1) for t in range(4)]
+    barrier = threading.Barrier(len(starts), timeout=60)
+    programs = {}
+
+    def build(start):
+        barrier.wait()
+        programs[start] = to_tranche_program(sched, granularity=DAYS_PER_YEAR, start=start)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(start,)) for start in starts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(programs) == starts
+    assert all(programs[start].tranches[-1][0] == (start + 3649,) for start in starts)
+    assert len(locks.sizes) == 9 + 4 and max(locks.sizes) <= MAX_TRANCHES
 
 
 @pytest.mark.parametrize(
