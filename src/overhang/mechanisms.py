@@ -149,9 +149,9 @@ def simulate_disposition(
     Dormancy ends unrecoverable with no release; a silent burn emits one
     burn event of what ledger.burn_sats burns; the adversarial switch dumps
     the full position at the trigger epoch. Patient liquidation ignores the
-    switch and releases each tranche at its unlock epoch, in (epoch, tranche
-    index) order; its tranche amounts must be nonnegative and sum to the
-    position in satoshis. Only events at or before clock_horizon are
+    switch and releases amounts[i] of the program at epochs[i], in (epoch,
+    tranche index) order; its tranche amounts must be nonnegative and sum to
+    the position in satoshis. Only events at or before clock_horizon are
     returned. Event amounts are whole satoshis, from the position in
     satoshis (btc_to_sats).
     """
@@ -164,17 +164,14 @@ def simulate_disposition(
     if kind is _PATIENT_LIQUIDATION:
         if tranche_program is None:
             raise MechanismError("patient liquidation requires a tranche program")
-        tranches = tranche_program.tranches
-        amounts = list(map(itemgetter(1), tranches))
+        epochs, amounts = tranche_program
         if min(amounts, default=0) < 0:
             raise MechanismError("tranche amounts must be nonnegative")
         if sum(amounts) != position_sats:
             raise MechanismError(
                 f"tranche amounts sum to {sum(amounts)} sats, not the position's {position_sats}"
             )
-        # each lock is the one-tuple (epoch,); a stable sort on the epoch alone
-        # keeps tied tranches in index order
-        epochs = map(itemgetter(0), map(itemgetter(0), tranches))
+        # a stable sort on the epoch alone keeps tied tranches in index order
         rows = zip(epochs, repeat("release"), amounts)
         events = sorted(starmap(tuple.__new__, zip(repeat(SimEvent), rows)), key=itemgetter(0))
         del events[bisect_right(events, clock_horizon, key=itemgetter(0)):]

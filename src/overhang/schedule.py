@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from fractions import Fraction
 from functools import cache
-from itertools import repeat, starmap
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from overhang import checked
 from overhang.ledger import DEFAULT_REFERENCE_PRICE_USD, SATS_PER_BTC, btc_to_sats
@@ -45,9 +43,8 @@ class ScheduleError(ValueError):
 @checked
 class TimelockCondition(NamedTuple):
     """CLTV-style absolute timelock: spendable at or after epoch `value`.
-    to_tranche_program builds its locks in bulk (overhang.checked), without
-    this check, from a start it checks once, and keeps them in _LOCKS: the
-    immutable lock of an epoch is shared by every program that unlocks on it."""
+    A tranche program holds its unlock epochs as plain ints and builds these
+    only when its tranches property is read."""
 
     value: int
 
@@ -56,16 +53,26 @@ class TimelockCondition(NamedTuple):
             raise ScheduleError("timelock epoch must be nonnegative")
 
 
-# Unlock epoch -> its lock, for to_tranche_program. A fill holds _FILL, and
-# clears the dict first if it would take it past MAX_TRANCHES entries.
-_LOCKS: dict[int, TimelockCondition] = {}
-_FILL = threading.Lock()
-
-
+@checked
 class TrancheProgram(NamedTuple):
-    """Ordered timelocked tranches; amounts in satoshis sum to the position."""
+    """Timelocked tranches as two columns: tranche i unlocks at epochs[i] and
+    releases amounts[i] satoshis. The amounts of a program to_tranche_program
+    builds sum to the position; simulate_disposition checks any program's."""
 
-    tranches: Sequence[tuple[TimelockCondition, int]]
+    epochs: tuple[int, ...]
+    amounts: tuple[int, ...]
+
+    def _check(self) -> None:
+        if len(self.epochs) != len(self.amounts):
+            raise ScheduleError(
+                f"{len(self.epochs)} unlock epochs for {len(self.amounts)} tranche amounts")
+        if min(self.epochs, default=0) < 0:
+            raise ScheduleError("timelock epoch must be nonnegative")
+
+    @property
+    def tranches(self) -> tuple[tuple[TimelockCondition, int], ...]:
+        """The (TimelockCondition, satoshis) pairs, built on each read."""
+        return tuple(zip(map(TimelockCondition, self.epochs), self.amounts))
 
 
 @checked
@@ -129,10 +136,8 @@ def to_tranche_program(
     i - 2 * granularity. Any satoshi remainder goes to the final tranche. A
     program holds at most MAX_TRANCHES tranches, so its size is checked,
     before rounding, before any is built. A negative start then raises the
-    ScheduleError of a negative TimelockCondition, checked once here for
-    every lock. Locks are looked up by epoch in _LOCKS, shared and immutable;
-    a program with an epoch not yet there builds all its locks and stores
-    them, clearing the dict first if it would hold more than MAX_TRANCHES.
+    ScheduleError of a negative epoch; no epoch can be negative after that
+    check, so the program is built without TrancheProgram's.
     """
     try:
         granularity, start = operator.index(granularity), operator.index(start)
@@ -145,25 +150,16 @@ def to_tranche_program(
     count = schedule.horizon * granularity
     if count > MAX_TRANCHES + 0.5:  # round(count) > MAX_TRANCHES, checked before round() overflows
         raise ScheduleError(f"{count:g} tranches exceed the limit of {MAX_TRANCHES}")
-    TimelockCondition(start)  # the one check that covers every lock
+    if start < 0:
+        raise ScheduleError("timelock epoch must be nonnegative")
     n = max(1, round(count))
     offsets = _period_offsets(granularity)
     stop = start + PERIOD_DAYS * -(-n // len(offsets))
     epochs = [offset + shift for shift in range(start, stop, PERIOD_DAYS) for offset in offsets]
     del epochs[n:]
     base = schedule.position_sats // n
-    amounts = [base] * n
-    amounts[-1] = schedule.position_sats - base * (n - 1)
-    try:
-        tranches = tuple(zip(map(_LOCKS.__getitem__, epochs), amounts))
-    except KeyError:
-        locks = list(starmap(tuple.__new__, zip(repeat(TimelockCondition), zip(epochs))))
-        with _FILL:
-            if len(_LOCKS) + n > MAX_TRANCHES:
-                _LOCKS.clear()
-            _LOCKS.update(zip(epochs, locks))
-        tranches = tuple(zip(locks, amounts))
-    return TrancheProgram(tranches=tranches)
+    amounts = (base,) * (n - 1) + (schedule.position_sats - base * (n - 1),)
+    return tuple.__new__(TrancheProgram, (tuple(epochs), amounts))
 
 
 @cache

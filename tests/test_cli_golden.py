@@ -185,6 +185,8 @@ GOLDEN = [
     # 182.5-day spacing: the odd tranches' unlock epochs fall on half-day ties
     (('schedule', '--horizon', '3', '--tranches-per-year', '2', '--start', '7', '--json'), 0,
      "f8ceb4b679420d424aaec9d5e2e37bb3de75f04d1be017b75c075bebd4ae2d83"),
+    (('schedule', '--tranches-per-year', '365', '--horizon', '1', '--start', '3', '--csv'), 0,
+     "7f48dd4d92788cc2a754591b4880068c6e452b1df2145870eeb91e2a9001c51b"),
     (('frontier',), 0,
      "2bcdaf83e07f251fb7425f22c56263151f82e5c2ffb3e0adbe5a7babbf00a09a"),
     (('frontier', '--json'), 0,
@@ -287,6 +289,13 @@ GOLDEN = [
      "eeb99f78e71b9c8b6bc8b3fa4c10326b14f214ab5beeac1a58578b713be29047"),
     (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '52', '--program-years', '3'), 0,
      "6f71633530da0b7aad0691b0b058c30436406c5be0a96719774c5b1678ed8cf8"),
+    # daily tranches for a year, cut by the clock at epoch 100
+    (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '365', '--program-years', '1', '--horizon', '100'), 0,
+     "5d74db4cc68c0807873489824ed81548761fcfff225083e0a226b41b8ac93a78"),
+    # simulate prints JSON lines already and takes no --json flag
+    (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '365', '--program-years', '1', '--horizon', '100', '--json'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "a201ce37158b9427b33ca7b6174865d419366c16c1a741ee6b57ff125f7385ce"),
     (('--seed', '11', 'mechanism', 'split', '--secret-hex', 'deadbeef', '-k', '2', '-n', '3'), 0,
      "745096c164b8d4e90e64e90694c125049428beac2bdf2fe4a52198f16dfcb1d2"),
     (('--seed', '7', 'mechanism', 'split', '--secret-hex', '00ff10203040', '-k', '3', '-n', '5'), 0,
@@ -358,6 +367,9 @@ GOLDEN = [
     (('frontier', '--total', '0'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "3970d792ff1c9cc865a081d2fea89f5b353761edcf29d8e01ddc6e487b32406b"),
+    (('frontier', '--tau', '0'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "651df062067f845cf43ed5f1773a08f3000d9b86cdbdf0c9d19e932f55c65fcb"),
     (('scenario', 'Z'), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "285454475f6876a17d5bc6d8300843e6165742bba378c1ba2f1fb4e6366b50d9"),

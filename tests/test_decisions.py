@@ -260,6 +260,11 @@ def test_bearish_bound_must_be_finite_and_in_unit_interval(bound):
     assert SupplyEffect(1.0, MarketSign.BEARISH, bound=0.0).bound == 0.0
 
 
+def test_bear_case_summary_requires_scenario_results(ledger, matrix):
+    with pytest.raises(DecisionError, match="^scenario results required$"):
+        bear_case_summary(matrix, ledger, [])
+
+
 def test_bear_case_summary(ledger, matrix):
     results = [run_scenario(s, ledger) for s in builtin_scenarios()]
     report = bear_case_summary(matrix, ledger, results)

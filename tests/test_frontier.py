@@ -184,6 +184,11 @@ def test_cost_of_rejects_bad_endpoints():
         cost_of([90, 50, 20, 0], model)
 
 
+def test_cost_of_rejects_a_path_of_the_wrong_length():
+    with pytest.raises(FrontierError, match=r"^expected 3 holdings values, got \(2,\)$"):
+        cost_of([100, 0], ExecutionModel(100.0, 2))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("at", [0, 1, 3])
 def test_cost_of_rejects_a_non_finite_holding(bad, at):

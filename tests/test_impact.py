@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from overhang.impact import (
+    OTC_BAND_LOW,
     ElasticityModel,
     ExecutionQuality,
     FrictionBand,
@@ -66,6 +67,11 @@ def test_permanent_impact_rejects_nonfinite_or_negative_shift(function, shift):
 def test_overshoot_half_life_must_be_positive_and_finite(half_life):
     with pytest.raises(ImpactError):
         OvershootParams(half_life=half_life)
+
+
+def test_overshoot_magnitude_must_lie_in_the_unit_interval():
+    with pytest.raises(ImpactError, match=r"^overshoot magnitude 1.5 outside \[0, 1\]$"):
+        OvershootParams(magnitude=1.5)
 
 
 # To first order in the shift s, permanent impact is -s/ε.
@@ -170,6 +176,11 @@ def test_combine_zero():
     assert combine(0.0, FrictionBand(0, 0)) == (0.0, 0.0)
 
 
+def test_combine_rejects_a_positive_permanent_impact():
+    with pytest.raises(ImpactError, match="^permanent impact must be nonpositive, got 0.1$"):
+        combine(0.1, OTC_BAND_LOW)
+
+
 def test_combine_widening_band_widens_total():
     narrow_low, narrow_high = combine(-0.1, FrictionBand(2, 3))
     wide_low, wide_high = combine(-0.1, FrictionBand(1, 4))
@@ -249,6 +260,11 @@ def test_overshoot_path_matches_the_loop_reference():
 def test_overshoot_horizon_must_be_an_integer(horizon):
     with pytest.raises(ImpactError, match="non-integer horizon"):
         overshoot_path(-0.1, OvershootParams(), horizon)
+
+
+def test_overshoot_horizon_must_be_at_least_one_day():
+    with pytest.raises(ImpactError, match="^horizon must be at least one day$"):
+        overshoot_path(-0.1, OvershootParams(), 0)
 
 
 def test_overshoot_horizon_may_be_a_numpy_integer():

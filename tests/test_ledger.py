@@ -31,6 +31,11 @@ def test_effective_float_zero_lost():
     assert ledger.position / share == pytest.approx(20.01e6)
 
 
+def test_negative_satoshi_quantity_is_invalid():
+    with pytest.raises(LedgerError, match="^BTC quantities must be nonnegative$"):
+        SupplyLedger(-1, 0, 0, 1.0)
+
+
 def test_lost_equals_total_is_invalid():
     with pytest.raises(LedgerError):
         SupplyLedger.from_btc(total_mined=10e6, lost_estimate=10e6, position=0)

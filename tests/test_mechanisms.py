@@ -335,12 +335,17 @@ def test_parse_hex_rejects_anything_else(text):
 
 def total_btc(program):
     """The position a tranche program releases in full, in BTC."""
-    return sats_to_btc(sum(amount for _, amount in program.tranches))
+    return sats_to_btc(sum(program.amounts))
+
+
+def program_of(pairs):
+    """The TrancheProgram of (unlock epoch, satoshis) pairs."""
+    return TrancheProgram(tuple(e for e, _ in pairs), tuple(a for _, a in pairs))
 
 
 def released_at(lock_epoch, horizon):
     """Release epochs of a one-tranche program locked to lock_epoch."""
-    program = TrancheProgram(((TimelockCondition(lock_epoch), 1),))
+    program = TrancheProgram((lock_epoch,), (1,))
     events = simulate_disposition(
         TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
         cfg(),
@@ -374,7 +379,7 @@ def test_spendable_exactly_from_unlock_epoch(other_epoch, value):
     """A lock releases exactly at its own epoch, not counted from another tranche's."""
     assert released_at(value, value - 1) == []
     assert released_at(value, value) == [value]
-    program = TrancheProgram(((TimelockCondition(other_epoch), 1), (TimelockCondition(value), 2)))
+    program = TrancheProgram((other_epoch, value), (1, 2))
     events = simulate_disposition(
         TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
         cfg(),
@@ -558,7 +563,7 @@ def test_liquidation_respects_timelocks():
             clock_horizon=horizon,
             position_btc=total_btc(program),
         )
-        unlocks = {cond.value: amt for cond, amt in program.tranches}
+        unlocks = dict(zip(program.epochs, program.amounts))
         for event in events:
             if event.kind == "release":
                 assert event.epoch in unlocks
@@ -664,8 +669,8 @@ def scanned_releases(program, horizon):
     that is once the epoch reaches its unlock epoch."""
     released, log = set(), []
     for now in range(horizon + 1):
-        for i, (condition, amount_sats) in enumerate(program.tranches):
-            if i not in released and now >= condition.value:
+        for i, (epoch, amount_sats) in enumerate(zip(program.epochs, program.amounts)):
+            if i not in released and now >= epoch:
                 released.add(i)
                 log.append(SimEvent(now, "release", amount_sats))
     return log
@@ -688,9 +693,8 @@ def test_sim_event_is_an_immutable_named_tuple():
 
 
 def test_tied_tranches_release_in_index_order():
-    # amounts out of order within each tie, so sorting on (lock, amount) fails
-    locks_amounts = [(9, 1), (4, 2), (9, 3), (4, 0), (9, 0), (11, 5)]
-    program = TrancheProgram(tuple((TimelockCondition(e), a) for e, a in locks_amounts))
+    # amounts out of order within each tie, so sorting on (epoch, amount) fails
+    program = TrancheProgram((9, 4, 9, 4, 9, 11), (1, 2, 3, 0, 0, 5))
     events = simulate_disposition(
         TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
         cfg(),
@@ -711,10 +715,10 @@ def test_release_events_equal_the_constructor():
     built = to_tranche_program(
         build_uniform_schedule(ScheduleParams(position=1000.5, horizon=4)), granularity=52, start=5)
     # distinct amounts, so a tie released out of index order shows
-    shuffled = [(TimelockCondition(rng.randint(0, 40)), rng.randint(0, 10**9))
-                for _ in built.tranches]
-    for program in (built, TrancheProgram(tuple(shuffled))):
-        in_order = sorted(enumerate(program.tranches), key=lambda t: (t[1][0].value, t[0]))
+    pairs = [(rng.randint(0, 40), rng.randint(0, 10**9)) for _ in built.epochs]
+    for program in (built, program_of(pairs)):
+        in_order = sorted(enumerate(zip(program.epochs, program.amounts)),
+                          key=lambda t: (t[1][0], t[0]))
         for horizon in (3650, 400, 20, 0):
             events = simulate_disposition(
                 TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
@@ -723,8 +727,8 @@ def test_release_events_equal_the_constructor():
                 clock_horizon=horizon,
                 position_btc=total_btc(program),
             )
-            expected = [SimEvent(lock.value, "release", amount)
-                        for _, (lock, amount) in in_order if lock.value <= horizon]
+            expected = [SimEvent(epoch, "release", amount)
+                        for _, (epoch, amount) in in_order if epoch <= horizon]
             assert events == expected and all(type(ev) is SimEvent for ev in events)
 
 
@@ -733,14 +737,10 @@ def test_liquidation_replay_matches_epoch_scan():
     for _ in range(300):
         # 25 tranches of at most 84e12 sats hold at most 21M BTC, where a
         # total in sats survives the trip through BTC exactly
-        program = TrancheProgram(tuple(
-            (
-                TimelockCondition(rng.randint(0, 120)),
-                rng.randint(0, 84 * 10**12),
-            )
-            for _ in range(rng.randint(0, 25))
-        ))
-        total_sats = sum(amount for _, amount in program.tranches)
+        pairs = [(rng.randint(0, 120), rng.randint(0, 84 * 10**12))
+                 for _ in range(rng.randint(0, 25))]
+        program = program_of(pairs)
+        total_sats = sum(program.amounts)
         assert btc_to_sats(sats_to_btc(total_sats)) == total_sats
         horizon = rng.randint(0, 130)
         events = simulate_disposition(
@@ -769,7 +769,7 @@ def test_liquidation_replay_matches_epoch_scan():
 def test_liquidation_rejects_a_program_that_does_not_conserve_the_position(
     tranches, position_sats, message
 ):
-    program = TrancheProgram(tuple((TimelockCondition(e), a) for e, a in tranches))
+    program = program_of(tranches)
     with pytest.raises(MechanismError, match=f"^{message}$"):
         simulate_disposition(
             TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),

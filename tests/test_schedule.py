@@ -1,8 +1,5 @@
 import math
 import re
-import sys
-import threading
-import time
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +16,7 @@ from overhang.schedule import (
     ScheduleError,
     ScheduleParams,
     TimelockCondition,
-    _LOCKS,
+    TrancheProgram,
     _period_offsets,
     build_uniform_schedule,
     to_tranche_program,
@@ -134,23 +131,19 @@ def test_participation_check_boundary():
 def test_tranche_program_annual():
     sched = make_schedule(10)
     program = to_tranche_program(sched, granularity=1, start=100)
-    assert len(program.tranches) == 10
-    amounts = [amount for _, amount in program.tranches]
+    epochs, amounts = program
+    assert len(epochs) == len(amounts) == 10
     assert all(a == round(114_800 * SATS_PER_BTC) for a in amounts)
     assert sum(amounts) == sched.position_sats
-    epochs = [cond.value for cond, _ in program.tranches]
     assert epochs[0] == 100
-    assert epochs == sorted(epochs)
+    assert list(epochs) == sorted(epochs)
     assert len(set(epochs)) == len(epochs)
 
 
 def test_single_tranche_unlocks_at_start():
     sched = make_schedule(1)
     program = to_tranche_program(sched, granularity=1, start=7)
-    assert len(program.tranches) == 1
-    condition, amount = program.tranches[0]
-    assert condition.value == 7
-    assert amount == sched.position_sats
+    assert program == ((7,), (sched.position_sats,))
 
 
 @pytest.mark.parametrize("granularity", [0, DAYS_PER_YEAR + 1, 2 * DAYS_PER_YEAR])
@@ -161,20 +154,18 @@ def test_granularity_outside_one_to_days_per_year_rejected(granularity):
 
 def test_daily_tranches_unlock_on_strictly_increasing_epochs():
     program = to_tranche_program(make_schedule(2), granularity=DAYS_PER_YEAR)
-    epochs = [cond.value for cond, _ in program.tranches]
-    assert epochs == list(range(2 * DAYS_PER_YEAR))
+    assert program.epochs == tuple(range(2 * DAYS_PER_YEAR))
 
 
 def test_tranche_remainder_goes_last():
     sched = build_uniform_schedule(ScheduleParams(position=1.0, horizon=3))
     program = to_tranche_program(sched, granularity=1)
-    amounts = [amount for _, amount in program.tranches]
-    assert amounts == [33_333_333, 33_333_333, 33_333_334]
+    assert program.amounts == (33_333_333, 33_333_333, 33_333_334)
 
 
 def test_tranche_count_bounded_by_a_century_of_daily_tranches():
     program = to_tranche_program(make_schedule(100), granularity=DAYS_PER_YEAR)
-    assert len(program.tranches) == MAX_TRANCHES == 100 * DAYS_PER_YEAR
+    assert len(program.epochs) == len(program.amounts) == MAX_TRANCHES == 100 * DAYS_PER_YEAR
     for horizon in (100 + 1 / DAYS_PER_YEAR, 1e6):
         with pytest.raises(ScheduleError):
             to_tranche_program(make_schedule(horizon), granularity=DAYS_PER_YEAR)
@@ -193,8 +184,7 @@ def test_unlock_epochs_match_the_fraction_rule_at_every_granularity():
     sched = make_schedule(2)
     for granularity in range(1, DAYS_PER_YEAR + 1):
         program = to_tranche_program(sched, granularity=granularity)
-        epochs = [cond.value for cond, _ in program.tranches]
-        assert epochs == _fraction_epochs(granularity, 2 * granularity), granularity
+        assert list(program.epochs) == _fraction_epochs(granularity, 2 * granularity), granularity
 
 
 @pytest.mark.parametrize("years", [5, 4.5])
@@ -205,13 +195,12 @@ def test_unlock_epochs_match_the_fraction_rule_past_the_first_period(years):
     sched = make_schedule(years)
     for granularity in range(1, DAYS_PER_YEAR + 1):
         program = to_tranche_program(sched, granularity=granularity, start=3)
-        epochs = [cond.value for cond, _ in program.tranches]
         count = round(years * granularity)
-        assert epochs == _fraction_epochs(granularity, count, start=3), granularity
+        assert list(program.epochs) == _fraction_epochs(granularity, count, start=3), granularity
 
 
-def test_unchecked_locks_equal_the_checked_constructor():
-    # to_tranche_program builds its locks without TimelockCondition's check.
+def test_unchecked_program_equals_the_checked_constructor():
+    # to_tranche_program builds its program without TrancheProgram's check.
     # One year holds fewer than 2g tranches, two years exactly 2g and 4.5
     # years more. Each granularity is built at three starts in turn, so a
     # cache that kept a first start's epochs, not offsets, fails at the next.
@@ -220,126 +209,62 @@ def test_unchecked_locks_equal_the_checked_constructor():
         for granularity in range(1, DAYS_PER_YEAR + 1):
             count = round(horizon * granularity)
             base = sched.position_sats // count
-            amounts = [base] * (count - 1) + [sched.position_sats - base * (count - 1)]
+            amounts = (base,) * (count - 1) + (sched.position_sats - base * (count - 1),)
             offsets = _fraction_epochs(granularity, count)
             for start in (0, 1, 10**6):
                 program = to_tranche_program(sched, granularity=granularity, start=start)
-                locks = [TimelockCondition(start + offset) for offset in offsets]
-                assert program.tranches == tuple(zip(locks, amounts)), (horizon, granularity, start)
-                assert all(type(lock) is TimelockCondition for lock, _ in program.tranches)
+                epochs = tuple(start + offset for offset in offsets)
+                assert program == TrancheProgram(epochs, amounts), (horizon, granularity, start)
+                assert type(program) is TrancheProgram
+                assert type(program.epochs) is tuple and type(program.amounts) is tuple
 
 
 def test_negative_start_rejected_after_the_schedule_checks():
-    # to_tranche_program checks the start once, as TimelockCondition would
-    # check each lock, and only after the granularity and the tranche count,
-    # and before it looks up or stores any lock
-    to_tranche_program(make_schedule(2), granularity=4, start=3)
-    before = dict(_LOCKS)
+    # to_tranche_program checks the start once, as TrancheProgram would check
+    # each epoch, and only after the granularity and the tranche count
     with pytest.raises(ScheduleError, match="^timelock epoch must be nonnegative$"):
         to_tranche_program(make_schedule(1), granularity=4, start=-1)
     with pytest.raises(ScheduleError, match="granularity must be"):
         to_tranche_program(make_schedule(1), granularity=0, start=-1)
     with pytest.raises(ScheduleError, match="tranches exceed the limit"):
         to_tranche_program(make_schedule(MAX_TRANCHES + 1), granularity=1, start=-1)
-    assert _LOCKS == before
-
-
-def _prepare_locks(state, granularity, start):
-    """Empty the lock dict, then leave it holding the first year of the
-    program at (granularity, start), or full of a century of daily locks
-    that hold every epoch of that program or none."""
-    _LOCKS.clear()
-    if state == "partial":
-        to_tranche_program(make_schedule(1), granularity=granularity, start=start)
-    elif state.startswith("full"):
-        century = start if state == "full of its epochs" else start + 10**9
-        to_tranche_program(make_schedule(100), granularity=DAYS_PER_YEAR, start=century)
-        assert len(_LOCKS) == MAX_TRANCHES
 
 
 @settings(max_examples=80, deadline=None)
 @given(
-    state=st.sampled_from(["empty", "partial", "full of its epochs", "full of others"]),
     horizon=st.floats(min_value=1, max_value=30),
     granularity=st.integers(min_value=1, max_value=DAYS_PER_YEAR),
     start=st.one_of(st.integers(0, 10**6), st.integers(10**12, 10**15)),
 )
-@example(state="full of others", horizon=100, granularity=DAYS_PER_YEAR, start=0)
-def test_looked_up_locks_equal_the_checked_constructor(state, horizon, granularity, start):
-    # Whatever the lock dict holds, a program's locks are those the checked
-    # constructor builds at the fraction rule's epochs, the dict then holds
-    # each of them, and it never holds more than MAX_TRANCHES.
-    _prepare_locks(state, granularity, start)
+@example(horizon=100, granularity=DAYS_PER_YEAR, start=0)
+def test_columns_equal_the_fraction_rule_and_tranches_the_checked_locks(
+    horizon, granularity, start
+):
+    # A program's epochs are the fraction rule's, its amounts split the
+    # position with the remainder last, and its tranches are the pairs of the
+    # checked lock at each epoch and that tranche's amount.
     sched = make_schedule(horizon)
     program = to_tranche_program(sched, granularity=granularity, start=start)
     count = round(horizon * granularity)
     base = sched.position_sats // count
     amounts = [base] * (count - 1) + [sched.position_sats - base * (count - 1)]
-    locks = [TimelockCondition(epoch) for epoch in _fraction_epochs(granularity, count, start)]
+    epochs = _fraction_epochs(granularity, count, start)
+    assert list(program.epochs) == epochs and list(program.amounts) == amounts
+    locks = [TimelockCondition(epoch) for epoch in epochs]
     assert program.tranches == tuple(zip(locks, amounts))
-    assert all(type(lock) is TimelockCondition and _LOCKS[lock.value] is lock
-               for lock, _ in program.tranches)
-    assert len(_LOCKS) <= MAX_TRANCHES
+    assert all(type(lock) is TimelockCondition for lock, _ in program.tranches)
 
 
-def test_the_lock_dict_is_cleared_only_before_it_would_pass_max_tranches():
-    # ten 3,650-lock programs fill it exactly; the eleventh clears it first
-    _LOCKS.clear()
-    sched = make_schedule(10)
-    for k in range(25):
-        to_tranche_program(sched, granularity=DAYS_PER_YEAR, start=k * 10**4)
-        assert len(_LOCKS) == (k % 10 + 1) * 10 * DAYS_PER_YEAR
-
-
-class _SlowFillDict(dict):
-    """A lock dict that records its size after each store and, once given a
-    pause, sleeps before each store, so other threads run between a fill's
-    room check and its store."""
-
-    pause = 0.0
-
-    def __init__(self):
-        super().__init__()
-        self.sizes = []
-
-    def update(self, *args):
-        time.sleep(self.pause)
-        super().update(*args)
-        self.sizes.append(len(self))
-
-
-def test_concurrent_fills_keep_the_lock_dict_within_max_tranches(monkeypatch):
-    # Four threads fill at once a dict with room for one more program. Each
-    # fill finds room and stores under one lock; without it, each thread
-    # would find room while the first store sleeps, and all four would store.
-    locks = _SlowFillDict()
-    monkeypatch.setattr(schedule, "_LOCKS", locks)
-    sched = make_schedule(10)
-    for k in range(9):
-        to_tranche_program(sched, granularity=DAYS_PER_YEAR, start=k * 10**4)
-    locks.pause = 0.05
-    starts = [10**7 * (t + 1) for t in range(4)]
-    barrier = threading.Barrier(len(starts), timeout=60)
-    programs = {}
-
-    def build(start):
-        barrier.wait()
-        programs[start] = to_tranche_program(sched, granularity=DAYS_PER_YEAR, start=start)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=build, args=(start,)) for start in starts]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert sorted(programs) == starts
-    assert all(programs[start].tranches[-1][0] == (start + 3649,) for start in starts)
-    assert len(locks.sizes) == 9 + 4 and max(locks.sizes) <= MAX_TRANCHES
+@pytest.mark.parametrize(
+    "epochs, amounts, message",
+    [
+        ((1, 2), (5,), "^2 unlock epochs for 1 tranche amounts$"),
+        ((4, -1), (5, 5), "^timelock epoch must be nonnegative$"),
+    ],
+)
+def test_unequal_columns_or_a_negative_epoch_rejected(epochs, amounts, message):
+    with pytest.raises(ScheduleError, match=message):
+        TrancheProgram(epochs, amounts)
 
 
 @pytest.mark.parametrize(
@@ -356,13 +281,13 @@ def test_non_integer_granularity_or_start_rejected_before_the_offsets(granularit
 def test_numpy_integer_granularity_and_start_accepted():
     program = to_tranche_program(make_schedule(2), granularity=np.int64(4), start=np.int32(3))
     assert program == to_tranche_program(make_schedule(2), granularity=4, start=3)
-    assert all(type(lock.value) is int for lock, _ in program.tranches)
+    assert all(type(epoch) is int for epoch in program.epochs)
 
 
 def test_tranche_count_limit_applies_to_the_rounded_count():
     # years x granularity = 36,500.5 rounds half to even, to exactly the limit
     program = to_tranche_program(make_schedule(MAX_TRANCHES + 0.5), granularity=1)
-    assert len(program.tranches) == MAX_TRANCHES
+    assert len(program.epochs) == MAX_TRANCHES
     just_over = math.nextafter(MAX_TRANCHES + 0.5, math.inf)
     with pytest.raises(ScheduleError, match="tranches exceed the limit"):
         to_tranche_program(make_schedule(just_over), granularity=1)
@@ -396,9 +321,9 @@ def test_one_satoshi_position_accepted():
 )
 def test_unlock_epochs_match_the_fraction_rule(horizon, granularity, start):
     program = to_tranche_program(make_schedule(horizon), granularity=granularity, start=start)
-    epochs = [cond.value for cond, _ in program.tranches]
+    epochs = program.epochs
     assert all(type(epoch) is int for epoch in epochs)
-    assert epochs == _fraction_epochs(granularity, len(epochs), start)
+    assert list(epochs) == _fraction_epochs(granularity, len(epochs), start)
 
 
 def _fraction_pace(params):
