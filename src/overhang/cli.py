@@ -6,7 +6,9 @@ and for a named scenario --emit-config, the run's RunConfig as JSON that
 --config loads back. Only the table and markdown start with a `# seed` line,
 so --json, --csv and --emit-config print the same bytes for any --seed: the
 one flag accepted where it changes nothing. The seed comes from --seed or the
-OVERHANG_SEED environment variable. A scenario run resolves into one
+OVERHANG_SEED environment variable. An integer, in a flag or OVERHANG_SEED, is
+ASCII digits after at most one leading '-': int()'s other forms (non-ASCII
+digits, '_' separators, '+', spaces) exit 2. A scenario run resolves into one
 RunConfig: the config file or the defaults, then --volume, then the scenario
 name, which a config [scenario] section excludes. A frontier of one λ prints
 one row, whose `holdings` field is the trajectory's holdings, each `.6g`,
@@ -128,6 +130,15 @@ def _format_flag(parser: argparse.ArgumentParser, *extra: tuple[str, str, str]) 
                            default=argparse.SUPPRESS, help=text)
 
 
+def integer(text: str) -> int:
+    """The int that text spells as ASCII digits after at most one leading '-'.
+    int() also takes other Unicode digits, '_' separators, '+' and spaces."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
+
+
 def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.split(","))
 
@@ -137,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="overhang",
         description="Disposition-space scenario toolkit for a large dormant position.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="deterministic seed")
+    parser.add_argument("--seed", type=integer, default=None, help="deterministic seed")
     parser.set_defaults(fmt="table")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -171,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help=f"daily volume, USD (default {schedule.DEFAULT_DAILY_VOLUME_USD:g})")
     p_sched.add_argument("--price", type=float,
                          help=f"BTC price, USD (default {ledger.DEFAULT_REFERENCE_PRICE_USD:g})")
-    p_sched.add_argument("--tranches-per-year", type=int, default=None)
-    p_sched.add_argument("--start", type=int, help="first unlock epoch (default 0)")
+    p_sched.add_argument("--tranches-per-year", type=integer, default=None)
+    p_sched.add_argument("--start", type=integer, help="first unlock epoch (default 0)")
     p_sched.set_defaults(run=_cmd_schedule, form=lambda a: "schedule" if a.tranches_per_year is None
                          else "schedule --tranches-per-year")
     _format_flag(p_sched)
@@ -181,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_front.add_argument("--lambdas", type=_float_list, default="0",
                          help="comma-separated risk aversions")
     p_front.add_argument("--total", type=float, default=100.0)
-    p_front.add_argument("--periods", type=int, default=10)
+    p_front.add_argument("--periods", type=integer, default=10)
     p_front.add_argument("--tau", type=float, default=1.0)
     p_front.add_argument("--sigma", type=float, default=1600.0)
     p_front.add_argument("--gamma", type=float, default=0.1)
@@ -200,20 +211,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = mech_sub.add_parser("simulate")
     p_sim.add_argument("--terminal", required=True, choices=list(TERMINALS))
     p_sim.add_argument("--retention", type=float, default=0.0)
-    p_sim.add_argument("--interval", type=int, default=30)
-    p_sim.add_argument("--grace", type=int, default=3)
+    p_sim.add_argument("--interval", type=integer, default=30)
+    p_sim.add_argument("--grace", type=integer, default=3)
     p_sim.add_argument("--position", type=float, help=f"default {ledger.DEFAULT_POSITION_BTC:g}")
-    p_sim.add_argument("--horizon", type=int, default=3650, help="clock horizon, epochs")
+    p_sim.add_argument("--horizon", type=integer, default=3650, help="clock horizon, epochs")
     p_sim.add_argument("--program-years", type=float, help="default 10")
-    p_sim.add_argument("--tranches-per-year", type=int, help="default 1")
+    p_sim.add_argument("--tranches-per-year", type=integer, help="default 1")
     p_sim.set_defaults(run=_cmd_simulate, form=lambda a: _SIMULATE + a.terminal)
     p_split = mech_sub.add_parser("split")
     p_split.add_argument("--secret-hex", required=True)
-    p_split.add_argument("--threshold", "-k", type=int, required=True)
-    p_split.add_argument("--shares", "-n", type=int, required=True)
+    p_split.add_argument("--threshold", "-k", type=integer, required=True)
+    p_split.add_argument("--shares", "-n", type=integer, required=True)
     p_split.set_defaults(run=_cmd_split)
     p_rec = mech_sub.add_parser("reconstruct")
-    p_rec.add_argument("--threshold", "-k", type=int, required=True)
+    p_rec.add_argument("--threshold", "-k", type=integer, required=True)
     p_rec.add_argument("share_lines", nargs="+", help="shares as index:hex")
     p_rec.set_defaults(run=_cmd_reconstruct)
 
@@ -456,7 +467,10 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     rendered = io.StringIO()
     try:
         if args.seed is None:
-            args.seed = int(os.environ.get("OVERHANG_SEED", "0"))
+            try:
+                args.seed = integer(os.environ.get("OVERHANG_SEED", "0"))
+            except ValueError as exc:
+                raise ValueError(f"OVERHANG_SEED {exc}") from None
         if args.fmt in ("table", "markdown"):
             rendered.write(f"# seed {args.seed}\n")
         for flag, forms in FLAG_FORMS.get(args.command, {}).items():

@@ -12,7 +12,7 @@ import json
 import math
 from bisect import bisect_right
 from itertools import repeat, starmap
-from operator import index, itemgetter
+from operator import index
 from typing import NamedTuple, Optional
 
 from overhang import checked
@@ -149,11 +149,11 @@ def simulate_disposition(
     Dormancy ends unrecoverable with no release; a silent burn emits one
     burn event of what ledger.burn_sats burns; the adversarial switch dumps
     the full position at the trigger epoch. Patient liquidation ignores the
-    switch and releases amounts[i] of the program at epochs[i], in (epoch,
-    tranche index) order; its tranche amounts must be nonnegative and sum to
-    the position in satoshis. Only events at or before clock_horizon are
-    returned. Event amounts are whole satoshis, from the position in
-    satoshis (btc_to_sats).
+    switch and releases amounts[i] at epochs[i] in tranche order, which the
+    TrancheProgram record keeps in epoch order, its amounts nonnegative; the
+    replay checks only that they sum to the position in satoshis. Only events
+    at or before clock_horizon are returned; amounts are whole satoshis, from
+    btc_to_sats(position_btc).
     """
     if not (math.isfinite(position_btc) and position_btc >= 0):
         raise MechanismError(f"position must be finite and nonnegative, got {position_btc}")
@@ -165,17 +165,12 @@ def simulate_disposition(
         if tranche_program is None:
             raise MechanismError("patient liquidation requires a tranche program")
         epochs, amounts = tranche_program
-        if min(amounts, default=0) < 0:
-            raise MechanismError("tranche amounts must be nonnegative")
         if sum(amounts) != position_sats:
-            raise MechanismError(
-                f"tranche amounts sum to {sum(amounts)} sats, not the position's {position_sats}"
-            )
-        # a stable sort on the epoch alone keeps tied tranches in index order
-        rows = zip(epochs, repeat("release"), amounts)
-        events = sorted(starmap(tuple.__new__, zip(repeat(SimEvent), rows)), key=itemgetter(0))
-        del events[bisect_right(events, clock_horizon, key=itemgetter(0)):]
-        return events
+            raise MechanismError(f"tranche amounts sum to {sum(amounts)} sats, "
+                                 f"not the position's {position_sats}")
+        cut = bisect_right(epochs, clock_horizon)
+        rows = zip(epochs[:cut], repeat("release"), amounts[:cut])
+        return list(starmap(tuple.__new__, zip(repeat(SimEvent), rows)))
 
     trigger = config.heartbeat_interval * config.grace_missed
     if trigger > clock_horizon:

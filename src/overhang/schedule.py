@@ -56,18 +56,22 @@ class TimelockCondition(NamedTuple):
 @checked
 class TrancheProgram(NamedTuple):
     """Timelocked tranches as two columns: tranche i unlocks at epochs[i] and
-    releases amounts[i] satoshis. The amounts of a program to_tranche_program
-    builds sum to the position; simulate_disposition checks any program's."""
+    releases amounts[i] satoshis. Epochs are nonnegative and never decrease
+    (ties are legal); amounts are nonnegative. simulate_disposition checks their sum."""
 
     epochs: tuple[int, ...]
     amounts: tuple[int, ...]
 
     def _check(self) -> None:
-        if len(self.epochs) != len(self.amounts):
-            raise ScheduleError(
-                f"{len(self.epochs)} unlock epochs for {len(self.amounts)} tranche amounts")
-        if min(self.epochs, default=0) < 0:
+        epochs, amounts = self
+        if len(epochs) != len(amounts):
+            raise ScheduleError(f"{len(epochs)} unlock epochs for {len(amounts)} tranche amounts")
+        if min(epochs, default=0) < 0:
             raise ScheduleError("timelock epoch must be nonnegative")
+        if any(map(operator.gt, epochs, epochs[1:])):
+            raise ScheduleError("unlock epochs must not decrease")
+        if min(amounts, default=0) < 0:
+            raise ScheduleError("tranche amounts must be nonnegative")
 
     @property
     def tranches(self) -> tuple[tuple[TimelockCondition, int], ...]:
@@ -136,8 +140,9 @@ def to_tranche_program(
     i - 2 * granularity. Any satoshi remainder goes to the final tranche. A
     program holds at most MAX_TRANCHES tranches, so its size is checked,
     before rounding, before any is built. A negative start then raises the
-    ScheduleError of a negative epoch; no epoch can be negative after that
-    check, so the program is built without TrancheProgram's.
+    ScheduleError of a negative epoch. The program skips TrancheProgram's
+    check, which it passes: offsets rise within a period, the last below
+    PERIOD_DAYS, so epochs strictly increase; every amount is >= base >= 0.
     """
     try:
         granularity, start = operator.index(granularity), operator.index(start)

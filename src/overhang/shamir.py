@@ -66,7 +66,8 @@ def parse_hex(text: str) -> bytes:
 
 @checked
 class Share(NamedTuple):
-    """One shard: evaluation point index and a byte-wise payload."""
+    """One shard: evaluation point index and a byte-wise payload, a sequence
+    of bytes: bytes, a bytearray, a memoryview of bytes or a list of ints."""
 
     index: int
     payload: bytes
@@ -78,6 +79,16 @@ class Share(NamedTuple):
             raise ShamirError(f"non-integer share index {self.index!r}") from None
         if not 1 <= self.index <= 255:
             raise ShamirError(f"share index {self.index} outside 1..255")
+        if type(self.payload) is bytes:  # what split and deserialize build, spared a bytes() call
+            return
+        # len() rejects an int, which bytes() would take as a length; a
+        # memoryview of wider items has fewer items than bytes() makes of it
+        try:
+            byte_sequence = len(bytes(self.payload)) == len(self.payload)
+        except (TypeError, ValueError):
+            byte_sequence = False
+        if not byte_sequence:
+            raise ShamirError(f"share payload {self.payload!r} is not a byte sequence")
 
     def serialize(self) -> str:
         return f"{self.index}:{self.payload.hex()}"

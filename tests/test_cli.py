@@ -25,6 +25,7 @@ from overhang.cli import (
     FLAG_FORMS,
     TERMINALS,
     build_parser,
+    integer,
     main,
 )
 from overhang.config import _KNOWN_KEYS, load_config
@@ -658,6 +659,42 @@ def test_seed_env_fallback(monkeypatch):
     monkeypatch.setenv("OVERHANG_SEED", "77")
     _, text = run_cli("anchors")
     assert text.startswith("# seed 77")
+
+
+@pytest.mark.parametrize("seed", ["x", "\u0661", "1_0", "+1", " 1", ""])
+def test_a_seed_that_is_not_an_integer_exits_2_naming_the_variable(seed, monkeypatch, capsys):
+    # int() takes all but "x" and "": "\u0661" once ran as seed 1
+    monkeypatch.setenv("OVERHANG_SEED", seed)
+    assert run_cli("anchors") == (EXIT_VALIDATION, "")
+    assert capsys.readouterr().err == f"error: OVERHANG_SEED {seed!r} is not an integer\n"
+
+
+# What int() takes besides ASCII digits: spaces around, a '+', any Unicode
+# decimal digits, '_' between digits
+_INT_FORMS = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t", "\u3000"]),
+    st.sampled_from(["", "-", "+"]),
+    st.lists(st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3),
+             min_size=1, max_size=3).map("_".join),
+    st.sampled_from(["", " ", "\n"]),
+).filter(lambda text: not re.fullmatch(r"-?[0-9]+", text))
+
+
+@given(text=st.from_regex(r"-?[0-9]+", fullmatch=True))
+def test_every_ascii_integer_parses_as_int_does(text):
+    assert integer(text) == int(text)
+    assert build_parser().parse_args([f"--seed={text}", "anchors"]).seed == int(text)
+
+
+@given(text=_INT_FORMS)
+def test_every_other_text_int_takes_exits_2(text):
+    int(text)  # _INT_FORMS draws only text that int() takes
+    with pytest.raises(ValueError, match=" is not an integer$"):
+        integer(text)
+    code, out, err, _ = _run_captured(["frontier", f"--periods={text}"])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert err.endswith(f"error: argument --periods: invalid integer value: {text!r}\n")
 
 
 def test_csv_output_is_parseable():

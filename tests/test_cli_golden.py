@@ -370,6 +370,44 @@ GOLDEN = [
     (('frontier', '--tau', '0'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "651df062067f845cf43ed5f1773a08f3000d9b86cdbdf0c9d19e932f55c65fcb"),
+    # an integer is ASCII digits after at most one '-'; int() also takes each of
+    # these, non-ASCII digits, an underscore, a '+' or a space, which exit 2
+    (('--seed', '١', 'anchors'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "4482a5386424edcbd21e1ef932fd709b10ea3ed61357831808b6b1502d87f69b"),
+    (('frontier', '--periods', '٣'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "1a435a18a4571f5306bdedba24640f5fa7b3267affa54f040c04bd1f7fe9db83"),
+    (('frontier', '--periods', '1_0'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "b5d61be63ab7a395f914f04059de299696b0a73c0de079d5bcbb76702e32ffe2"),
+    (('schedule', '--tranches-per-year', '4_0', '--horizon', '1'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "c025700645d064648cefdd4cb0b5c0df6a8c0aa9a9764faaef99b5cf41874270"),
+    (('schedule', '--tranches-per-year', '4', '--horizon', '1', '--start', '+3'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "99e849065fcc9fe79f508522a41928aea739b7f7b623c968119d73492a486060"),
+    (('mechanism', 'simulate', '--terminal', 'adversarial', '--interval', ' 30'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "9f9a0201b296ffde2229b6484db7c83ea20d1e20589e7b1e0151d3ab2593979e"),
+    (('mechanism', 'simulate', '--terminal', 'burn', '--grace', '٣'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "17d77eaf3e189cd92926048ea4a2f9b7032cf90e629abececcd432246d8af225"),
+    (('mechanism', 'simulate', '--terminal', 'dormancy', '--horizon', '3_650'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "807d57481950b989a917eebb2ae36933096e22a5d656bfe5d08da6fa50f7a9ce"),
+    (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '+4'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "d63ee6be4284596ec131260e067b9c00e1271d2a5ec965f189bbac664bc72986"),
+    (('mechanism', 'split', '--secret-hex', 'aa', '-k', '١', '-n', '2'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "6fe7018c8f432fd5e3ba1fb47ff0493f83dcb2bce6583bed72e64519fb8122a3"),
+    (('mechanism', 'split', '--secret-hex', 'aa', '-k', '1', '-n', '٢'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "15b4972b00498413449d23572f5f207e43c5eadda48ea6214a143a42048d5f33"),
+    (('mechanism', 'reconstruct', '-k', '+1', '1:aa'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "68f0059f9c3cdbb562989975f3f02f69b48f777dc155aafc49a55aa077183289"),
     (('scenario', 'Z'), 3,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "285454475f6876a17d5bc6d8300843e6165742bba378c1ba2f1fb4e6366b50d9"),

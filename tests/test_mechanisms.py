@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -266,6 +267,16 @@ def test_non_integer_share_index_rejected(bad):
         Share(bad, b"x")
 
 
+@pytest.mark.parametrize("bad", ["ab", None, 3, 1.5, [256], ["a"], [1.5],
+                                 memoryview(array("H", [1, 2]))])
+def test_a_payload_that_is_not_a_byte_sequence_rejected(bad):
+    # a str or None once built, and reconstruct then raised a bare TypeError;
+    # bytes() would take an int as a length, and reconstruct raised a bare
+    # OverflowError for a memoryview of 2-byte items
+    with pytest.raises(ShamirError, match=f"^share payload {re.escape(repr(bad))} is not a byte"):
+        Share(1, bad)
+
+
 def test_numpy_integer_share_indices_reconstruct_like_ints():
     shares = split(b"secret", 3, 5, random.Random(7))
     numpy_shares = [Share(np.int64(s.index), s.payload) for s in shares]
@@ -343,6 +354,12 @@ def program_of(pairs):
     return TrancheProgram(tuple(e for e, _ in pairs), tuple(a for _, a in pairs))
 
 
+def by_epoch(pairs):
+    """The (unlock epoch, satoshis) pairs sorted stably on the epoch, so that
+    tied tranches keep their drawn order: an order TrancheProgram accepts."""
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
 def released_at(lock_epoch, horizon):
     """Release epochs of a one-tranche program locked to lock_epoch."""
     program = TrancheProgram((lock_epoch,), (1,))
@@ -379,7 +396,7 @@ def test_spendable_exactly_from_unlock_epoch(other_epoch, value):
     """A lock releases exactly at its own epoch, not counted from another tranche's."""
     assert released_at(value, value - 1) == []
     assert released_at(value, value) == [value]
-    program = TrancheProgram((other_epoch, value), (1, 2))
+    program = program_of(by_epoch([(other_epoch, 1), (value, 2)]))
     events = simulate_disposition(
         TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
         cfg(),
@@ -693,8 +710,9 @@ def test_sim_event_is_an_immutable_named_tuple():
 
 
 def test_tied_tranches_release_in_index_order():
-    # amounts out of order within each tie, so sorting on (epoch, amount) fails
-    program = TrancheProgram((9, 4, 9, 4, 9, 11), (1, 2, 3, 0, 0, 5))
+    # amounts out of order within each tie, so a replay that sorted on
+    # (epoch, amount) would fail
+    program = TrancheProgram((4, 4, 9, 9, 9, 11), (2, 0, 1, 3, 0, 5))
     events = simulate_disposition(
         TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
         cfg(),
@@ -704,19 +722,22 @@ def test_tied_tranches_release_in_index_order():
     )
     assert [(e.epoch, e.amount_sats) for e in events] == [(4, 2), (4, 0), (9, 1), (9, 3), (9, 0)]
     assert all(type(e) is SimEvent and e.kind == "release" for e in events)
+    # the same tranches out of epoch order are not a program
+    with pytest.raises(ScheduleError, match="^unlock epochs must not decrease$"):
+        TrancheProgram((9, 4, 9, 4, 9, 11), (1, 2, 3, 0, 0, 5))
 
 
 def test_release_events_equal_the_constructor():
     """The replay builds its events without SimEvent's constructor. They are
     the records the constructor builds, in (epoch, tranche index) order: for a
-    program to_tranche_program built, and for as many tranches in random order
-    on a few tied epochs."""
+    program to_tranche_program built, and for as many tranches on a few tied
+    epochs, drawn in random order and sorted stably on the epoch."""
     rng = random.Random(28)
     built = to_tranche_program(
         build_uniform_schedule(ScheduleParams(position=1000.5, horizon=4)), granularity=52, start=5)
     # distinct amounts, so a tie released out of index order shows
     pairs = [(rng.randint(0, 40), rng.randint(0, 10**9)) for _ in built.epochs]
-    for program in (built, program_of(pairs)):
+    for program in (built, program_of(by_epoch(pairs))):
         in_order = sorted(enumerate(zip(program.epochs, program.amounts)),
                           key=lambda t: (t[1][0], t[0]))
         for horizon in (3650, 400, 20, 0):
@@ -739,7 +760,7 @@ def test_liquidation_replay_matches_epoch_scan():
         # total in sats survives the trip through BTC exactly
         pairs = [(rng.randint(0, 120), rng.randint(0, 84 * 10**12))
                  for _ in range(rng.randint(0, 25))]
-        program = program_of(pairs)
+        program = program_of(by_epoch(pairs))
         total_sats = sum(program.amounts)
         assert btc_to_sats(sats_to_btc(total_sats)) == total_sats
         horizon = rng.randint(0, 130)
@@ -754,12 +775,31 @@ def test_liquidation_replay_matches_epoch_scan():
         assert all(type(e) is SimEvent for e in events)
 
 
+@given(
+    # 25 tranches of at most 84e12 sats hold at most 21M BTC (see above);
+    # epochs from a small range, so that many tranches tie
+    pairs=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 84 * 10**12)), max_size=25)
+    .map(by_epoch),
+    past=st.integers(-31, 2),
+)
+def test_liquidation_replay_of_a_nondecreasing_program_matches_epoch_scan(pairs, past):
+    """Any program the record accepts replays as the scan does, at every
+    horizon from 0 to past its last epoch."""
+    program = program_of(pairs)
+    horizon = max(0, max(program.epochs, default=0) + past)
+    events = simulate_disposition(
+        TerminalState(TerminalStateKind.PATIENT_LIQUIDATION),
+        cfg(),
+        tranche_program=program,
+        clock_horizon=horizon,
+        position_btc=total_btc(program),
+    )
+    assert events == scanned_releases(program, horizon)
+
+
 @pytest.mark.parametrize(
     "tranches, position_sats, message",
     [
-        # the amounts sum to the position, but one of them is negative
-        (((1, -5), (2, 10)), 5, "tranche amounts must be nonnegative"),
-        (((1, -5), (2, 10**30)), SATS_PER_BTC, "tranche amounts must be nonnegative"),
         (((1, 4), (2, 5)), 10, "tranche amounts sum to 9 sats, not the position's 10"),
         ((), 1, "tranche amounts sum to 0 sats, not the position's 1"),
         # a program built for the position, replayed without passing it

@@ -260,9 +260,14 @@ def test_columns_equal_the_fraction_rule_and_tranches_the_checked_locks(
     [
         ((1, 2), (5,), "^2 unlock epochs for 1 tranche amounts$"),
         ((4, -1), (5, 5), "^timelock epoch must be nonnegative$"),
+        ((5, 4), (1, 1), "^unlock epochs must not decrease$"),
+        ((0, 7, 7, 6, 9), (1, 1, 1, 1, 1), "^unlock epochs must not decrease$"),
+        # the amounts sum to a position, but one of them is negative
+        ((1, 2), (-5, 10), "^tranche amounts must be nonnegative$"),
+        ((1, 2), (-5, 10**30), "^tranche amounts must be nonnegative$"),
     ],
 )
-def test_unequal_columns_or_a_negative_epoch_rejected(epochs, amounts, message):
+def test_a_program_that_breaks_an_invariant_rejected(epochs, amounts, message):
     with pytest.raises(ScheduleError, match=message):
         TrancheProgram(epochs, amounts)
 
