@@ -12,7 +12,7 @@ digits, '_' separators, '+', spaces) exit 2. A scenario run resolves into one
 RunConfig: the config file or the defaults, then --volume, then the scenario
 name, which a config [scenario] section excludes. A frontier of one λ prints
 one row, whose `holdings` field is the trajectory's holdings, each `.6g`,
-joined by ", ".
+joined by ", "; its cost and variance are frontier()'s, as for a list of λ.
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError: a missing config file, a share line that is not ASCII digits,
@@ -362,15 +362,11 @@ def _cmd_frontier(args: argparse.Namespace, out) -> None:
         permanent_coeff=args.gamma,
         temporary_coeff=args.eta,
     )
-    if len(args.lambdas) > 1:
-        points = frontier.frontier(model, args.lambdas)
-        _emit([dataclasses.asdict(p) for p in points], args.fmt, out)
-        return
-    (lam,) = args.lambdas
-    trajectory = frontier.optimal_trajectory(model._replace(risk_aversion=lam))
-    point = frontier.FrontierPoint(lam, trajectory.expected_cost, trajectory.cost_variance)
-    holdings = ", ".join(f"{x:.6g}" for x in trajectory.holdings)
-    _emit([dataclasses.asdict(point) | {"holdings": holdings}], args.fmt, out)
+    rows = [dataclasses.asdict(p) for p in frontier.frontier(model, args.lambdas)]
+    if len(rows) == 1:
+        trajectory = frontier.optimal_trajectory(model._replace(risk_aversion=args.lambdas[0]))
+        rows[0]["holdings"] = ", ".join(f"{x:.6g}" for x in trajectory.holdings)
+    _emit(rows, args.fmt, out)
 
 
 def _cmd_decision_map(args: argparse.Namespace, out) -> None:

@@ -5,9 +5,9 @@ expected cost plus risk_aversion times variance over admissible holdings
 paths gives the hyperbolic-sine profile in closed form (Almgren & Chriss,
 2000), evaluated here in one form that stays finite for every κτ; zero
 stiffness degenerates to the linear (uniform-pace) trajectory. The frontier
-evaluates its risk aversions in array passes of at most FRONTIER_BLOCK_CELLS
-holdings values, written into two buffers of at most 8 MB that every pass
-reuses, so its memory is bounded at any number of them.
+prices each risk aversion from the closed forms of that path's cost and
+variance, without building the path, so its work and memory grow with the
+number of risk aversions alone, at any number of periods.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import count, repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -23,13 +23,18 @@ import numpy as np
 from overhang import checked
 
 MAX_PERIODS = 100 * 365  # a century of daily periods
-# Holdings values (risk aversions x (periods + 1)) that one frontier pass
-# evaluates, in two buffers of at most 8 MB: a 200 x 201 frontier is one pass,
-# and a century of daily periods takes 28 risk aversions a pass.
-FRONTIER_BLOCK_CELLS = 2**20
 # np.exp is +0.0 for every argument below about -745.13 and takes a slow path
 # to say so; an argument below this is set to 0 and its result to +0.0 instead.
 EXP_ZERO_BELOW = -746.0
+# Below this (2·periods − 1)·κτ the frontier sums the held units' series: the
+# closed form's difference sinh(Mκτ) − M·sinh(κτ) would cancel its digits.
+SERIES_BELOW = 2.0
+# Terms of that series, the same for every κτ. With M = 2·periods − 1 ≥ 3,
+# term k is at most 6.75·(Mκτ)^(2k−2)/(2k + 1)! of the first, because
+# (M^2k − 1)/(M² − 1) ≤ (9/8)·M^(2k−2); past this many terms, that bound at
+# Mκτ = SERIES_BELOW is below 2^-60.
+SERIES_TERMS = next(k for k in count(1)
+                    if 6.75 * SERIES_BELOW ** (2 * k) / math.factorial(2 * k + 3) < 2.0**-60)
 
 
 class FrontierError(ValueError):
@@ -104,68 +109,80 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
         raise FrontierError("holdings must be finite")
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
-    expected, variance = _row_costs(x[np.newaxis], model, np.empty(model.periods))
+    expected, variance = _row_costs(x[np.newaxis], model)
     costs = float(expected[0]), float(variance[0])
     if not all(map(math.isfinite, costs)):
         raise FrontierError(f"the path's cost or variance is not a finite float: {costs}")
     return costs
 
 
-def _row_costs(holdings: np.ndarray, model: ExecutionModel,
-               work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cost_of for each row of a (rows, periods + 1) holdings array; a cost
-    past the float range is inf or NaN, without a warning. The trades are
-    -np.diff and the sums np.add.reduce, the reduction np.sum wraps, without
-    either wrapper's per-call work; each squared term is written into the
-    flat buffer `work`, of at least rows * periods values."""
+def _costs(model: ExecutionModel, traded: np.ndarray,
+           held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E and V from each path's Σn_k² and Σx_k²; a cost past the float range
+    is inf or NaN, without a warning."""
     tau = model.period_length
     sigma = model.volatility
     try:
         sigma_squared_tau = sigma**2 * tau
     except OverflowError:  # σ² alone leaves the float range; σ²τ may not
         sigma_squared_tau = sigma * (sigma * tau)
-    squares = work[:len(holdings) * model.periods].reshape(len(holdings), model.periods)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.square(np.subtract(holdings[:, :-1], holdings[:, 1:], out=squares), out=squares)
         expected = (
             0.5 * model.permanent_coeff * model.total_units**2
-            + model.adjusted_temporary / tau * np.add.reduce(squares, axis=1)
+            + model.adjusted_temporary / tau * traded
         )
-        held = np.add.reduce(np.square(holdings[:, 1:], out=squares), axis=1)
         variance = sigma_squared_tau * held
     if math.isinf(sigma_squared_tau):  # inf·0 is NaN; a path that holds nothing has no variance
         np.putmask(variance, held == 0, 0.0)
     return expected, variance
 
 
-def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray,
-                      out: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray, np.ndarray]:
+    """cost_of for each row of a (rows, periods + 1) holdings array, without
+    its checks. The trades are -np.diff and the sums np.add.reduce, the
+    reduction np.sum wraps, without either wrapper's per-call work."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.square(np.subtract(holdings[:, :-1], holdings[:, 1:]))
+        traded = np.add.reduce(squares, axis=1)
+        held = np.add.reduce(np.square(holdings[:, 1:], out=squares), axis=1)
+    return _costs(model, traded, held)
+
+
+def _kappa_tau(model: ExecutionModel,
+               lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each risk aversion's stiffness λ(στ)²/η̃, its square root and κτ =
+    2·arcsinh(√stiffness/2), which is arccosh(1 + stiffness/2) without
+    rounding a small stiffness away.
+
+    σ·τ is squared as one product, so a huge σ and a tiny τ do not meet as
+    inf·0; past the float range the square is inf and λ·στ goes first. An
+    overflowed stiffness gives κτ = inf, the immediate-liquidation limit.
+    Callers ignore numpy's overflow and invalid warnings around it."""
+    sigma_tau = np.float64(model.volatility * model.period_length)
+    square = sigma_tau**2
+    scaled = lambdas * square if math.isfinite(square) else lambdas * sigma_tau * sigma_tau
+    stiffness = scaled / model.adjusted_temporary
+    root = np.sqrt(stiffness)
+    return stiffness, root, 2 * np.arcsinh(root / 2)
+
+
+def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
     """Closed-form optimal holdings, one row per risk aversion in `lambdas`.
 
     Each row is x·sinh(κτ(n−j))/sinh(κτn) written with decaying exponentials,
-    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), finite for every κτ; κτ is
-    2·arcsinh(√stiffness/2), which is arccosh(1 + stiffness/2) without
-    rounding a small stiffness away. Zero-stiffness rows are linear. Every
-    operation is elementwise, so each row is bit-identical to evaluating its
-    risk aversion alone. The rows are written into the flat buffer `out`, with
-    `work` as scratch, each of at least len(lambdas) * (periods + 1) values.
+    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), finite for every κτ.
+    Zero-stiffness rows are linear. Every operation is elementwise, so each
+    row is bit-identical to evaluating its risk aversion alone.
     """
     n = model.periods
     x_total = model.total_units
-    tau = model.period_length
     j = np.arange(n + 1)
-    holdings = out[:len(lambdas) * (n + 1)].reshape(len(lambdas), n + 1)
-    scratch = work[:holdings.size].reshape(holdings.shape)
-    # σ·τ is squared as one product, so a huge σ and a tiny τ do not meet as
-    # inf·0; past the float range the square is inf and λ·στ goes first. An
-    # overflowed stiffness gives κτ = inf, the immediate-liquidation row; its
-    # NaN endpoints and the zero-stiffness rows' 0/0 are overwritten.
+    holdings = np.empty((len(lambdas), n + 1))
+    # The immediate-liquidation row's NaN endpoints and the zero-stiffness
+    # rows' 0/0 are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_tau = np.float64(model.volatility * tau)
-        square = sigma_tau**2
-        scaled = lambdas * square if math.isfinite(square) else lambdas * sigma_tau * sigma_tau
-        stiffness = scaled / model.adjusted_temporary
-        kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)[:, np.newaxis]
+        stiffness, _, kappa_tau = _kappa_tau(model, lambdas)
+        kappa_tau = kappa_tau[:, np.newaxis]
         # x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), one step at a time; the
         # last column, −κτn, holds each row's smallest exp argument
         np.multiply(-kappa_tau, j, out=holdings)
@@ -178,8 +195,7 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray,
             np.exp(holdings, out=holdings)
         np.multiply(x_total, holdings, out=holdings)
         minus_2kt = -2 * kappa_tau
-        np.expm1(np.multiply(minus_2kt, n - j, out=scratch), out=scratch)
-        np.multiply(holdings, scratch, out=holdings)
+        np.multiply(holdings, np.expm1(minus_2kt * (n - j)), out=holdings)
         np.divide(holdings, np.expm1(minus_2kt * n), out=holdings)
     linear = stiffness == 0
     if linear.any():
@@ -191,9 +207,8 @@ def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray,
 
 def optimal_trajectory(model: ExecutionModel) -> Trajectory:
     """Closed-form minimizer of expected cost + risk_aversion * variance."""
-    out, work = np.empty(model.periods + 1), np.empty(model.periods + 1)
-    holdings = _optimal_holdings(model, np.array([model.risk_aversion], dtype=float), out, work)
-    expected, variance = _row_costs(holdings, model, work)
+    holdings = _optimal_holdings(model, np.array([model.risk_aversion], dtype=float))
+    expected, variance = _row_costs(holdings, model)
     return Trajectory(
         holdings=tuple(holdings[0].tolist()),
         expected_cost=float(expected[0]),
@@ -201,26 +216,73 @@ def optimal_trajectory(model: ExecutionModel) -> Trajectory:
     )
 
 
+def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:
+    """Σx_k²/X² where (2n − 1)·κτ < SERIES_BELOW, from the series
+    sinh(Mκτ) − M·sinh(κτ) = Σ_{k≥1} M(M^2k − 1)·κτ^(2k+1)/(2k+1)!, M = 2n − 1,
+    whose terms are all positive, over 4·sinh(κτ)·sinh²(nκτ) with κτ³ divided
+    out of both, so that a tiny κτ does not underflow. Every κτ sums the same
+    SERIES_TERMS terms, so a point does not depend on the others in its call."""
+    m = 2 * n - 1
+    square = kappa_tau * kappa_tau
+    series = np.zeros_like(kappa_tau)
+    for k in range(SERIES_TERMS, 0, -1):
+        series = series * square + m * (m ** (2 * k) - 1) / math.factorial(2 * k + 1)
+    return series / (4 * (np.sinh(kappa_tau) / kappa_tau) * (np.sinh(n * kappa_tau) / kappa_tau) ** 2)
+
+
+def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Σn_k² and Σx_k² of the optimal path at each risk aversion, in closed
+    form (Almgren & Chriss, 2000). With a = κτ, n = periods and M = 2n − 1:
+
+        Σn_k²/X² = tanh(a/2)·[coth(na) + n·sinh(a)/sinh²(na)]
+        Σx_k²/X² = [sinh(Ma) − M·sinh(a)] / [4·sinh(a)·sinh²(na)]
+
+    each written in decaying exponentials, so that they stay finite for every
+    κτ, and with no product of two small numbers, so that a tiny κτ keeps its
+    digits. Σx_k² is (X·q)² times the rest, with q = e^−κτ taken from the
+    stiffness s as 2/(2 + s + √s·√(s + 4)), the root of q + 1/q = 2 + s:
+    exp(−κτ) would scale κτ's own rounding by κτ. Zero stiffness gives the
+    linear path's X²/n and X²(n − 1)(2n − 1)/(6n), and one period one trade
+    of X. X² is applied as X·(X·Σ), so a sum stays finite wherever it fits.
+    """
+    x_total = model.total_units
+    n = model.periods
+    m = 2 * n - 1
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stiffness, root, a = _kappa_tau(model, lambdas)
+        if n == 1:  # one trade of X, after which nothing is held
+            return np.full_like(a, x_total * x_total), np.zeros_like(a)
+        decay = 2 / ((2 + stiffness) + root * np.sqrt(stiffness + 4))
+        e1 = np.expm1(-2 * a)
+        en = np.expm1(-2 * n * a)
+        traded = np.tanh(a / 2) / -en * ((2 + en) + 2 * n * np.exp(-m * a) * (e1 / en))
+        held = (np.expm1(-2 * m * a) - m * np.exp(-(m - 1) * a) * e1) / (e1 * en * en)
+        small = m * a < SERIES_BELOW
+        if small.any():
+            held[small] = _held_series(a[small], n) / (decay[small] * decay[small])
+        linear = stiffness == 0
+        if linear.any():
+            traded[linear] = 1 / n
+            held[linear] = (n - 1) * (2 * n - 1) / (6 * n)
+        scaled = x_total * decay
+        return x_total * (x_total * traded), scaled * (scaled * held)
+
+
 def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPoint]:
-    """Evaluate the efficient frontier at the given risk-aversion values."""
+    """Evaluate the efficient frontier at the given risk-aversion values: each
+    point's E and V from the closed-form sums of _optimal_sums, in
+    O(len(lambdas)) work and memory at any number of periods."""
     if len(lambdas) == 0:
         raise FrontierError("lambdas must be non-empty")
     values = np.asarray(lambdas, dtype=float)
     if values.ndim != 1:
         raise FrontierError("lambdas must be a flat sequence of risk aversions")
-    if not np.all(np.isfinite(values) & (values >= 0)):
+    if not (np.isfinite(values) & (values >= 0)).all():
         raise FrontierError("risk aversion must be finite and nonnegative")
-    block = max(1, FRONTIER_BLOCK_CELLS // (model.periods + 1))
-    out, work = np.empty((2, min(block, len(values)) * (model.periods + 1)))
-    expected: list[float] = []
-    variance: list[float] = []
-    for first in range(0, len(values), block):
-        holdings = _optimal_holdings(model, values[first:first + block], out, work)
-        block_expected, block_variance = _row_costs(holdings, model, work)
-        expected += block_expected.tolist()
-        variance += block_variance.tolist()
+    expected, variance = _costs(model, *_optimal_sums(model, values))
     # FrontierPoint's frozen __init__ without a frame per point (any() drains each map)
     points = list(map(object.__new__, repeat(FrontierPoint, len(values))))
-    for field, column in zip(FrontierPoint.__dataclass_fields__, (lambdas, expected, variance)):
+    for field, column in zip(FrontierPoint.__dataclass_fields__,
+                             (lambdas, expected.tolist(), variance.tolist())):
         any(map(object.__setattr__, points, repeat(field), column))
     return points

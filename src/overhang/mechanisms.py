@@ -150,10 +150,11 @@ def simulate_disposition(
     burn event of what ledger.burn_sats burns; the adversarial switch dumps
     the full position at the trigger epoch. Patient liquidation ignores the
     switch and releases amounts[i] at epochs[i] in tranche order, which the
-    TrancheProgram record keeps in epoch order, its amounts nonnegative; the
-    replay checks only that they sum to the position in satoshis. Only events
-    at or before clock_horizon are returned; amounts are whole satoshis, from
-    btc_to_sats(position_btc).
+    TrancheProgram record keeps in epoch order, its amounts nonnegative; any
+    other (epochs, amounts) pair is first built into that checked record. The
+    replay checks only that the amounts sum to the position in satoshis. Only
+    events at or before clock_horizon are returned; amounts are whole
+    satoshis, from btc_to_sats(position_btc).
     """
     if not (math.isfinite(position_btc) and position_btc >= 0):
         raise MechanismError(f"position must be finite and nonnegative, got {position_btc}")
@@ -164,6 +165,8 @@ def simulate_disposition(
     if kind is _PATIENT_LIQUIDATION:
         if tranche_program is None:
             raise MechanismError("patient liquidation requires a tranche program")
+        if not isinstance(tranche_program, TrancheProgram):
+            tranche_program = TrancheProgram(*tranche_program)
         epochs, amounts = tranche_program
         if sum(amounts) != position_sats:
             raise MechanismError(f"tranche amounts sum to {sum(amounts)} sats, "

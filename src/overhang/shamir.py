@@ -91,7 +91,8 @@ class Share(NamedTuple):
             raise ShamirError(f"share payload {self.payload!r} is not a byte sequence")
 
     def serialize(self) -> str:
-        return f"{self.index}:{self.payload.hex()}"
+        payload = self.payload if type(self.payload) is bytes else bytes(self.payload)
+        return f"{self.index}:{payload.hex()}"
 
     @classmethod
     def deserialize(cls, line: str) -> "Share":

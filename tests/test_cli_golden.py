@@ -198,26 +198,26 @@ GOLDEN = [
     (('frontier', '--lambdas', '1e-6'), 0,
      "6c0f9496d122fce36eedf1b4f806ceace77aafe94291b41878bfd09e6cf7e696"),
     (('frontier', '--lambdas', '1e-6', '--json'), 0,
-     "68f13e28b23dd85b3bdb03717b1134ae654b7ce63f8943dc1f8600f2dfca04d6"),
+     "45932acbbc3f84f197f2dbd440504bcb94b6753edbbf65e46cc6d2d014d455e2"),
     (('frontier', '--lambdas', '1e-6', '--csv'), 0,
-     "1c9cc572e8e308d8778ed5bd244c7621fb0e503188564e4bcea6dc4d298e99b6"),
+     "b77c198f6c89d3630c63acd61615ee93c5483a69d9fea5f384eace0f3b87cf1c"),
     (('frontier', '--lambdas', '1e-6', '--markdown'), 0,
      "08edd5e396887e1476d375b2733561bc4b3c471d426292d0d8b23efd9478d32c"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20'), 0,
      "028719ca9986ed711e6500cc7d5616ff2cf9f221a3fb94a9ff5fc717c88646a2"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--json'), 0,
-     "e092964eeaf68747e16a55da3db7e4da8fc498757b4cac44f4fbf3c3eedafe09"),
+     "70212b1fdc9b077eaf9fb6dd3e58b290d61ec1178b08e6a2bfb57155c415be33"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--csv'), 0,
-     "b3a0df64615021e8875fef81014d54d32bedb5b462f1939ce2038032a45fe1ad"),
+     "fdc5914272c83bb2f55dc8190cf2daa773494c3a00899d77f2ad15f61d9bc024"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--markdown'), 0,
      "3267a33a4fa445ca433fc20f99b34a88a5d1c3556025908b50740c779ff66256"),
     # exp(−κτj) underflows: the holdings tail runs through subnormals to zeros
     (('frontier', '--periods', '200', '--lambdas', '1e-2', '--sigma', '1600'), 0,
      "20906fa106a8a54438f510d874b9ccdccbfeef2b802b3a34ea08376772ffc38c"),
     (('frontier', '--periods', '200', '--lambdas', '1e-2', '--sigma', '1600', '--json'), 0,
-     "2cc58ceb5e2fa68713a3fd27438cc27154d47a6e4ca958428487044517dc84cc"),
+     "a6ed26ab63c32c907edecf5041c94f45afe0d96bc396d0242f5fe40a1f5492e2"),
     (('frontier', '--periods', '200', '--lambdas', '1e-8,1e-5,1e-2', '--sigma', '1600', '--json'), 0,
-     "6be6cb5fa61081823a2f910567b519adf6a0c0407bcbf93315e8568a42ab0276"),
+     "09381a08a5f225de8f3ee271bd7fdbf9779b22cd22735be875add818dec8ba8e"),
     # σ²τ overflows to inf, and the path sells everything at once: its variance is 0
     (('frontier', '--sigma', '1e300', '--periods', '2', '--lambdas', '1e6', '--json'), 0,
      "b75db383ffa34c22289442eb7b35aac61efd4642d6270ffe64bd2ba7b92387fc"),
@@ -444,17 +444,15 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # kernels print other bytes, this maps it to theirs.
 ON_BASELINE_KERNELS = {
     # frontier --lambdas 1e-6 --json, then --csv
-    "68f13e28b23dd85b3bdb03717b1134ae654b7ce63f8943dc1f8600f2dfca04d6":
-        "088b84a72cd6c7222ebe5029087ac720fbdeac22c015caa131c53e80faeda6c5",
-    "1c9cc572e8e308d8778ed5bd244c7621fb0e503188564e4bcea6dc4d298e99b6":
-        "1f9d453b405327599c02d3025341b1a34d57dd4b5a437fb69ef63b216ea65610",
+    "45932acbbc3f84f197f2dbd440504bcb94b6753edbbf65e46cc6d2d014d455e2":
+        "c254d2375dfd7f03e5ab3aea1716c109d92d688a0de23903ca66b0a66871883d",
+    "b77c198f6c89d3630c63acd61615ee93c5483a69d9fea5f384eace0f3b87cf1c":
+        "cc1b8ad855d15f9bf2390fce660fea33772d1eb1ee68428b79101d3aeec1285b",
     # frontier --lambdas 0,1e-6,1e-5 --periods 20 --json, then --csv
-    "e092964eeaf68747e16a55da3db7e4da8fc498757b4cac44f4fbf3c3eedafe09":
-        "d248bc2658a6500a45f4d24f159779c1cf86d0603d363f2af1b3b2bf5e3f3191",
-    "b3a0df64615021e8875fef81014d54d32bedb5b462f1939ce2038032a45fe1ad":
-        "4aea5011653c3d14f532f73939dff080eaa39e08ca5ae4682c93961fa941c409",
-    # the md5 of test_cli.py's (στ)² overflow row, frontier --sigma 1e140 ... --json
-    "a6fd3fff27aca475176b3c05759b0a4d": "236495b4f527380e6a7c9c30c5184d37",
+    "70212b1fdc9b077eaf9fb6dd3e58b290d61ec1178b08e6a2bfb57155c415be33":
+        "99a1e7e12673330bf2bea1decd541285257cb608900f000815d10a0a0b088d0a",
+    "fdc5914272c83bb2f55dc8190cf2daa773494c3a00899d77f2ad15f61d9bc024":
+        "c5e01d0bf09417565c8743e50cd3a392dbac98a4051a30e5f1c227b276a0692c",
 }
 # NPY_DISABLE_CPU_FEATURES set to this turns numpy's AVX-512 kernels off
 AVX512_FEATURES = "X86_V4 AVX512_ICL AVX512_SPR"

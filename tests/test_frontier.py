@@ -18,6 +18,8 @@ import overhang.frontier
 from overhang.frontier import (
     EXP_ZERO_BELOW,
     MAX_PERIODS,
+    SERIES_BELOW,
+    SERIES_TERMS,
     ExecutionModel,
     FrontierError,
     FrontierPoint,
@@ -30,14 +32,7 @@ from overhang.frontier import (
 
 
 def holdings_of(model, lambdas):
-    """_optimal_holdings into NaN-filled buffers of exactly its size, so a cell
-    the kernel leaves unwritten shows."""
-    out, work = np.full((2, len(lambdas) * (model.periods + 1)), np.nan)
-    return _optimal_holdings(model, np.asarray(lambdas, dtype=float), out, work)
-
-
-def row_costs_of(holdings, model):
-    return _row_costs(holdings, model, np.full(holdings.size, np.nan))
+    return _optimal_holdings(model, np.asarray(lambdas, dtype=float))
 
 
 def desk_model(**overrides):
@@ -100,9 +95,11 @@ def test_matches_brute_force_oracle():
             risk_aversion=rng.choice([0.0, 1e-7, 1e-6, 1e-5]),
         )
         trajectory = optimal_trajectory(model)
-        objective = trajectory.expected_cost + model.risk_aversion * trajectory.cost_variance
+        (point,) = frontier(model, [model.risk_aversion])
         oracle = brute_force_min(model)
-        assert objective <= oracle * (1 + 1e-6) + 1e-9
+        for expected, variance in [(trajectory.expected_cost, trajectory.cost_variance),
+                                   (point.expected_cost, point.cost_variance)]:
+            assert expected + model.risk_aversion * variance <= oracle * (1 + 1e-6) + 1e-9
 
 
 def test_lambda_to_zero_limit_is_linear():
@@ -238,39 +235,6 @@ def test_frontier_point_is_a_slotted_frozen_dataclass():
     assert point == FrontierPoint(1e-6, point.expected_cost, point.cost_variance)
 
 
-def scalar_trajectory(model):
-    """The closed form for one risk aversion as a ratio of sinh on numpy
-    floats, with its cost and whether that ratio broke down (an infinite
-    sinh): a tolerance oracle for the kernel wherever it did not."""
-    n = model.periods
-    x_total = model.total_units
-    tau = model.period_length
-    j = np.arange(n + 1)
-    stiffness = (
-        model.risk_aversion * model.volatility**2 * tau**2 / model.adjusted_temporary
-    )
-    broke = False
-    if stiffness <= 0:
-        holdings = x_total * (1 - j / n)
-    else:
-        kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.sinh(kappa_tau * n)
-            holdings = x_total * np.sinh(kappa_tau * (n - j)) / scale
-        # An infinite scale leaves NaN or, where the numerator stayed finite,
-        # a wrong zero. An infinite numerator leaves inf or NaN.
-        broke = not scale < np.inf or not np.isfinite(holdings[1:]).all()
-    holdings[0] = x_total
-    holdings[-1] = 0.0
-    trades = -np.diff(holdings)
-    expected = (
-        0.5 * model.permanent_coeff * model.total_units**2
-        + model.adjusted_temporary / tau * float(np.sum(trades**2))
-    )
-    variance = model.volatility**2 * tau * float(np.sum(holdings[1:] ** 2))
-    return holdings, expected, variance, broke
-
-
 def exact_trajectory(model):
     """The closed form and its cost in 50-digit arithmetic, with κτ =
     2·asinh(√stiffness/2) taken exactly from the model's floats."""
@@ -323,56 +287,78 @@ def bits(values):
     return [float(v).hex() for v in values]
 
 
-def assert_frontier_matches_closed_form(model, lambdas):
-    """Each frontier row is bit-identical to optimal_trajectory at its λ, and
-    within 1e-12 of the sinh ratio wherever that ratio stays finite."""
+def ulps_apart(model, got, want):
+    """|got − want| in ulps of want; below x·1e-300, as in assert_close, in
+    ulps of that floor."""
+    return abs(got - want) / math.ulp(max(abs(want), model.total_units * 1e-300))
+
+
+def assert_frontier_matches_exact(model, lambdas):
+    """Each point's E and V lie within 32 ulps of the 50-digit closed form at
+    its λ, and within 1e-12 of the summed path that optimal_trajectory prices;
+    each is bit-identical to its λ's point alone, so duplicates agree."""
     points = frontier(model, lambdas)
     assert [p.risk_aversion for p in points] == lambdas
-    for lam, point, row in zip(lambdas, points, holdings_of(model, lambdas)):
+    checked = {}
+    for lam, point in zip(lambdas, points):
+        got = [point.expected_cost, point.cost_variance]
+        (alone,) = frontier(model, [lam])
+        assert bits(got) == bits([alone.expected_cost, alone.cost_variance]), (lam, lambdas)
+        if lam in checked:
+            continue
         variant = model._replace(risk_aversion=lam)
+        _, expected, variance = exact_trajectory(variant)
+        assert max(ulps_apart(variant, g, w) for g, w in zip(got, [expected, variance])) <= 32, (
+            lam, got, [expected, variance])
         trajectory = optimal_trajectory(variant)
-        assert bits(row) == bits(trajectory.holdings)
-        assert bits([point.expected_cost, point.cost_variance]) == bits(
-            [trajectory.expected_cost, trajectory.cost_variance]
-        )
-        holdings, expected, variance, broke = scalar_trajectory(variant)
-        if not broke:
-            assert_close(variant, [*trajectory.holdings, point.expected_cost, point.cost_variance],
-                         [*holdings, expected, variance])
+        assert_close(variant, got, [trajectory.expected_cost, trajectory.cost_variance])
+        checked[lam] = got
 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    periods=st.sampled_from([1, 10, 200]),
+    periods=st.sampled_from([1, 2, 10, 200, 2000]) | st.integers(1, 400),
     total=st.floats(1.0, 1e4),
-    volatility=st.sampled_from([0.0, 1.0, 1600.0]) | st.floats(0.0, 5e3),
+    volatility=(st.sampled_from([0.0, 1.0, 1600.0, 1.041180171578257e-161]) | st.floats(0.0, 5e3)
+                | st.floats(-161, 3).map(lambda e: 10.0**e)),
     tau=st.floats(0.25, 4.0),
-    lambdas=st.lists(st.just(0.0) | st.floats(-12, -1).map(lambda e: 10.0**e),
+    lambdas=st.lists(st.just(0.0) | st.floats(-12, 0).map(lambda e: 10.0**e),
                      min_size=1, max_size=30),
     repeats=st.integers(0, 5),
     order=st.randoms(use_true_random=False),
 )
 @example(periods=200, total=100.0, volatility=1600.0, tau=1.0,
          lambdas=[1e-2, 0.0, 1e-8, 1e-2, 1e-5], repeats=2, order=random.Random(0))
-# x·sinh(κτn) overflows but sinh(κτn) does not: only column 0, which is set
-# to x anyway, leaves the float range, so the sinh ratio stays an oracle
+# sinh(κτn) overflows, and x·sinh(κτn) with it
 @example(periods=200, total=1e4, volatility=1.0, tau=1.0,
          lambdas=[0.95 * 2 * (math.cosh(3.515) - 1)], repeats=0, order=random.Random(0))
+@example(periods=200, total=1.0, volatility=1.0, tau=1.0, lambdas=[2 * (math.cosh(3.56) - 1)],
+         repeats=0, order=random.Random(0))
 # 1 + stiffness/2 rounds to 1, so arccosh would give κτ = 0
 @example(periods=10, total=1.0, volatility=1e-21, tau=1.0, lambdas=[0.1, 0.0], repeats=0,
          order=random.Random(0))
-def test_frontier_matches_per_lambda_closed_form(
+# a subnormal stiffness: κτ ≈ 1e-161, whose cube underflows
+@example(periods=10, total=1.0, volatility=1.041180171578257e-161, tau=1.0, lambdas=[1.0],
+         repeats=0, order=random.Random(0))
+# (2n − 1)·κτ either side of SERIES_BELOW
+@example(periods=10, total=100.0, volatility=1.0, tau=1.0,
+         lambdas=[0.95 * 4 * math.sinh(z / 19 / 2) ** 2 for z in (1.999, 2.0, 2.001, 1e-3)],
+         repeats=2, order=random.Random(0))
+# a century of daily periods: the largest n, from the linear to the steepest path
+@example(periods=MAX_PERIODS, total=100.0, volatility=1600.0, tau=1.0, lambdas=[0.0, 1e-12, 1.0],
+         repeats=1, order=random.Random(0))
+def test_frontier_matches_the_50_digit_closed_form_and_the_summed_path(
     periods, total, volatility, tau, lambdas, repeats, order
 ):
     lambdas = lambdas + lambdas[:repeats]
     order.shuffle(lambdas)
     model = desk_model(total_units=total, periods=periods, volatility=volatility,
                        period_length=tau, permanent_coeff=0.1 / tau)
-    assert_frontier_matches_closed_form(model, lambdas)
+    assert_frontier_matches_exact(model, lambdas)
 
 
-@pytest.mark.parametrize("periods", [1, 10, 200])
-def test_frontier_matches_per_lambda_closed_form_on_random_models(periods):
+@pytest.mark.parametrize("periods", [1, 2, 10, 200])
+def test_frontier_matches_the_50_digit_closed_form_on_random_models(periods):
     # Full-mantissa draws: a rounding change shows on only a few percent of
     # points, which the short values hypothesis favours seldom reach.
     rng = random.Random(periods)
@@ -381,10 +367,42 @@ def test_frontier_matches_per_lambda_closed_form_on_random_models(periods):
         model = desk_model(total_units=rng.uniform(1.0, 1e4), periods=periods,
                            volatility=rng.uniform(0.0, 5e3), period_length=tau,
                            permanent_coeff=rng.uniform(0.0, 0.2) / tau)
-        lambdas = [0.0] + [10 ** rng.uniform(-12, -1) for _ in range(9)]
+        lambdas = [0.0] + [10 ** rng.uniform(-12, 0) for _ in range(9)]
         lambdas += rng.sample(lambdas, 3)
         rng.shuffle(lambdas)
-        assert_frontier_matches_closed_form(model, lambdas)
+        assert_frontier_matches_exact(model, lambdas)
+
+
+@pytest.mark.parametrize("periods", [2, 10, 200, MAX_PERIODS])
+def test_a_point_is_the_same_alone_or_among_others_either_side_of_the_series(periods):
+    # The held units' series sums SERIES_TERMS terms at every κτ, so a point's
+    # bits do not depend on the largest M·κτ among the others in its call.
+    m = 2 * periods - 1
+    model = desk_model(total_units=100.0, periods=periods, volatility=1.0)
+    rng = random.Random(periods)
+    targets = [1e-12, 1e-3, 0.5, 1.9, 1.999, SERIES_BELOW, 2.001, 3.0, 50.0]
+    targets += [10 ** rng.uniform(-6, 1) for _ in range(40)]
+    lambdas = [0.0, 1.0] + [4 * math.sinh(z / m / 2) ** 2 * model.adjusted_temporary
+                            for z in targets]
+    for batch in (lambdas, lambdas[::-1], [lambdas[0], lambdas[-1]]):
+        for lam, point in zip(batch, frontier(model, batch)):
+            (alone,) = frontier(model, [lam])
+            assert bits([point.expected_cost, point.cost_variance]) == bits(
+                [alone.expected_cost, alone.cost_variance]), lam
+
+
+def test_the_series_terms_cover_every_kappa_tau_below_the_threshold():
+    # term k + 1 over the first, at most 6.75·(Mκτ)^2k/(2k + 3)!, at the
+    # largest Mκτ the series takes; the terms after it fall faster still
+    assert 6.75 * SERIES_BELOW ** (2 * SERIES_TERMS) / math.factorial(2 * SERIES_TERMS + 3) < 2.0**-60
+    for m in (3, 19, 399, 2 * MAX_PERIODS - 1):
+        with mpmath.workdps(60):
+            a = mpmath.mpf(SERIES_BELOW) / m
+            first = m * (m**2 - 1) * a**3 / 6
+            tail = mpmath.sinh(m * a) - m * mpmath.sinh(a) - mpmath.fsum(
+                m * (m ** (2 * k) - 1) * a ** (2 * k + 1) / mpmath.factorial(2 * k + 1)
+                for k in range(1, SERIES_TERMS + 1))
+        assert 0 <= tail < 2.0**-60 * first
 
 
 @pytest.mark.parametrize(
@@ -438,51 +456,13 @@ def test_frontier_rejects_lambdas_that_are_not_one_flat_sequence(lambdas):
         frontier(desk_model(), lambdas)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    periods=st.sampled_from([1, 10, 200, 2000, MAX_PERIODS]),
-    total=st.floats(1.0, 1e4),
-    volatility=st.sampled_from([0.0, 1.0, 1600.0]) | st.floats(0.0, 5e3),
-    tau=st.floats(0.25, 4.0),
-    lambdas=st.lists(st.just(0.0) | st.floats(-12, 0).map(lambda e: 10.0**e),
-                     min_size=1, max_size=30),
-    block=st.integers(1, 30),
-    spare=st.integers(0, MAX_PERIODS),
-)
-# blocks of 2, 2 and 1 rows: the short last block follows rows whose exp
-# underflowed, in buffers that still hold them
-@example(periods=200, total=100.0, volatility=1600.0, tau=1.0,
-         lambdas=[1e-2, 1.0, 1e-8, 1e-5, 0.0], block=2, spare=0)
-def test_blocked_frontier_is_bit_identical_to_one_pass(periods, total, volatility, tau,
-                                                       lambdas, block, spare):
-    model = desk_model(total_units=total, periods=periods, volatility=volatility,
-                       period_length=tau, permanent_coeff=0.1 / tau)
-    values = np.array(lambdas)
-    holdings = holdings_of(model, values)
-    expected, variance = row_costs_of(holdings, model)
-    block = min(block, len(lambdas))
-    # one pair of buffers for every block, as frontier reuses its own
-    out, work = np.full((2, block * (periods + 1)), np.nan)
-    for first in range(0, len(lambdas), block):
-        rows = _optimal_holdings(model, values[first:first + block], out, work)
-        assert rows.tobytes() == holdings[first:first + block].tobytes()
-        row_expected, row_variance = _row_costs(rows, model, work)
-        assert row_expected.tobytes() == expected[first:first + block].tobytes()
-        assert row_variance.tobytes() == variance[first:first + block].tobytes()
-    cells = block * (periods + 1) + spare % (periods + 1)
-    with mock.patch.object(overhang.frontier, "FRONTIER_BLOCK_CELLS", cells):
-        points = frontier(model, lambdas)
-    assert bits(p.expected_cost for p in points) == bits(expected)
-    assert bits(p.cost_variance for p in points) == bits(variance)
-
-
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
 def test_many_lambdas_at_a_century_of_periods_stay_in_bounded_memory():
-    # 500 risk aversions at 36,500 periods peaked at about 446 MB in one pass,
-    # and at 52 to 68 MB in blocks with fresh temporaries; in blocks written
-    # into two reused buffers it peaks at about 45 MB, about 30 MB of it the
-    # interpreter and numpy. The probe reads its own VmHWM: a child's ru_maxrss
-    # keeps the high-water mark of the process it was forked from, here pytest's.
+    # 500 risk aversions at 36,500 periods peaked at about 446 MB as one
+    # holdings array, and at about 45 MB in blocks of it; priced in closed form
+    # without a path, they peak at about what the interpreter and numpy take.
+    # The probe reads its own VmHWM: a child's ru_maxrss keeps the high-water
+    # mark of the process it was forked from, here pytest's.
     probe = (
         "from overhang.frontier import ExecutionModel, frontier\n"
         "model = ExecutionModel(total_units=100.0, periods=36_500, volatility=1600.0,"
@@ -498,7 +478,7 @@ def test_many_lambdas_at_a_century_of_periods_stay_in_bounded_memory():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     peak_mb = int(result.stdout) / 1024  # VmHWM is in kB
-    assert peak_mb < 150
+    assert peak_mb < 60
 
 
 @settings(max_examples=60, deadline=None)
@@ -657,7 +637,7 @@ def test_row_costs_match_the_diff_and_sum_reference(seed):
                     rng.choice([0.0, 1.0, -2.5, 1e160, -1e200, math.inf, math.nan],
                                (5, periods + 1))]
             for holdings in rows:
-                fast, slow = row_costs_of(holdings, model), reference_row_costs(holdings, model)
+                fast, slow = _row_costs(holdings, model), reference_row_costs(holdings, model)
                 for a, b in zip(fast, slow):
                     assert_same_floats(a, b)
             path = rows[0][1]

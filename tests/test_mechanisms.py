@@ -316,6 +316,14 @@ def test_share_serialization_round_trip():
     assert Share.deserialize("7:01ab") == share
 
 
+@pytest.mark.parametrize("kind", [bytearray, memoryview, list])
+def test_bytes_like_payloads_serialize_like_bytes(kind):
+    # Share(1, [1, 2]).serialize() once raised a bare AttributeError
+    share = Share(7, kind(b"\x01\xab"))
+    assert share.serialize() == "7:01ab"
+    assert Share.deserialize(share.serialize()) == Share(7, b"\x01\xab")
+
+
 @pytest.mark.parametrize("line", [
     "x:aa", "1:zz", "1", "1:aa:bb", ":aa", "1:a",
     # int() and bytes.fromhex take these, the index:hex form does not
@@ -795,6 +803,19 @@ def test_liquidation_replay_of_a_nondecreasing_program_matches_epoch_scan(pairs,
         position_btc=total_btc(program),
     )
     assert events == scanned_releases(program, horizon)
+
+
+def test_a_bare_pair_is_checked_as_a_tranche_program():
+    """A pair that is not a TrancheProgram is built into one first: out of
+    epoch order it raises the record's error, where its release at epoch 9,
+    past the horizon, once came before the one at epoch 4."""
+    replay = dict(terminal=TerminalState(TerminalStateKind.PATIENT_LIQUIDATION), config=cfg(),
+                  clock_horizon=5, position_btc=3e-8)
+    with pytest.raises(ScheduleError, match="^unlock epochs must not decrease$"):
+        simulate_disposition(tranche_program=((9, 4), (1, 2)), **replay)
+    in_order = ([4, 9], [2, 1])
+    assert simulate_disposition(tranche_program=in_order, **replay) == simulate_disposition(
+        tranche_program=TrancheProgram((4, 9), (2, 1)), **replay) == [SimEvent(4, "release", 2)]
 
 
 @pytest.mark.parametrize(
