@@ -334,12 +334,8 @@ def _cmd_schedule(args: argparse.Namespace, out) -> None:
             sched, granularity=args.tranches_per_year, start=args.start or 0
         )
         rows = [
-            {
-                "tranche": i,
-                "unlock_epoch": condition.value,
-                "amount_btc": ledger.sats_to_btc(amount),
-            }
-            for i, (condition, amount) in enumerate(program.tranches)
+            {"tranche": i, "unlock_epoch": epoch, "amount_btc": ledger.sats_to_btc(amount)}
+            for i, (epoch, amount) in enumerate(zip(program.epochs, program.amounts))
         ]
     else:
         rows = [{

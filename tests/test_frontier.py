@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,7 +15,6 @@ from scipy import optimize
 
 import overhang.frontier
 from overhang.frontier import (
-    EXP_ZERO_BELOW,
     MAX_PERIODS,
     SERIES_BELOW,
     SERIES_TERMS,
@@ -24,15 +22,11 @@ from overhang.frontier import (
     FrontierError,
     FrontierPoint,
     _optimal_holdings,
-    _row_costs,
+    _path_costs,
     cost_of,
     frontier,
     optimal_trajectory,
 )
-
-
-def holdings_of(model, lambdas):
-    return _optimal_holdings(model, np.asarray(lambdas, dtype=float))
 
 
 def desk_model(**overrides):
@@ -510,8 +504,8 @@ def test_trajectory_matches_50_digit_closed_form(periods, total, volatility, tau
 
 
 def reference_optimal_holdings(model, lambdas):
-    """_optimal_holdings as one expression into fresh arrays: the reference
-    for its reused buffers and for the exp zeros it skips."""
+    """The optimal holdings as one expression, one row per risk aversion, into
+    fresh arrays: the reference for _optimal_holdings at each λ alone."""
     n = model.periods
     x_total = model.total_units
     tau = model.period_length
@@ -531,12 +525,16 @@ def reference_optimal_holdings(model, lambdas):
 
 
 def assert_holdings_match_the_reference(model, lambdas):
-    """Bit-identical rows, and whether the kernel masked exp's zeros."""
+    """Each λ's path bit-identical to the reference's row, and how many paths
+    reach +0.0 before their last period: where −κτj is below about −745.13,
+    np.exp is +0.0."""
     values = np.array(lambdas, dtype=float)
-    with mock.patch.object(np, "putmask", wraps=np.putmask) as putmask:
-        fast = holdings_of(model, values)
-    assert fast.tobytes() == reference_optimal_holdings(model, values).tobytes()
-    return putmask.called
+    underflowed = 0
+    for lam, row in zip(values, reference_optimal_holdings(model, values)):
+        path = _optimal_holdings(model._replace(risk_aversion=lam))
+        assert path.tobytes() == row.tobytes(), lam
+        underflowed += bool(row[1:-1].size) and row[-2] == 0.0 < row[1]
+    return underflowed
 
 
 @settings(max_examples=200, deadline=None)
@@ -549,10 +547,10 @@ def assert_holdings_match_the_reference(model, lambdas):
     lambdas=st.lists(st.just(0.0) | st.floats(-12, 10).map(lambda e: 10.0**e),
                      min_size=1, max_size=20),
 )
-# exp(−κτj) underflows past j ≈ 73: the mask fires
+# −κτj falls below −745.13 past j ≈ 73: np.exp gives +0.0 there
 @example(periods=200, total=100.0, volatility=1600.0, tau=1.0, edge=0.05,
          lambdas=[1e-2, 0.0, 1e-8])
-# κτn stays below 746: the plain exp
+# −κτn stays above −745.13: every exp is positive
 @example(periods=10, total=100.0, volatility=1600.0, tau=1.0, edge=0.05, lambdas=[1e-6, 0.0])
 # γτ/2 just under η: a tiny adjusted η and a huge stiffness
 @example(periods=200, total=1.0, volatility=1e160, tau=1.0, edge=0.999999, lambdas=[1e10, 1.0])
@@ -565,37 +563,27 @@ def test_optimal_holdings_match_the_one_expression_reference(
     assert_holdings_match_the_reference(model, lambdas)
 
 
-def test_optimal_holdings_match_the_reference_on_random_models_either_side_of_the_mask():
-    # Full-mantissa draws, half of whose models reach exp's zeros.
+def test_optimal_holdings_match_the_reference_on_random_models_either_side_of_exp_underflow():
+    # Full-mantissa draws, some of whose paths reach exp's zeros.
     rng = random.Random(26)
-    masked = []
+    underflowed = paths = 0
     for _ in range(300):
         tau = rng.uniform(0.25, 4.0)
         model = desk_model(total_units=rng.uniform(1.0, 1e4), periods=rng.randint(1, 400),
                            volatility=10 ** rng.uniform(-3, 160), period_length=tau,
                            permanent_coeff=2 * rng.uniform(0.0, 0.999999) / tau)
         lambdas = [0.0] + [10 ** rng.uniform(-12, 10) for _ in range(rng.randint(0, 8))]
-        masked.append(assert_holdings_match_the_reference(model, lambdas))
-    assert any(masked) and not all(masked)
-
-
-def test_exp_is_positive_zero_wherever_the_kernel_skips_it():
-    """The mask's premise: every argument below EXP_ZERO_BELOW, and -inf, has
-    np.exp +0.0, sign bit clear, so setting such a result to +0.0 moves no bit.
-    A numpy whose exp differs there fails here."""
-    below = np.linspace(-1000.0, EXP_ZERO_BELOW, 1_000_001)
-    arguments = np.concatenate((below, [np.nextafter(EXP_ZERO_BELOW, -np.inf), -np.inf]))
-    assert np.exp(arguments).tobytes() == bytes(8 * len(arguments))
-    for argument in arguments[::9973]:  # the short-array and scalar loops
-        assert np.exp(np.array([argument])).tobytes() == bytes(8)
-        assert np.exp(argument).tobytes() == bytes(8)
+        underflowed += assert_holdings_match_the_reference(model, lambdas)
+        paths += len(lambdas)
+    assert 0 < underflowed < paths
 
 
 def reference_row_costs(holdings, model):
-    """_row_costs with trades as -np.diff and sums as np.sum: the reference
-    for its sliced subtraction and np.add.reduce. A row that holds nothing
-    after its first trade has variance 0, where σ²τ·0 would be NaN at an
-    infinite σ²τ."""
+    """The costs of each row of a (rows, periods + 1) holdings array, with
+    trades as -np.diff and sums as np.sum: the reference for _path_costs'
+    sliced subtraction and np.add.reduce on each row alone. A row that holds
+    nothing after its first trade has variance 0, where σ²τ·0 would be NaN at
+    an infinite σ²τ."""
     tau = model.period_length
     sigma = model.volatility
     try:
@@ -613,38 +601,29 @@ def reference_row_costs(holdings, model):
     return expected, variance
 
 
-def assert_same_floats(fast, slow):
-    """Equal arrays, NaN matching NaN, and bit-identical wherever not NaN."""
-    fast, slow = np.asarray(fast), np.asarray(slow)
-    assert fast.dtype == slow.dtype and np.array_equal(fast, slow, equal_nan=True)
-    finite = ~np.isnan(slow)
-    assert fast[finite].tobytes() == slow[finite].tobytes()
-
-
 @pytest.mark.parametrize("seed", range(8))
-def test_row_costs_match_the_diff_and_sum_reference(seed):
-    """Random models, among them 200-period rows whose large risk aversions
+def test_path_costs_match_the_diff_and_sum_reference(seed):
+    """Random models, among them 200-period paths whose large risk aversions
     underflow the holdings and volatilities near the float range, give the
-    reference's costs bit for bit, optimal rows and arbitrary rows alike."""
+    reference's costs bit for bit, optimal paths and arbitrary ones alike."""
     rng = np.random.default_rng(seed)
     for periods in (1, 10, 50, 200):
         for volatility in (0.0, 1.0, 1600.0, rng.uniform(0, 5e3), 1e150, 1e155, 1e300):
             model = desk_model(total_units=float(rng.uniform(1, 1e4)), periods=periods,
                                volatility=volatility, period_length=float(rng.uniform(0.25, 4)))
             lambdas = np.concatenate(([0.0, 1e-2, 1.0, 1e6], 10.0 ** rng.uniform(-12, 2, 12)))
-            rows = [holdings_of(model, lambdas),
+            rows = [reference_optimal_holdings(model, lambdas),
                     rng.normal(0, 1e3, (5, periods + 1)),
                     rng.choice([0.0, 1.0, -2.5, 1e160, -1e200, math.inf, math.nan],
                                (5, periods + 1))]
             for holdings in rows:
-                fast, slow = _row_costs(holdings, model), reference_row_costs(holdings, model)
-                for a, b in zip(fast, slow):
-                    assert_same_floats(a, b)
+                for path, *reference in zip(holdings, *reference_row_costs(holdings, model)):
+                    assert bits(_path_costs(path, model)) == bits(reference)
             path = rows[0][1]
             reference = [float(v[0]) for v in reference_row_costs(path[np.newaxis], model)]
             if all(map(math.isfinite, reference)):
                 assert bits(cost_of(path, model)) == bits(reference)
-            else:  # cost_of raises where the row's cost is not finite
+            else:  # cost_of raises where the path's cost is not finite
                 with pytest.raises(FrontierError, match="not a finite float"):
                     cost_of(path, model)
 

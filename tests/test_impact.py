@@ -1,11 +1,14 @@
+import decimal
 import math
 import random
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from overhang.impact import (
+    EPSILON_RANGE,
     OTC_BAND_LOW,
     ElasticityModel,
     ExecutionQuality,
@@ -18,7 +21,8 @@ from overhang.impact import (
     permanent_impact,
     relative_impact_with_growth,
 )
-from overhang.ledger import format_percent
+from overhang.ledger import ShareBasis, SupplyLedger, format_percent, position_share
+from overhang.scenarios import DEFAULT_EPSILON_GRID
 
 REFERENCE_TABLE = [(1.5, "-4.4%"), (0.7, "-9.2%"), (0.3, "-20.2%")]
 
@@ -32,7 +36,8 @@ def test_reference_impact_table(epsilon, reported):
 
 def test_zero_shift_zero_impact():
     for eps in (0.3, 0.7, 1.5):
-        assert permanent_impact(0.0, ElasticityModel(eps)) == 0.0
+        value = permanent_impact(0.0, ElasticityModel(eps))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0  # +0.0, not -0.0
 
 
 def test_invalid_elasticity():
@@ -111,6 +116,40 @@ def test_permanent_impact_monotonicity(s1, s2, e1, e2):
         milder = permanent_impact(s1, ElasticityModel(hi))
         harsher = permanent_impact(s1, ElasticityModel(lo))
         assert milder > harsher if resolved(lo, hi) else milder >= harsher
+
+
+def exact_impact(shift, epsilon):
+    """(1 + s)^(-1/ε) − 1 of the floats s and ε, in Decimal at 60 digits past
+    the leading digit of s, so that a tiny shift keeps them too."""
+    if shift == 0:
+        return Decimal(0)
+    digits = 60 + max(0, -math.floor(math.log10(shift)))
+    with decimal.localcontext(decimal.Context(prec=digits)):
+        return (-(1 + Decimal(shift)).ln() / Decimal(epsilon)).exp() - 1
+
+
+def impact_ulps(shift, epsilon):
+    """permanent_impact's distance from the exact value, in ulps of that value."""
+    exact = exact_impact(shift, epsilon)
+    got = permanent_impact(shift, ElasticityModel(epsilon))
+    return float(abs(Decimal(got) - exact) / Decimal(math.ulp(float(exact))))
+
+
+@pytest.mark.parametrize("epsilon", DEFAULT_EPSILON_GRID)
+@pytest.mark.parametrize("basis", list(ShareBasis), ids=lambda basis: basis.value)
+def test_permanent_impact_is_within_an_ulp_at_the_builtin_shares(basis, epsilon):
+    shift = position_share(SupplyLedger.from_btc(), basis)
+    assert impact_ulps(shift, epsilon) <= 1
+
+
+@given(shift=st.floats(0.0, 1.0), epsilon=st.floats(*EPSILON_RANGE))
+# the farthest of 200,000 random draws: 2.06 ulps
+@example(shift=0.29107447707085665, epsilon=0.9351805127939328)
+# (1 + s)^(-1/ε) − 1 printed −1.000000082740371e-10 here, 8.3e-8 relative off
+@example(shift=1e-10, epsilon=1.0)
+@example(shift=5e-324, epsilon=0.3)
+def test_permanent_impact_is_within_4_ulps_over_its_range(shift, epsilon):
+    assert impact_ulps(shift, epsilon) <= 4
 
 
 def test_halving_elasticity_roughly_doubles_impact():

@@ -168,6 +168,10 @@ UNREFERENCED_IN_SRC = (
     "dms_step",
     "overshoot_path",
 )
+# Public methods that only the benchmark reads: perfbench/wl_replay.py:154,193
+# reads TrancheProgram.tranches, and the benchmark changes only under ROADMAP
+# item 1, which then deletes the property with TimelockCondition (item 7).
+UNREFERENCED_METHODS_IN_SRC = ("TrancheProgram.tranches",)
 
 
 def test_every_public_name_is_referenced_in_src():
@@ -195,16 +199,17 @@ def test_every_public_name_is_referenced_in_src():
     assert set(UNREFERENCED_IN_SRC) <= set(defined)
     unreferenced = sorted(set(defined) - referenced - set(UNREFERENCED_IN_SRC))
     assert not unreferenced, f"only the tests use {unreferenced}"
-    unreferenced = [
-        f"{cls.name}.{node.name}"
+    methods = {
+        f"{cls.name}.{node.name}": node.name
         for cls in public
         if isinstance(cls, ast.ClassDef)
         for node in cls.body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and node.name not in referenced
-    ]
-    assert not unreferenced, f"only the tests use {unreferenced}"
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    unreferenced = {method for method, name in methods.items() if name not in referenced}
+    exempt = set(UNREFERENCED_METHODS_IN_SRC)
+    assert unreferenced == exempt, (f"only the tests use {sorted(unreferenced - exempt)}, "
+                                    f"exempt but used {sorted(exempt - unreferenced)}")
 
 
 # frontier.FrontierPoint stays a dataclass: perfbench/selftest.py:89 calls
