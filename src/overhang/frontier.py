@@ -15,7 +15,6 @@ number of risk aversions alone, at any number of periods.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import count, repeat
 from typing import NamedTuple, Sequence
@@ -51,10 +50,8 @@ class ExecutionModel(NamedTuple):
     risk_aversion: float = 0.0
 
     def _check(self) -> None:
-        try:
-            operator.index(self.periods)  # a numpy integer passes, a float does not
-        except TypeError:
-            raise FrontierError(f"non-integer periods {self.periods!r}") from None
+        if type(self.periods) is not int:  # a bool, a float or a numpy integer is not
+            raise FrontierError(f"non-integer periods {self.periods!r}")
         if not all(map(math.isfinite, (
             self.total_units, self.period_length, self.volatility,
             self.permanent_coeff, self.temporary_coeff, self.risk_aversion,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from typing import Iterable, NamedTuple, Sequence
 
 from overhang import checked
@@ -81,18 +80,14 @@ class OvershootParams(NamedTuple):
             raise ImpactError("overshoot half-life must be positive and finite")
 
 
-def _check_shift(supply_shift: float) -> None:
-    if not 0 <= supply_shift < math.inf:
-        raise ImpactError(f"supply shift must be finite and nonnegative, got {supply_shift}")
-
-
 def permanent_impact(supply_shift: float, model: ElasticityModel) -> float:
     """Price change relative to counterfactual from a permanent supply shift,
     (1 + s)^(-1/e) - 1 as expm1(-log1p(s)/e), which does not cancel for a
     small s: within 1 ulp of the exact value at the built-in shares and the
     default elasticity grid, and within 4 ulps for s in [0, 1] and e in
     EPSILON_RANGE. Adding 0.0 turns a zero shift's -0.0 into +0.0."""
-    _check_shift(supply_shift)
+    if not 0 <= supply_shift < math.inf:
+        raise ImpactError(f"supply shift must be finite and nonnegative, got {supply_shift}")
     return math.expm1(-math.log1p(supply_shift) / model.epsilon) + 0.0
 
 
@@ -128,20 +123,17 @@ def relative_impact_with_growth(
 ) -> float:
     """Terminal disposition-vs-counterfactual price ratio under demand growth.
 
-    Evolves both price paths period by period under the constant-elasticity
-    log-linear form; the result is invariant to the growth trajectory and
-    equals permanent_impact for the same shift.
+    Under the constant-elasticity log-linear form each period's demand
+    multiplier scales the disposition and counterfactual prices alike, so it
+    cancels from their ratio: once every multiplier is checked positive and
+    finite, the result is permanent_impact for the same shift, whatever the
+    growth trajectory.
     """
-    _check_shift(supply_shift)
-    inv_eps = 1.0 / model.epsilon
-    counterfactual = 1.0
-    disposition = (1.0 + supply_shift) ** (-inv_eps)
+    impact = permanent_impact(supply_shift, model)
     for multiplier in growth_path:
-        if multiplier <= 0:
-            raise ImpactError(f"demand multiplier must be positive, got {multiplier}")
-        counterfactual *= multiplier**inv_eps
-        disposition *= multiplier**inv_eps
-    return disposition / counterfactual - 1.0
+        if not 0 < multiplier < math.inf:
+            raise ImpactError(f"demand multiplier must be positive and finite, got {multiplier}")
+    return impact
 
 
 def overshoot_path(
@@ -154,10 +146,8 @@ def overshoot_path(
     Day 0 sits at (1 + total) * (1 - magnitude); the transient halves every
     half_life days and the path converges to 1 + total from below.
     """
-    try:
-        horizon = operator.index(horizon)
-    except TypeError:
-        raise ImpactError(f"non-integer horizon {horizon!r}") from None
+    if type(horizon) is not int:
+        raise ImpactError(f"non-integer horizon {horizon!r}")
     if horizon < 1:
         raise ImpactError("horizon must be at least one day")
     base = 1.0 + mechanical_total

@@ -12,7 +12,6 @@ import json
 import math
 from bisect import bisect_right
 from itertools import repeat, starmap
-from operator import index
 from typing import NamedTuple, Optional
 
 from overhang import checked
@@ -50,10 +49,8 @@ class DmsConfig(NamedTuple):
     action: DmsAction
 
     def _check(self) -> None:
-        try:
-            index(self.heartbeat_interval), index(self.grace_missed)
-        except TypeError:
-            raise MechanismError("heartbeat interval and grace_missed must be integers") from None
+        if type(self.heartbeat_interval) is not int or type(self.grace_missed) is not int:
+            raise MechanismError("heartbeat interval and grace_missed must be integers")
         if self.heartbeat_interval <= 0:
             raise MechanismError("heartbeat interval must be positive")
         if self.grace_missed < 1:

@@ -55,15 +55,18 @@ class TimelockCondition(NamedTuple):
 
 @checked
 class TrancheProgram(NamedTuple):
-    """Timelocked tranches as two columns: tranche i unlocks at epochs[i] and
-    releases amounts[i] satoshis. Epochs are nonnegative and never decrease
-    (ties are legal); amounts are nonnegative. simulate_disposition checks their sum."""
+    """Timelocked tranches as two tuple columns, so no change follows the
+    check: tranche i unlocks at epochs[i] and releases amounts[i] satoshis.
+    Epochs are nonnegative and never decrease (ties are legal); amounts are
+    nonnegative. simulate_disposition checks their sum."""
 
     epochs: tuple[int, ...]
     amounts: tuple[int, ...]
 
     def _check(self) -> None:
         epochs, amounts = self
+        if type(epochs) is not tuple or type(amounts) is not tuple:
+            raise ScheduleError("tranche program columns must be tuples")
         if len(epochs) != len(amounts):
             raise ScheduleError(f"{len(epochs)} unlock epochs for {len(amounts)} tranche amounts")
         if min(epochs, default=0) < 0:
@@ -144,10 +147,8 @@ def to_tranche_program(
     check, which it passes: offsets rise within a period, the last below
     PERIOD_DAYS, so epochs strictly increase; every amount is >= base >= 0.
     """
-    try:
-        granularity, start = operator.index(granularity), operator.index(start)
-    except TypeError:
-        raise ScheduleError(f"non-integer granularity {granularity!r} or start {start!r}") from None
+    if type(granularity) is not int or type(start) is not int:
+        raise ScheduleError(f"non-integer granularity {granularity!r} or start {start!r}")
     if not 1 <= granularity <= DAYS_PER_YEAR:
         raise ScheduleError(
             f"granularity must be 1 to {DAYS_PER_YEAR} tranches per year, got {granularity}"

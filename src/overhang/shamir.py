@@ -6,7 +6,6 @@ Deterministic: the polynomial coefficients come from a caller-seeded generator.
 from __future__ import annotations
 
 import random
-from operator import index
 from typing import Callable, Iterable, NamedTuple
 
 from overhang import checked
@@ -66,33 +65,22 @@ def parse_hex(text: str) -> bytes:
 
 @checked
 class Share(NamedTuple):
-    """One shard: evaluation point index and a byte-wise payload, a sequence
-    of bytes: bytes, a bytearray, a memoryview of bytes or a list of ints."""
+    """One shard: an evaluation point index, an int in 1..255, and a
+    byte-wise payload, bytes."""
 
     index: int
     payload: bytes
 
     def _check(self) -> None:
-        try:
-            index(self.index)  # a numpy integer passes, a float does not
-        except TypeError:
-            raise ShamirError(f"non-integer share index {self.index!r}") from None
+        if type(self.index) is not int:  # a bool, a float or a numpy integer is not
+            raise ShamirError(f"non-integer share index {self.index!r}")
         if not 1 <= self.index <= 255:
             raise ShamirError(f"share index {self.index} outside 1..255")
-        if type(self.payload) is bytes:  # what split and deserialize build, spared a bytes() call
-            return
-        # len() rejects an int, which bytes() would take as a length; a
-        # memoryview of wider items has fewer items than bytes() makes of it
-        try:
-            byte_sequence = len(bytes(self.payload)) == len(self.payload)
-        except (TypeError, ValueError):
-            byte_sequence = False
-        if not byte_sequence:
-            raise ShamirError(f"share payload {self.payload!r} is not a byte sequence")
+        if type(self.payload) is not bytes:
+            raise ShamirError(f"share payload {self.payload!r} is not bytes")
 
     def serialize(self) -> str:
-        payload = self.payload if type(self.payload) is bytes else bytes(self.payload)
-        return f"{self.index}:{payload.hex()}"
+        return f"{self.index}:{self.payload.hex()}"
 
     @classmethod
     def deserialize(cls, line: str) -> "Share":
@@ -115,7 +103,7 @@ def split(secret: bytes, k: int, n: int, rng: random.Random) -> list[Share]:
     a degree-(k-1) polynomial with rng-drawn coefficients, evaluated at
     x = 1..n by Horner's rule. Deterministic given the rng state.
     """
-    if not secret or len(secret) > MAX_SECRET_LEN:
+    if type(secret) is not bytes or not 1 <= len(secret) <= MAX_SECRET_LEN:
         raise ShamirError(f"secret must be 1..{MAX_SECRET_LEN} bytes")
     if not 1 <= k <= n <= 255:
         raise ShamirError(f"require 1 <= k <= n <= 255, got k={k}, n={n}")
@@ -180,7 +168,7 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
     if k < 1:
         raise ShamirError(f"threshold k must be at least 1, got {k}")
     shares = list(shares)
-    indices = [index(s.index) for s in shares]  # a numpy integer becomes an int
+    indices = [s.index for s in shares]
     if len(set(indices)) != len(indices):
         raise ShamirError("duplicate share indices")
     if len(shares) < k:
@@ -188,9 +176,8 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
     lengths = {len(s.payload) for s in shares}
     if len(lengths) != 1 or not 1 <= min(lengths) <= MAX_SECRET_LEN:
         raise ShamirError(f"share payloads must share one length of 1..{MAX_SECRET_LEN} bytes")
-    payloads = [bytes(s.payload) for s in shares]  # a memoryview or a list of ints too
-    polynomial = _polynomial(bytes(indices[:k]), payloads[:k])
-    for x, payload in zip(indices[k:], payloads[k:]):
+    polynomial = _polynomial(bytes(indices[:k]), [s.payload for s in shares[:k]])
+    for x, payload in shares[k:]:
         if polynomial(x) != int.from_bytes(payload, "big"):
             raise ShamirError(f"share {x} does not lie on the polynomial of the first {k} shares")
     return polynomial(0).to_bytes(lengths.pop(), "big")

@@ -349,3 +349,18 @@ def test_int_byte_conversions_name_their_byte_order(module):
         and len(node.args) < 2 and not any(kw.arg == "byteorder" for kw in node.keywords)
     ]
     assert not bare, f"{module}.py lines {bare} leave out the byte order"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_integer_is_converted_through_operator_index(module):
+    """An integer input is checked to be an int, not converted: operator.index
+    lets a numpy integer or a bool through, which then reaches the arithmetic
+    unconverted, so no module reads operator.index or imports index from operator."""
+    converting = [
+        node.lineno for node in ast.walk(_parse(MODULES[module]))
+        if isinstance(node, ast.Attribute) and node.attr == "index"
+        and isinstance(node.value, ast.Name) and node.value.id == "operator"
+        or isinstance(node, ast.ImportFrom) and node.module == "operator"
+        and any(alias.name == "index" for alias in node.names)
+    ]
+    assert not converting, f"{module}.py lines {converting} use operator.index"
