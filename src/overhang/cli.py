@@ -11,8 +11,8 @@ ASCII digits after at most one leading '-': int()'s other forms (non-ASCII
 digits, '_' separators, '+', spaces) exit 2. A scenario run resolves into one
 RunConfig: the config file or the defaults, then --volume, then the scenario
 name, which a config [scenario] section excludes. A frontier of one λ prints
-one row, whose `holdings` field is the trajectory's holdings, each `.6g`,
-joined by ", "; its cost and variance are frontier()'s, as for a list of λ.
+one row from optimal_trajectory: its holdings, each `.6g`, joined by ", ",
+and its cost and variance, which are frontier()'s at that λ bit for bit.
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError: a missing config file, a share line that is not ASCII digits,
@@ -358,10 +358,12 @@ def _cmd_frontier(args: argparse.Namespace, out) -> None:
         permanent_coeff=args.gamma,
         temporary_coeff=args.eta,
     )
-    rows = [dataclasses.asdict(p) for p in frontier.frontier(model, args.lambdas)]
-    if len(rows) == 1:
-        trajectory = frontier.optimal_trajectory(model._replace(risk_aversion=args.lambdas[0]))
-        rows[0]["holdings"] = ", ".join(f"{x:.6g}" for x in trajectory.holdings)
+    if len(args.lambdas) == 1:  # the one path, priced as its frontier point
+        path = frontier.optimal_trajectory(model._replace(risk_aversion=args.lambdas[0]))
+        rows = [dataclasses.asdict(frontier.FrontierPoint(*args.lambdas, *path[1:]))
+                | {"holdings": ", ".join(f"{x:.6g}" for x in path.holdings)}]
+    else:
+        rows = [dataclasses.asdict(p) for p in frontier.frontier(model, args.lambdas)]
     _emit(rows, args.fmt, out)
 
 

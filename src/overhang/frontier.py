@@ -5,11 +5,10 @@ expected cost plus risk_aversion times variance over admissible holdings
 paths gives the hyperbolic-sine profile in closed form (Almgren & Chriss,
 2000), built here as one path at the model's risk aversion, in one form that
 stays finite for every κτ; zero stiffness degenerates to the linear
-(uniform-pace) trajectory. A path's cost and variance are summed from its
-trades and holdings, for the optimal path and any other alike. The frontier
-prices each risk aversion from the closed forms of that path's cost and
-variance, without building the path, so its work and memory grow with the
-number of risk aversions alone, at any number of periods.
+(uniform-pace) trajectory. Its cost and variance, like each frontier point's,
+come from their closed forms, without the path, so the frontier's work and
+memory grow with the number of risk aversions alone, at any number of
+periods; cost_of sums any path's from its trades and holdings.
 """
 
 from __future__ import annotations
@@ -105,42 +104,30 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
         raise FrontierError("holdings must be finite")
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
-    costs = _path_costs(x, model)
+    k = np.frexp(np.max(np.abs(x[1:])))[1]  # Σx_k² = 4^k·Σ(x_k/2^k)², no square past 1
+    mantissa, exp = np.frexp(np.sum(np.ldexp(x[1:], -k) ** 2))
+    with np.errstate(over="ignore"):
+        costs = tuple(map(float, _costs(model, np.sum(np.diff(x) ** 2), mantissa, exp + 2 * k)))
     if not all(map(math.isfinite, costs)):
         raise FrontierError(f"the path's cost or variance is not a finite float: {costs}")
     return costs
 
 
-def _costs(model: ExecutionModel, traded: np.ndarray | float,
-           held: np.ndarray | float) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """E and V from Σn_k² and Σx_k², floats or arrays of them, one per path; a
-    cost past the float range is inf or NaN, without a warning."""
-    tau = model.period_length
-    sigma = model.volatility
-    try:
-        sigma_squared_tau = sigma**2 * tau
-    except OverflowError:  # σ² alone leaves the float range; σ²τ may not
-        sigma_squared_tau = sigma * (sigma * tau)
+def _costs(model: ExecutionModel, traded: np.ndarray | float, held: np.ndarray | float,
+           held_exp: np.ndarray | int) -> tuple[np.ndarray | float, np.ndarray | float]:
+    """E and V from Σn_k² and Σx_k² = held·2^held_exp, held in [1/32, 1) or 0,
+    one per path; a cost past the float range is inf or NaN, without a warning.
+    V = σ²τ·Σx_k² is the product of the mantissas of σ, σ, τ and held, scaled
+    once by their summed exponents, so no partial product leaves the range."""
+    sigma_m, sigma_exp = math.frexp(model.volatility)
+    tau_m, tau_exp = math.frexp(model.period_length)
     with np.errstate(over="ignore", invalid="ignore"):
         expected = (
             0.5 * model.permanent_coeff * model.total_units**2
-            + model.adjusted_temporary / tau * traded
+            + model.adjusted_temporary / model.period_length * traded
         )
-        variance = sigma_squared_tau * held
-    if math.isinf(sigma_squared_tau):  # inf·0 is NaN; a path that holds nothing has no variance
-        variance = np.where(held == 0, 0.0, variance)
+        variance = np.ldexp(sigma_m * sigma_m * tau_m * held, held_exp + (2 * sigma_exp + tau_exp))
     return expected, variance
-
-
-def _path_costs(holdings: np.ndarray, model: ExecutionModel) -> tuple[float, float]:
-    """cost_of without its checks. The trades are -np.diff and the sums
-    np.add.reduce, the reduction np.sum wraps, without either wrapper's
-    per-call work."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.square(holdings[:-1] - holdings[1:])
-        traded = np.add.reduce(squares)
-        held = np.add.reduce(np.square(holdings[1:], out=squares))
-    return tuple(map(float, _costs(model, traded, held)))
 
 
 def _kappa_tau(model: ExecutionModel,
@@ -186,9 +173,10 @@ def _optimal_holdings(model: ExecutionModel) -> np.ndarray:
 
 
 def optimal_trajectory(model: ExecutionModel) -> Trajectory:
-    """Closed-form minimizer of expected cost + risk_aversion * variance."""
-    holdings = _optimal_holdings(model)
-    return Trajectory(tuple(holdings.tolist()), *_path_costs(holdings, model))
+    """Closed-form minimizer of expected cost + risk_aversion * variance,
+    priced as frontier() prices its point at the model's risk aversion."""
+    costs = _costs(model, *_optimal_sums(model, np.array([model.risk_aversion])))
+    return Trajectory(tuple(_optimal_holdings(model).tolist()), *(c.item() for c in costs))
 
 
 def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:
@@ -205,7 +193,7 @@ def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:
     return series / (4 * (np.sinh(kappa_tau) / kappa_tau) * (np.sinh(n * kappa_tau) / kappa_tau) ** 2)
 
 
-def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, ...]:
     """Σn_k² and Σx_k² of the optimal path at each risk aversion, in closed
     form (Almgren & Chriss, 2000). With a = κτ, n = periods and M = 2n − 1:
 
@@ -218,7 +206,8 @@ def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarra
     stiffness s as 2/(2 + s + √s·√(s + 4)), the root of q + 1/q = 2 + s:
     exp(−κτ) would scale κτ's own rounding by κτ. Zero stiffness gives the
     linear path's X²/n and X²(n − 1)(2n − 1)/(6n), and one period one trade
-    of X. X² is applied as X·(X·Σ), so a sum stays finite wherever it fits.
+    of X. Σn_k² is X·(X·Σ); Σx_k² goes to _costs as (X·q)·((X·q)·Σ) over the
+    mantissas of X, q and Σ, and their summed binary exponents.
     """
     x_total = model.total_units
     n = model.periods
@@ -226,7 +215,7 @@ def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarra
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         stiffness, root, a = _kappa_tau(model, lambdas)
         if n == 1:  # one trade of X, after which nothing is held
-            return np.full_like(a, x_total * x_total), np.zeros_like(a)
+            return np.full_like(a, x_total * x_total), np.zeros_like(a), 0
         decay = 2 / ((2 + stiffness) + root * np.sqrt(stiffness + 4))
         e1 = np.expm1(-2 * a)
         en = np.expm1(-2 * n * a)
@@ -239,8 +228,10 @@ def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarra
         if linear.any():
             traded[linear] = 1 / n
             held[linear] = (n - 1) * (2 * n - 1) / (6 * n)
-        scaled = x_total * decay
-        return x_total * (x_total * traded), scaled * (scaled * held)
+        x_m, x_exp = math.frexp(x_total)
+        (q, q_exp), (held, held_exp) = np.frexp(decay), np.frexp(held)
+        scaled = x_m * q  # in [1/4, 1)
+        return x_total * (x_total * traded), scaled * (scaled * held), 2 * (x_exp + q_exp) + held_exp
 
 
 def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPoint]:

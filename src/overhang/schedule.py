@@ -55,10 +55,10 @@ class TimelockCondition(NamedTuple):
 
 @checked
 class TrancheProgram(NamedTuple):
-    """Timelocked tranches as two tuple columns, so no change follows the
-    check: tranche i unlocks at epochs[i] and releases amounts[i] satoshis.
-    Epochs are nonnegative and never decrease (ties are legal); amounts are
-    nonnegative. simulate_disposition checks their sum."""
+    """Timelocked tranches as two tuple columns of ints, so no change follows
+    the check: tranche i unlocks at epochs[i] and releases amounts[i]
+    satoshis. Epochs are nonnegative and never decrease (ties are legal);
+    amounts are nonnegative. simulate_disposition checks their sum."""
 
     epochs: tuple[int, ...]
     amounts: tuple[int, ...]
@@ -69,6 +69,8 @@ class TrancheProgram(NamedTuple):
             raise ScheduleError("tranche program columns must be tuples")
         if len(epochs) != len(amounts):
             raise ScheduleError(f"{len(epochs)} unlock epochs for {len(amounts)} tranche amounts")
+        if not set(map(type, epochs + amounts)) <= {int}:  # not a bool, a float or a numpy int
+            raise ScheduleError("tranche epochs and amounts must be ints")
         if min(epochs, default=0) < 0:
             raise ScheduleError("timelock epoch must be nonnegative")
         if any(map(operator.gt, epochs, epochs[1:])):

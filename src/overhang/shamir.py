@@ -105,6 +105,8 @@ def split(secret: bytes, k: int, n: int, rng: random.Random) -> list[Share]:
     """
     if type(secret) is not bytes or not 1 <= len(secret) <= MAX_SECRET_LEN:
         raise ShamirError(f"secret must be 1..{MAX_SECRET_LEN} bytes")
+    if type(k) is not int or type(n) is not int:  # a bool, a float or a numpy integer is not
+        raise ShamirError(f"non-integer threshold k {k!r} or share count n {n!r}")
     if not 1 <= k <= n <= 255:
         raise ShamirError(f"require 1 <= k <= n <= 255, got k={k}, n={n}")
     # drawn byte by byte, lowest degree first: this order fixes the seeded output
@@ -165,6 +167,8 @@ def reconstruct(shares: Iterable[Share], k: int) -> bytes:
     extra shares detect a corrupt or foreign share. With exactly k shares no
     such check is possible, and a corrupt share yields a wrong secret.
     """
+    if type(k) is not int:  # a bool, a float or a numpy integer is not
+        raise ShamirError(f"non-integer threshold k {k!r}")
     if k < 1:
         raise ShamirError(f"threshold k must be at least 1, got {k}")
     shares = list(shares)

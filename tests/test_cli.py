@@ -489,7 +489,7 @@ def test_every_config_key_changes_the_output_or_exits_2(section, key, tmp_path):
     [
         # participation = daily USD / 1e-320 overflows to inf
         ("schedule", "--volume", "1e-320"),
-        # σ²τ = 1e600 is past the float range, even as σ·(σ·τ)
+        # the variance σ²τ·Σx² is past the float range
         ("frontier", "--sigma", "1e300"),
         ("frontier", "--total", "1e160", "--lambdas", "0"),
     ],
@@ -513,21 +513,22 @@ def test_float_overflow_exits_4_with_one_readable_line(argv):
 
 
 OVERFLOWING_FRONTIERS = [
-    # σ²τ overflows to inf and meets Σx² = 0 in the variance: exactly 0, exit 0
+    # σ²τ would overflow to inf, but the variance's factor Σx² is 0: exactly 0, exit 0
     (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_OK,
      "da0532fd67b28ea240e7a66e0b737f7e"),
-    # the stiffness overflows to inf: the immediate-liquidation limit
+    # the stiffness overflows to inf: the immediate-liquidation limit; at λ = 1 Σx² ≈ 9e-597
+    # is past the float range, but the variance, 9.025e-297, is a float
     (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
-     "3ad136b32926cdcde965f144850fabc6"),
+     "a0e945afffc16bcc77aef00119e44b21"),
     # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
     (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
      "d2ecc05ece158950f7f17febbebf5880"),
     # (στ)² overflows a float, but λ·στ is taken first: λ(στ)² = 1e20, exit 0
     (("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas",
       "1e-300,0", "--json"), EXIT_OK, "ef984593029afcf45b8a241868f66854"),
-    # σ² overflows a float, but the variance is taken as σ·(σ·τ): σ²τ = 1e220, exit 0
+    # σ² overflows a float, but the variance σ²τ·Σx² = 2.85e224 is one: exit 0
     (("frontier", "--sigma", "1e160", "--tau", "1e-100", "--lambdas", "0", "--json"),
-     EXIT_OK, "f71340d05565b48b349ae9fb9e028be6"),
+     EXIT_OK, "69503eb35d09a1fe497796964239a7d4"),
 ]
 
 
@@ -591,10 +592,14 @@ def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():
 
 
 def test_single_lambda_frontier_evaluates_the_kernel_once(monkeypatch):
-    kernel, calls = frontier._optimal_holdings, []
-    monkeypatch.setattr(frontier, "_optimal_holdings", lambda *a: calls.append(a) or kernel(*a))
+    # the holdings and the closed-form sums, once each
+    calls = []
+    for name in ("_optimal_holdings", "_optimal_sums"):
+        kernel = getattr(frontier, name)
+        monkeypatch.setattr(frontier, name,
+                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
     assert run_cli("frontier", "--lambdas", "1e-6")[0] == EXIT_OK
-    assert len(calls) == 1
+    assert sorted(calls) == ["_optimal_holdings", "_optimal_sums"]
 
 
 def test_decision_map_first_row():

@@ -221,6 +221,19 @@ GOLDEN = [
     # σ²τ overflows to inf, and the path sells everything at once: its variance is 0
     (('frontier', '--sigma', '1e300', '--periods', '2', '--lambdas', '1e6', '--json'), 0,
      "b75db383ffa34c22289442eb7b35aac61efd4642d6270ffe64bd2ba7b92387fc"),
+    # σ² alone is subnormal, but the variance is a normal float, to the last bit
+    (('frontier', '--total', '1e10', '--sigma', '1.041180171578257e-161', '--json'), 0,
+     "df3293f5b2e06b842eb046a049d39b749047f1f0152063f57abcee2a3cfa0a5a"),
+    # σ² alone overflows, but the variance, 2.85e300, is a float
+    (('frontier', '--total', '1e-10', '--sigma', '1e160', '--lambdas', '0', '--json'), 0,
+     "a7ed32714601ae3e41c137349a1efe66f3ea0fe9ba044866c17f523eb3e7ab70"),
+    # σ² alone overflows and τ·Σx² alone underflows, but the variance, 2.85, is a float
+    (('frontier', '--total', '1e-150', '--sigma', '1e200', '--tau', '1e-100', '--lambdas', '0',
+      '--json'), 0, "2ec2468b2b7c63d9612f0bf2da3bdafb1952f9ab4348244800239d5cedeb60ae"),
+    # σ² alone underflows and τ·Σx² alone overflows, but the variance, 2.85e-80, is a float
+    (('frontier', '--tau', '1e300', '--gamma', '0', '--sigma', '1e-200', '--total', '1e10',
+      '--lambdas', '0', '--json'), 0,
+     "64b8917167e3cbe1155998ce3e9d7eb996865a412cc200b7eb860ea3494347af"),
     (('decision-map',), 0,
      "142cf685663ed2561bb663b179d5506e1aaeec1eb590e6c4326a2d04255f586d"),
     (('decision-map', '--json'), 0,

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -23,7 +24,6 @@ from overhang.frontier import (
     FrontierError,
     FrontierPoint,
     _optimal_holdings,
-    _path_costs,
     cost_of,
     frontier,
     optimal_trajectory,
@@ -197,7 +197,7 @@ def test_cost_of_rejects_a_cost_past_the_float_range():
     keeps such a point, which the CLI turns into exit 4."""
     with pytest.raises(FrontierError, match="not a finite float"):  # the trades' squares
         cost_of([100, 1e300, 0], ExecutionModel(100.0, 2, volatility=1.0))
-    model = ExecutionModel(100.0, 2, volatility=1e200)  # σ² overflows: the variance alone
+    model = ExecutionModel(100.0, 2, volatility=1e200)  # σ²τΣx² overflows: the variance alone
     with pytest.raises(FrontierError, match="not a finite float"):
         cost_of([100, 50, 0], model)
     (point,) = frontier(model, [0.0])
@@ -205,9 +205,10 @@ def test_cost_of_rejects_a_cost_past_the_float_range():
 
 
 def test_a_path_that_holds_nothing_has_zero_variance_at_any_sigma():
-    """σ²τ = 1e600 overflows to inf, and inf·0 would make the variance of a
-    path that sells everything in its first period NaN; it is exactly 0, and
-    the same path at a finite σ keeps its bits."""
+    """The variance σ²τ·Σx², a product of mantissas scaled once, of a path
+    that sells everything in its first period is exactly 0 where σ²τ = 1e600
+    would overflow to inf, and inf·0 make it NaN; the same path at a finite σ
+    keeps its bits."""
     for volatility in (1e300, 1600.0):
         model = ExecutionModel(100.0, 2, volatility=volatility)
         assert bits(cost_of([100, 0, 0], model)) == bits((10000.0, 0.0))
@@ -290,8 +291,9 @@ def ulps_apart(model, got, want):
 
 def assert_frontier_matches_exact(model, lambdas):
     """Each point's E and V lie within 32 ulps of the 50-digit closed form at
-    its λ, and within 1e-12 of the summed path that optimal_trajectory prices;
-    each is bit-identical to its λ's point alone, so duplicates agree."""
+    its λ and are bit-identical to its λ's point alone, so duplicates agree,
+    and to the optimal trajectory's at that λ, which lie within 1e-12 of
+    cost_of's sums over the trajectory's holdings."""
     points = frontier(model, lambdas)
     assert [p.risk_aversion for p in points] == lambdas
     checked = {}
@@ -306,7 +308,8 @@ def assert_frontier_matches_exact(model, lambdas):
         assert max(ulps_apart(variant, g, w) for g, w in zip(got, [expected, variance])) <= 32, (
             lam, got, [expected, variance])
         trajectory = optimal_trajectory(variant)
-        assert_close(variant, got, [trajectory.expected_cost, trajectory.cost_variance])
+        assert bits(got) == bits([trajectory.expected_cost, trajectory.cost_variance]), lam
+        assert_close(variant, got, cost_of(trajectory.holdings, variant))
         checked[lam] = got
 
 
@@ -316,7 +319,7 @@ def assert_frontier_matches_exact(model, lambdas):
     total=st.floats(1.0, 1e4),
     volatility=(st.sampled_from([0.0, 1.0, 1600.0, 1.041180171578257e-161]) | st.floats(0.0, 5e3)
                 | st.floats(-161, 3).map(lambda e: 10.0**e)),
-    tau=st.floats(0.25, 4.0),
+    tau=st.floats(0.25, 4.0) | st.floats(-100, 100).map(lambda e: 10.0**e),
     lambdas=st.lists(st.just(0.0) | st.floats(-12, 0).map(lambda e: 10.0**e),
                      min_size=1, max_size=30),
     repeats=st.integers(0, 5),
@@ -342,6 +345,25 @@ def assert_frontier_matches_exact(model, lambdas):
 # a century of daily periods: the largest n, from the linear to the steepest path
 @example(periods=MAX_PERIODS, total=100.0, volatility=1600.0, tau=1.0, lambdas=[0.0, 1e-12, 1.0],
          repeats=1, order=random.Random(0))
+# σ² alone is subnormal, but the variance is a normal float: 0.27% off as σ²·(τ·Σx²)
+@example(periods=10, total=1e10, volatility=1.041180171578257e-161, tau=1.0, lambdas=[0.0, 1.0],
+         repeats=0, order=random.Random(0))
+# σ² alone overflows, but the variance, 2.85e300, is a float
+@example(periods=10, total=1e-10, volatility=1e160, tau=1.0, lambdas=[0.0], repeats=0,
+         order=random.Random(0))
+# τ·Σx² alone underflows to 0, σ² overflows, and σ²·τ·Σx² = 2.85
+@example(periods=10, total=1e-150, volatility=1e200, tau=1e-100, lambdas=[0.0], repeats=0,
+         order=random.Random(0))
+# τ·Σx² alone is subnormal, but the variance, 2.85e-10, is a normal float
+@example(periods=10, total=1e-150, volatility=1e150, tau=1e-10, lambdas=[0.0], repeats=0,
+         order=random.Random(0))
+# τ·Σx² alone overflows, σ² underflows to 0, and σ²·τ·Σx² = 2.85e-80
+@example(periods=10, total=1e10, volatility=1e-200, tau=1e300, lambdas=[0.0], repeats=0,
+         order=random.Random(0))
+# λ(στ)² = 1e310 overflows: κτ = inf, the immediate-liquidation limit; at λ = 1,
+# Σx² ≈ 9e-597 is past the float range, but the variance, 9.025e-297, is a float
+@example(periods=10, total=100.0, volatility=1e150, tau=1.0, lambdas=[1e10, 1.0, 0.0], repeats=0,
+         order=random.Random(0))
 def test_frontier_matches_the_50_digit_closed_form_and_the_summed_path(
     periods, total, volatility, tau, lambdas, repeats, order
 ):
@@ -575,33 +597,36 @@ def test_optimal_holdings_match_the_reference_on_random_models_either_side_of_ex
 
 
 def reference_row_costs(holdings, model):
-    """The costs of each row of a (rows, periods + 1) holdings array, with
-    trades as -np.diff and sums as np.sum: the reference for _path_costs'
-    sliced subtraction and np.add.reduce on each row alone. A row that holds
-    nothing after its first trade has variance 0, where σ²τ·0 would be NaN at
-    an infinite σ²τ."""
+    """The costs of each row of a (rows, periods + 1) holdings array: the
+    expected cost with trades as -np.diff and sums as np.sum along each row,
+    the reference for cost_of's on each row alone, and the variance
+    σ²τ·Σx_k² as one exact product over exact squares, rounded once: inf
+    past the float range."""
     tau = model.period_length
-    sigma = model.volatility
-    try:
-        sigma_squared_tau = sigma**2 * tau
-    except OverflowError:
-        sigma_squared_tau = sigma * (sigma * tau)
     with np.errstate(over="ignore", invalid="ignore"):
         trades = -np.diff(holdings, axis=1)
         expected = (
             0.5 * model.permanent_coeff * model.total_units**2
             + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
         )
-        held = np.sum(holdings[:, 1:] ** 2, axis=1)
-        variance = np.where(held == 0, 0.0, sigma_squared_tau * held)
+    scale = Fraction(model.volatility) ** 2 * Fraction(tau)
+    variance = []
+    for row in holdings[:, 1:].tolist():
+        try:
+            variance.append(float(scale * sum(Fraction(x) ** 2 for x in row)))
+        except OverflowError:
+            variance.append(math.inf)
     return expected, variance
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_path_costs_match_the_diff_and_sum_reference(seed):
     """Random models, among them 200-period paths whose large risk aversions
-    underflow the holdings and volatilities near the float range, give the
-    reference's costs bit for bit, optimal paths and arbitrary ones alike."""
+    underflow the holdings and volatilities near the float range, give
+    cost_of the reference's expected cost bit for bit and its variance within
+    periods + 8 ulps (a rounding per square and per sum of nonnegative terms,
+    at most eight in the factors' product and its scaling), optimal paths and
+    arbitrary ones alike, or raise where those costs are not finite."""
     rng = np.random.default_rng(seed)
     for periods in (1, 10, 50, 200):
         for volatility in (0.0, 1.0, 1600.0, rng.uniform(0, 5e3), 1e150, 1e155, 1e300):
@@ -610,18 +635,18 @@ def test_path_costs_match_the_diff_and_sum_reference(seed):
             lambdas = np.concatenate(([0.0, 1e-2, 1.0, 1e6], 10.0 ** rng.uniform(-12, 2, 12)))
             rows = [reference_optimal_holdings(model, lambdas),
                     rng.normal(0, 1e3, (5, periods + 1)),
-                    rng.choice([0.0, 1.0, -2.5, 1e160, -1e200, math.inf, math.nan],
-                               (5, periods + 1))]
+                    rng.choice([0.0, 1.0, -2.5, 1e160, -1e200], (5, periods + 1))]
             for holdings in rows:
-                for path, *reference in zip(holdings, *reference_row_costs(holdings, model)):
-                    assert bits(_path_costs(path, model)) == bits(reference)
-            path = rows[0][1]
-            reference = [float(v[0]) for v in reference_row_costs(path[np.newaxis], model)]
-            if all(map(math.isfinite, reference)):
-                assert bits(cost_of(path, model)) == bits(reference)
-            else:  # cost_of raises where the path's cost is not finite
-                with pytest.raises(FrontierError, match="not a finite float"):
-                    cost_of(path, model)
+                holdings[:, 0], holdings[:, -1] = model.total_units, 0.0
+                for path, expected, variance in zip(holdings, *reference_row_costs(holdings, model)):
+                    if math.isfinite(expected) and math.isfinite(variance):
+                        got_expected, got_variance = cost_of(path, model)
+                        assert bits([got_expected]) == bits([expected])
+                        bound = (periods + 8) * math.ulp(variance)
+                        assert abs(got_variance - variance) <= bound, (got_variance, variance)
+                    else:
+                        with pytest.raises(FrontierError, match="not a finite float"):
+                            cost_of(path, model)
 
 
 def test_frontier_points_are_the_same_for_a_list_and_an_array_of_lambdas():

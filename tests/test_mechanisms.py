@@ -259,6 +259,25 @@ def test_a_secret_that_is_not_bytes_rejected(secret):
         split(secret, 2, 3, random.Random(0))
 
 
+@pytest.mark.parametrize("k, n", [(2.0, 3), (True, 3), (2, 3.0), (2, True), ("2", 3),
+                                  (np.int64(2), 3), (2, np.uint8(3)), (None, 3)])
+def test_non_integer_split_threshold_or_share_count_rejected(k, n):
+    # k = 2.0 once raised a bare TypeError from range, and k = True split
+    # with k = 1, so that every share carried the secret
+    with pytest.raises(ShamirError, match=re.escape(
+            f"non-integer threshold k {k!r} or share count n {n!r}")):
+        split(b"ab", k, n, random.Random(0))
+
+
+@pytest.mark.parametrize("k", [2.0, True, np.int64(2), "2", None])
+def test_non_integer_reconstruct_threshold_rejected(k):
+    # k = 2.0 once raised a bare TypeError from a slice, and k = True asked
+    # for "the first True shares"
+    shares = split(b"ab", 2, 3, random.Random(0))
+    with pytest.raises(ShamirError, match=f"^non-integer threshold k {re.escape(repr(k))}$"):
+        reconstruct(shares, k)
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, np.int64(1), np.uint8(1), True])
 def test_non_integer_share_index_rejected(bad):
     # Share(1.5, b"x") once built, and reconstruct then raised a bare TypeError;
@@ -789,6 +808,8 @@ def test_a_bare_pair_is_checked_as_a_tranche_program():
         simulate_disposition(tranche_program=((9, 4), (1, 2)), **replay)
     with pytest.raises(ScheduleError, match="^tranche program columns must be tuples$"):
         simulate_disposition(tranche_program=([4, 9], [2, 1]), **replay)
+    with pytest.raises(ScheduleError, match="^tranche epochs and amounts must be ints$"):
+        simulate_disposition(tranche_program=((np.int64(3), 4.5), (1, 2)), **replay)
     in_order = ((4, 9), (2, 1))
     assert simulate_disposition(tranche_program=in_order, **replay) == simulate_disposition(
         tranche_program=TrancheProgram((4, 9), (2, 1)), **replay) == [SimEvent(4, "release", 2)]

@@ -269,6 +269,13 @@ def test_columns_equal_the_fraction_rule_and_tranches_the_checked_locks(
         ([1, 5], [1, 1], "^tranche program columns must be tuples$"),
         ((1, 5), [1, 1], "^tranche program columns must be tuples$"),
         (range(2), (1, 1), "^tranche program columns must be tuples$"),
+        # an entry that is not an int: a replay once gave an event at epoch 4.5,
+        # and a numpy epoch an event whose to_json raised a bare TypeError
+        ((np.int64(3), 4.5), (1, 2), "^tranche epochs and amounts must be ints$"),
+        ((3, 4.0), (1, 2), "^tranche epochs and amounts must be ints$"),
+        ((3, 4), (True, 2), "^tranche epochs and amounts must be ints$"),
+        ((3, 4), (1, np.uint8(2)), "^tranche epochs and amounts must be ints$"),
+        (("3", 4), (1, 2), "^tranche epochs and amounts must be ints$"),
     ],
 )
 def test_a_program_that_breaks_an_invariant_rejected(epochs, amounts, message):
