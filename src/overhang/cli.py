@@ -43,6 +43,7 @@ import math
 import os
 import random
 import sys
+from functools import cache
 from typing import NoReturn, Optional, Sequence
 
 from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule, shamir
@@ -258,16 +259,26 @@ def _cmd_impact(args: argparse.Namespace, out) -> None:
     _emit(rows, args.fmt, out)
 
 
-def _scenario_row(result: scenarios.ScenarioResult) -> dict:
-    # One unpack: a named tuple's fields are slower to read by name.
-    name, sched, permanent, friction, (low, high), anchor_class = result
+@cache
+def _pace_cells(sched: schedule.Schedule) -> dict:
+    """A schedule's five row cells, built once per distinct schedule: the
+    cells of a sweep column share their schedule, and equal schedules have
+    equal cells, since these derive from its fields alone."""
     return {
-        "scenario": name,
         "annual_btc": float(sched.annual_btc),
         "daily_btc": float(sched.daily_btc),
         "daily_usd": sched.daily_usd,
         "participation": sched.participation,
         "participation_pct": format_percent(sched.participation, decimals=2),
+    }
+
+
+def _scenario_row(result: scenarios.ScenarioResult) -> dict:
+    # One unpack: a named tuple's fields are slower to read by name.
+    name, sched, permanent, friction, (low, high), anchor_class = result
+    return {
+        "scenario": name,
+        **_pace_cells(sched),
         "permanent": permanent,
         "friction_pp": f"{friction.low:g}-{friction.high:g}",
         "total_low": low,

@@ -51,10 +51,15 @@ class ExecutionModel(NamedTuple):
     def _check(self) -> None:
         if type(self.periods) is not int:  # a bool, a float or a numpy integer is not
             raise FrontierError(f"non-integer periods {self.periods!r}")
-        if not all(map(math.isfinite, (
-            self.total_units, self.period_length, self.volatility,
-            self.permanent_coeff, self.temporary_coeff, self.risk_aversion,
-        ))):
+        reals = (self.total_units, self.period_length, self.volatility,
+                 self.permanent_coeff, self.temporary_coeff, self.risk_aversion)
+        try:  # one pass: a bool is not a number here, as for periods
+            finite = all(type(v) is not bool and math.isfinite(v) for v in reals)
+        except TypeError:  # a str or None has no finiteness
+            raise FrontierError(f"model parameters must be real numbers: {reals!r}") from None
+        if not finite:
+            if bool in map(type, reals):
+                raise FrontierError(f"model parameters must be real numbers, not bools: {reals!r}")
             raise FrontierError("model parameters must be finite")
         if self.total_units <= 0:
             raise FrontierError("total_units must be positive")
@@ -87,6 +92,11 @@ class FrontierPoint:
     risk_aversion: float
     expected_cost: float
     cost_variance: float
+
+
+# The __set__ of each field's slot, in field order, for frontier() to fill points.
+_SET_POINT_FIELDS = tuple(getattr(FrontierPoint, field).__set__
+                          for field in FrontierPoint.__dataclass_fields__)
 
 
 def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, float]:
@@ -221,11 +231,13 @@ def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarra
         en = np.expm1(-2 * n * a)
         traded = np.tanh(a / 2) / -en * ((2 + en) + 2 * n * np.exp(-m * a) * (e1 / en))
         held = (np.expm1(-2 * m * a) - m * np.exp(-(m - 1) * a) * e1) / (e1 * en * en)
-        small = m * a < SERIES_BELOW
-        if small.any():
+        # κτ is NaN only at λ = 0 with στ past the float range, where every
+        # other κτ is inf: no point of that call takes a branch, nor does a NaN minimum.
+        if m * a.min() < SERIES_BELOW:
+            small = m * a < SERIES_BELOW
             held[small] = _held_series(a[small], n) / (decay[small] * decay[small])
-        linear = stiffness == 0
-        if linear.any():
+        if stiffness.min() == 0:
+            linear = stiffness == 0
             traded[linear] = 1 / n
             held[linear] = (n - 1) * (2 * n - 1) / (6 * n)
         x_m, x_exp = math.frexp(x_total)
@@ -237,18 +249,25 @@ def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarra
 def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPoint]:
     """Evaluate the efficient frontier at the given risk-aversion values: each
     point's E and V from the closed-form sums of _optimal_sums, in
-    O(len(lambdas)) work and memory at any number of periods."""
+    O(len(lambdas)) work and memory at any number of periods. lambdas is one
+    flat, non-empty sequence or array of finite, nonnegative ints or floats,
+    as numpy reads it; each point holds its λ as a Python float."""
     if len(lambdas) == 0:
         raise FrontierError("lambdas must be non-empty")
-    values = np.asarray(lambdas, dtype=float)
+    values = np.asarray(lambdas)
     if values.ndim != 1:
         raise FrontierError("lambdas must be a flat sequence of risk aversions")
-    if not (np.isfinite(values) & (values >= 0)).all():
+    if values.dtype.kind not in "iuf":  # a str, bytes, object, complex or all-bool array
+        raise FrontierError(f"risk aversions must be real numbers, not {values.dtype}")
+    values = values.astype(float, copy=False)
+    if not 0 <= values.min() <= values.max() < math.inf:  # a NaN fails every comparison
         raise FrontierError("risk aversion must be finite and nonnegative")
     expected, variance = _costs(model, *_optimal_sums(model, values))
-    # FrontierPoint's frozen __init__ without a frame per point (any() drains each map)
+    # Each slot's member descriptor fills a frozen point without its
+    # __setattr__, which raises, or its __init__, a frame per point; any()
+    # drains each map. A point's risk aversion is the float it was priced at.
     points = list(map(object.__new__, repeat(FrontierPoint, len(values))))
-    for field, column in zip(FrontierPoint.__dataclass_fields__,
-                             (lambdas, expected.tolist(), variance.tolist())):
-        any(map(object.__setattr__, points, repeat(field), column))
+    for set_field, column in zip(_SET_POINT_FIELDS,
+                                 (values.tolist(), expected.tolist(), variance.tolist())):
+        any(map(set_field, points, column))
     return points

@@ -2,11 +2,12 @@
 
 Pace arithmetic is kept exact and computed in integers: per-year and per-day
 BTC flows are rational numbers over integer satoshis and the horizon's exact
-integer ratio, so reconstructing the position from the pace round-trips
-exactly, and the USD pace is one correctly rounded integer division. Tranche
-unlock epochs are integers too: tranche i of g a year unlocks on
-start + round-half-even(i * 365 / g), computed by integer division. The
-market trades around the clock, hence the 365-day year.
+integer ratio, built when read, so reconstructing the position from the pace
+round-trips exactly, and the USD pace, which a schedule stores, is one
+correctly rounded integer division. Tranche unlock epochs are integers too:
+tranche i of g a year unlocks on start + round-half-even(i * 365 / g),
+computed by integer division. The market trades around the clock, hence the
+365-day year.
 
 The unlock offsets repeat every two years: tranche i + 2g unlocks exactly
 730 days after tranche i, so the rounded offsets of one period's 2g tranches
@@ -101,14 +102,23 @@ class ScheduleParams(NamedTuple):
 
 
 class Schedule(NamedTuple):
-    """Uniform liquidation program; BTC flows are exact rationals."""
+    """Uniform liquidation program. It stores the position, the horizon and
+    the USD pace; the BTC flows are exact rationals built from the first two
+    on each read, so they are not fields."""
 
     position_sats: int
     horizon: float
-    annual_btc: Fraction
-    daily_btc: Fraction
     daily_usd: float
     participation: float
+
+    @property
+    def annual_btc(self) -> Fraction:
+        num, den = self.horizon.as_integer_ratio()
+        return Fraction(self.position_sats * den, SATS_PER_BTC * num)
+
+    @property
+    def daily_btc(self) -> Fraction:
+        return self.annual_btc / DAYS_PER_YEAR
 
 
 def build_uniform_schedule(params: ScheduleParams) -> Schedule:
@@ -117,16 +127,12 @@ def build_uniform_schedule(params: ScheduleParams) -> Schedule:
     if position_sats < 1:
         raise ScheduleError(f"position {params.position:g} BTC rounds to zero satoshis")
     # horizon == num / den exactly; int / int true division rounds correctly,
-    # as float(Fraction) does, so every field equals the Fraction pace rule.
+    # as float(Fraction) does, so daily_usd equals float(daily_btc) * price.
     num, den = params.horizon.as_integer_ratio()
-    per_year = SATS_PER_BTC * num
-    per_day = per_year * DAYS_PER_YEAR
-    daily_usd = position_sats * den / per_day * params.price
+    daily_usd = position_sats * den / (SATS_PER_BTC * num * DAYS_PER_YEAR) * params.price
     return tuple.__new__(Schedule, (  # Schedule's fields in order, without its keyword __new__
         position_sats,
         params.horizon,
-        Fraction(position_sats * den, per_year),  # annual_btc
-        Fraction(position_sats * den, per_day),  # daily_btc
         daily_usd,
         daily_usd / params.reference_daily_volume,  # participation
     ))

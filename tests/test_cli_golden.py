@@ -50,6 +50,14 @@ JSON_CONFIG = """{
 
 BAD_KEY_CONFIG = "[ledger]\nbogus_key = 1\n"
 
+# A 1,000-cell sweep: 20 ε by 25 fractional horizons, several of them on each
+# side of the disciplined-OTC participation step, which falls between 11.125
+# and 11.25 years at the default ledger and volume.
+WIDE_EPSILONS = ",".join(f"{0.3 + 0.06 * i:.2f}" for i in range(20))
+WIDE_HORIZONS = ("1.25,1.75,2.5,3.75,4.5,5.25,6.125,7.5,8.75,9.5,10.25,10.75,11.125,"
+                 "11.25,11.5,11.875,12.5,13.75,15.5,18.25,20.5,24.75,30.5,40.25,50.75")
+WIDE_SWEEP = ('scenario', 'sweep', '--epsilons', WIDE_EPSILONS, '--horizons', WIDE_HORIZONS)
+
 # (argv, exit code, sha256 of stdout[, sha256 of stderr]); "{dir}" is the
 # directory holding the config files above. Only a failing row writes stderr,
 # so only a failing row pins its digest; the others pin it empty.
@@ -142,6 +150,14 @@ GOLDEN = [
      "2d949b5b93094dc7a439c3e1c5e059cda0de5595d16dc4ab5f3025a5df81cf60"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range', '--markdown'), 0,
      "42388ebc4c426429513da37f118f7a5cac04eab43bcd1ac452aa722493b8dbcc"),
+    (WIDE_SWEEP, 0,
+     "33bde036c9d4f2bbdaf805e86752d6edc2900342ca5943dea772c6713adf3a97"),
+    ((*WIDE_SWEEP, '--json'), 0,
+     "bfe7c4f9b44de8e677e9e619504ff0d14aa176842b176077fcc80953e5d1e19c"),
+    ((*WIDE_SWEEP, '--csv'), 0,
+     "430eb37d1c9d749202d3ae2ebe50355745e0a007337f1c4e4724d39b03d9719a"),
+    ((*WIDE_SWEEP, '--markdown'), 0,
+     "3de6bbe846c8451ca0c302097abc93bb522a716722198a3389eed3f517cd2552"),
     (('scenario', '--config', '{dir}/run.ini'), 0,
      "413aa923b91659ecf1f3ab7384673da72fd502367ab045e8f929608a3028c9a7"),
     (('scenario', '--config', '{dir}/run.ini', '--json'), 0,

@@ -440,6 +440,16 @@ def test_nonfinite_model_parameters_rejected(overrides):
         desk_model(**overrides)
 
 
+@pytest.mark.parametrize("field", ["total_units", "period_length", "volatility",
+                                   "permanent_coeff", "temporary_coeff", "risk_aversion"])
+@pytest.mark.parametrize("value", [True, False, "1", None])
+def test_model_parameters_that_are_not_real_numbers_rejected(field, value):
+    # True once built a one-unit model, and risk_aversion=True priced λ = 1;
+    # a str raised math.isfinite's TypeError
+    with pytest.raises(FrontierError, match="must be real numbers"):
+        desk_model(**{field: value})
+
+
 @pytest.mark.parametrize("periods", [0, MAX_PERIODS + 1, 10_000_000_000_000])
 def test_periods_out_of_range_rejected(periods):
     # raised in the model, before any array of that size is built
@@ -461,11 +471,51 @@ def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
         frontier(desk_model(), lambdas)
 
 
-@pytest.mark.parametrize("lambdas", [[[1e-6], [1e-5]], [[1e-6, 1e-5]], "12"])
+@pytest.mark.parametrize("lambdas", [[[1e-6], [1e-5]], [[1e-6, 1e-5]], "12", {1e-6}])
 def test_frontier_rejects_lambdas_that_are_not_one_flat_sequence(lambdas):
-    # a column of risk aversions once gave points whose costs were lists
+    # a column of risk aversions once gave points whose costs were lists, and
+    # a set raised a bare TypeError
     with pytest.raises(FrontierError, match="flat sequence"):
         frontier(desk_model(), lambdas)
+
+
+@pytest.mark.parametrize("lambdas", [
+    ["1e-6", True],  # once points whose risk aversions were the str and True
+    ["1e-6"],
+    [b"1"],
+    [1e-6, None],
+    [Fraction(1, 10**6)],
+    [1j],  # once a bare TypeError
+    np.array([1e-6, 1j]),
+    [True, False],
+    np.array([True]),
+])
+def test_frontier_rejects_lambdas_that_are_not_real_numbers(lambdas):
+    with pytest.raises(FrontierError, match="must be real numbers"):
+        frontier(desk_model(), lambdas)
+
+
+def test_a_mixed_call_takes_the_linear_and_the_series_branches(monkeypatch):
+    # The call's smallest stiffness and M·κτ decide whether either branch
+    # runs, so a λ of 0 and an M·κτ below SERIES_BELOW among larger λ must
+    # each still take theirs: the linear path's sums, and the series.
+    model = desk_model(volatility=1.0)
+    m = 2 * model.periods - 1
+    small = 4 * math.sinh(1.0 / m / 2) ** 2 * model.adjusted_temporary  # M·κτ = 1
+    lambdas = [0.1, 0.0, 3.0, small, 0.5]
+    summed = []
+    held_series = overhang.frontier._held_series
+    monkeypatch.setattr(overhang.frontier, "_held_series",
+                        lambda a, n: summed.append(len(a)) or held_series(a, n))
+    points = frontier(model, lambdas)
+    assert summed == [2]  # λ = 0 and the small λ
+    x, n = model.total_units, model.periods
+    linear = (0.5 * model.permanent_coeff * x**2 + model.adjusted_temporary * (x * (x / n)),
+              model.volatility**2 * x**2 * (n - 1) * (2 * n - 1) / (6 * n))
+    assert points[1].expected_cost == linear[0]
+    assert points[1].cost_variance == pytest.approx(linear[1], rel=1e-15)
+    monkeypatch.undo()
+    assert_frontier_matches_exact(model, lambdas)
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux VmHWM")
@@ -650,11 +700,15 @@ def test_path_costs_match_the_diff_and_sum_reference(seed):
 
 
 def test_frontier_points_are_the_same_for_a_list_and_an_array_of_lambdas():
+    # Each point holds the Python float its cost was priced at: an array once
+    # leaked np.float64 risk aversions, and a list's ints stayed ints.
     model = desk_model(periods=50)
     lambdas = [0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0]
     from_list = frontier(model, lambdas)
-    from_array = frontier(model, np.array(lambdas))
-    assert from_list == from_array
-    for a, b, lam in zip(from_list, from_array, lambdas):
-        assert a.risk_aversion == b.risk_aversion == lam
-        assert bits([a.expected_cost, a.cost_variance]) == bits([b.expected_cost, b.cost_variance])
+    for same in (np.array(lambdas), [0, *lambdas[1:-1], 1]):
+        points = frontier(model, same)
+        assert from_list == points
+        for a, b, lam in zip(from_list, points, lambdas):
+            assert a.risk_aversion == b.risk_aversion == lam
+            assert type(a.risk_aversion) is type(b.risk_aversion) is float
+            assert bits([a.expected_cost, a.cost_variance]) == bits([b.expected_cost, b.cost_variance])

@@ -81,24 +81,25 @@ def test_participation_homogeneity():
 @pytest.mark.parametrize("horizon", [1, 2.5, 10, 12.0, 1e300])
 def test_schedule_is_the_record_its_keyword_constructor_builds(horizon):
     """build_uniform_schedule builds its Schedule positionally, without the
-    keyword constructor; it is that exact type, field for field."""
+    keyword constructor; it is that exact type, field for field. The record
+    stores four fields, and its BTC pace, built on read, is the Fraction
+    rule's exactly, an int horizon included."""
     params = ScheduleParams(position=POSITION, horizon=horizon, price=80_000.0)
     sched = build_uniform_schedule(params)
-    position_sats = btc_to_sats(POSITION)
-    num, den = Fraction(horizon).as_integer_ratio()
-    annual = Fraction(position_sats * den, SATS_PER_BTC * num)
-    daily_usd = position_sats * den / (SATS_PER_BTC * num * DAYS_PER_YEAR) * 80_000.0
+    annual_btc, daily_btc, daily_usd, participation = _fraction_pace(params)
     keyword = Schedule(
-        position_sats=position_sats,
+        position_sats=btc_to_sats(POSITION),
         horizon=horizon,
-        annual_btc=annual,
-        daily_btc=annual / DAYS_PER_YEAR,
         daily_usd=daily_usd,
-        participation=daily_usd / params.reference_daily_volume,
+        participation=participation,
     )
     assert type(sched) is Schedule
     assert sched == keyword and repr(sched) == repr(keyword)
     assert [type(field) for field in sched] == [type(field) for field in keyword]
+    assert Schedule._fields == ("position_sats", "horizon", "daily_usd", "participation")
+    for pace in (sched, keyword):
+        assert (pace.annual_btc, pace.daily_btc) == (annual_btc, daily_btc)
+        assert type(pace.annual_btc) is type(pace.daily_btc) is Fraction
 
 
 def test_invalid_horizon():
