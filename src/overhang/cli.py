@@ -20,9 +20,9 @@ one colon and an even number of ASCII hex digits, a --secret-hex that is not
 such hex, a share beyond the first k off the polynomial through them, a
 NaN, infinite or out-of-domain number, a flag given outside the forms
 FLAG_FORMS lists for it); 3 an unknown or missing scenario; 4 a NaN or
-infinite result, or a float overflow (any ArithmeticError); 1 stdout closed
-by its reader before all of it was written (a broken pipe), or closed when
-the process started, with nothing on stderr.
+infinite result (NonFiniteError, or any other ArithmeticError); 1 stdout
+closed by its reader before all of it was written (a broken pipe), or closed
+when the process started, with nothing on stderr.
 stdout is written on exit 0, and cut short on exit 1; any other exit leaves
 it empty. Output is deterministic per (config, seed) pair.
 
@@ -491,9 +491,8 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ArithmeticError as exc:  # NonFiniteError, or a float overflow such as x**2
-        message = "a value overflowed the float range" if isinstance(exc, OverflowError) else exc
-        print(f"error: {message}", file=sys.stderr)
+    except ArithmeticError as exc:  # NonFiniteError, from _emit
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
     out = out or sys.stdout
     if out is None:  # the process started with stdout closed: as a broken pipe

@@ -114,69 +114,69 @@ def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, fl
         raise FrontierError("holdings must be finite")
     if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
         raise FrontierError("trajectory must start at total_units and end at zero")
-    k = np.frexp(np.max(np.abs(x[1:])))[1]  # Σx_k² = 4^k·Σ(x_k/2^k)², no square past 1
-    mantissa, exp = np.frexp(np.sum(np.ldexp(x[1:], -k) ** 2))
     with np.errstate(over="ignore"):
-        costs = tuple(map(float, _costs(model, np.sum(np.diff(x) ** 2), mantissa, exp + 2 * k)))
+        costs = tuple(map(float, _costs(model, *_squares(np.diff(x)), *_squares(x[1:]))))
     if not all(map(math.isfinite, costs)):
         raise FrontierError(f"the path's cost or variance is not a finite float: {costs}")
     return costs
 
 
-def _costs(model: ExecutionModel, traded: np.ndarray | float, held: np.ndarray | float,
-           held_exp: np.ndarray | int) -> tuple[np.ndarray | float, np.ndarray | float]:
-    """E and V from Σn_k² and Σx_k² = held·2^held_exp, held in [1/32, 1) or 0,
-    one per path; a cost past the float range is inf or NaN, without a warning.
-    V = σ²τ·Σx_k² is the product of the mantissas of σ, σ, τ and held, scaled
-    once by their summed exponents, so no partial product leaves the range."""
-    sigma_m, sigma_exp = math.frexp(model.volatility)
-    tau_m, tau_exp = math.frexp(model.period_length)
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = (
-            0.5 * model.permanent_coeff * model.total_units**2
-            + model.adjusted_temporary / model.period_length * traded
-        )
-        variance = np.ldexp(sigma_m * sigma_m * tau_m * held, held_exp + (2 * sigma_exp + tau_exp))
+def _squares(values: np.ndarray) -> tuple[float, int]:
+    """Σv² as Σ(v/2^k)² and 2k, with 2^k at the largest |v|: no square leaves the float range."""
+    k = np.frexp(np.max(np.abs(values)))[1]
+    return np.sum(np.ldexp(values, -k) ** 2), 2 * k
+
+
+def _costs(model: ExecutionModel, traded: np.ndarray | float, traded_exp: int,
+           held: np.ndarray | float, held_exp: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """E = γX²/2 + (η̃/τ)·Σn_k² and V = σ²τ·Σx_k² from Σn_k² = traded·2^traded_exp
+    and Σx_k² = held·2^held_exp, one per path; past the float range, inf. Each
+    term multiplies its factors' binary mantissas in the order written and is
+    scaled once by their summed exponents: no partial product leaves the range."""
+    (x_m, x_exp), (gamma_m, gamma_exp), (eta_m, eta_exp), (tau_m, tau_exp), (sigma_m, sigma_exp) = (
+        map(math.frexp, (model.total_units, model.permanent_coeff, model.adjusted_temporary,
+                         model.period_length, model.volatility)))
+    expected = (np.ldexp(gamma_m * (x_m * x_m), gamma_exp + 2 * x_exp - 1)
+                + np.ldexp(eta_m / tau_m * traded, traded_exp + (eta_exp - tau_exp)))
+    variance = np.ldexp(sigma_m * sigma_m * tau_m * held, held_exp + (2 * sigma_exp + tau_exp))
     return expected, variance
 
 
-def _kappa_tau(model: ExecutionModel,
-               lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each risk aversion's stiffness λ(στ)²/η̃, its square root and κτ =
-    2·arcsinh(√stiffness/2), which is arccosh(1 + stiffness/2) without
-    rounding a small stiffness away.
-
-    σ·τ is squared as one product, so a huge σ and a tiny τ do not meet as
-    inf·0; past the float range the square is inf and λ·στ goes first. An
-    overflowed stiffness gives κτ = inf, the immediate-liquidation limit.
-    Callers ignore numpy's overflow and invalid warnings around it."""
-    sigma_tau = np.float64(model.volatility * model.period_length)
-    square = sigma_tau**2
-    scaled = lambdas * square if math.isfinite(square) else lambdas * sigma_tau * sigma_tau
-    stiffness = scaled / model.adjusted_temporary
+def _kappa_tau(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each risk aversion's stiffness s = λ(στ)²/η̃ as t·4^k, √t, κτ =
+    2·arcsinh(√s/2), which is arccosh(1 + s/2) without rounding a small s
+    away, and k. s is the product of the mantissas of λ, σ, τ and η̃, scaled
+    as _costs scales its terms, so λ = 0 gives s = 0 at any στ. k is 0 below
+    s = 2^1000 and keeps t below 2^1001 above it, so that t, and the e^−κτ
+    taken from it, stay in range; κτ is inf only past √s = 2^1024."""
+    (sigma_m, sigma_exp), (tau_m, tau_exp), (eta_m, eta_exp) = map(
+        math.frexp, (model.volatility, model.period_length, model.adjusted_temporary))
+    lambda_m, lambda_exp = np.frexp(lambdas)
+    sigma_tau = sigma_m * tau_m
+    product = lambda_m * (sigma_tau * sigma_tau) / eta_m
+    exp = lambda_exp + (2 * (sigma_exp + tau_exp) - eta_exp)
+    k = np.where(product == 0, 0, np.maximum(exp - 999, 0) >> 1) if exp.max() > 999 else 0
+    stiffness = np.ldexp(product, exp - 2 * k)
     root = np.sqrt(stiffness)
-    return stiffness, root, 2 * np.arcsinh(root / 2)
+    return stiffness, root, 2 * np.arcsinh(np.ldexp(root, k - 1)), k
 
 
-def _optimal_holdings(model: ExecutionModel) -> np.ndarray:
-    """Closed-form optimal holdings at the model's risk aversion:
+def _optimal_holdings(model: ExecutionModel, kappa_tau: float) -> np.ndarray:
+    """Closed-form optimal holdings at one κτ:
     x·sinh(κτ(n−j))/sinh(κτn) written with decaying exponentials,
-    x·exp(−κτj)·expm1(−2κτ(n−j))/expm1(−2κτn), finite for every κτ; where
-    −κτj falls below about −745.13, np.exp is +0.0. Zero stiffness gives the
-    linear path.
-    """
+    x·exp(−κτj)·(expm1(−2κτ(n−j))/expm1(−2κτn)), finite for every κτ, the
+    ratio first so that no product of x and a tiny expm1 goes subnormal;
+    where −κτj falls below about −745.13, np.exp is +0.0. κτ = 0, zero
+    stiffness, gives the linear path."""
     n = model.periods
     x_total = model.total_units
     j = np.arange(n + 1)
-    # Immediate liquidation's NaN endpoints are overwritten.
-    with np.errstate(over="ignore", invalid="ignore"):
-        stiffness, _, kappa_tau = _kappa_tau(model, model.risk_aversion)
-        if stiffness == 0:
-            holdings = x_total * (1 - j / n)
-        else:
-            minus_2kt = -2 * kappa_tau
-            holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(minus_2kt * (n - j))
-                        / np.expm1(minus_2kt * n))
+    if kappa_tau == 0:
+        holdings = x_total * (1 - j / n)
+    else:  # immediate liquidation's NaN endpoints are overwritten
+        minus_2kt = -2 * kappa_tau
+        holdings = (x_total * np.exp(-kappa_tau * j)
+                    * (np.expm1(minus_2kt * (n - j)) / np.expm1(minus_2kt * n)))
     holdings[0] = x_total
     holdings[-1] = 0.0
     return holdings
@@ -185,8 +185,11 @@ def _optimal_holdings(model: ExecutionModel) -> np.ndarray:
 def optimal_trajectory(model: ExecutionModel) -> Trajectory:
     """Closed-form minimizer of expected cost + risk_aversion * variance,
     priced as frontier() prices its point at the model's risk aversion."""
-    costs = _costs(model, *_optimal_sums(model, np.array([model.risk_aversion])))
-    return Trajectory(tuple(_optimal_holdings(model).tolist()), *(c.item() for c in costs))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stiffness, root, kappa_tau, k = _kappa_tau(model, np.array([model.risk_aversion]))
+        costs = _costs(model, *_optimal_sums(model, stiffness, root, kappa_tau, k))
+        holdings = _optimal_holdings(model, kappa_tau[0])
+    return Trajectory(tuple(holdings.tolist()), *(c.item() for c in costs))
 
 
 def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:
@@ -203,55 +206,53 @@ def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:
     return series / (4 * (np.sinh(kappa_tau) / kappa_tau) * (np.sinh(n * kappa_tau) / kappa_tau) ** 2)
 
 
-def _optimal_sums(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Σn_k² and Σx_k² of the optimal path at each risk aversion, in closed
-    form (Almgren & Chriss, 2000). With a = κτ, n = periods and M = 2n − 1:
+def _optimal_sums(model: ExecutionModel, stiffness: np.ndarray, root: np.ndarray,
+                  a: np.ndarray, k: np.ndarray | int) -> tuple[np.ndarray, ...]:
+    """Σn_k² and Σx_k² of the optimal path at each stiffness s = t·4^k from
+    _kappa_tau, in closed form (Almgren & Chriss, 2000). With a = κτ, n = periods and M = 2n − 1:
 
         Σn_k²/X² = tanh(a/2)·[coth(na) + n·sinh(a)/sinh²(na)]
         Σx_k²/X² = [sinh(Ma) − M·sinh(a)] / [4·sinh(a)·sinh²(na)]
 
     each written in decaying exponentials, so that they stay finite for every
     κτ, and with no product of two small numbers, so that a tiny κτ keeps its
-    digits. Σx_k² is (X·q)² times the rest, with q = e^−κτ taken from the
-    stiffness s as 2/(2 + s + √s·√(s + 4)), the root of q + 1/q = 2 + s:
+    digits. Σx_k² is (X·q)² times the rest, with q = e^−κτ = p/4^k and p, the
+    decay, taken from t as 2/(2 + t + √t·√(t + 4)), the root of p + 1/p = 2 + t:
     exp(−κτ) would scale κτ's own rounding by κτ. Zero stiffness gives the
     linear path's X²/n and X²(n − 1)(2n − 1)/(6n), and one period one trade
-    of X. Σn_k² is X·(X·Σ); Σx_k² goes to _costs as (X·q)·((X·q)·Σ) over the
-    mantissas of X, q and Σ, and their summed binary exponents.
+    of X. Each sum goes to _costs as a product of mantissas and its exponent:
+    Σn_k² as X·(X·Σ), Σx_k² as (X·p)·((X·p)·Σ).
     """
-    x_total = model.total_units
+    x_m, x_exp = math.frexp(model.total_units)
     n = model.periods
     m = 2 * n - 1
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stiffness, root, a = _kappa_tau(model, lambdas)
-        if n == 1:  # one trade of X, after which nothing is held
-            return np.full_like(a, x_total * x_total), np.zeros_like(a), 0
-        decay = 2 / ((2 + stiffness) + root * np.sqrt(stiffness + 4))
-        e1 = np.expm1(-2 * a)
-        en = np.expm1(-2 * n * a)
-        traded = np.tanh(a / 2) / -en * ((2 + en) + 2 * n * np.exp(-m * a) * (e1 / en))
-        held = (np.expm1(-2 * m * a) - m * np.exp(-(m - 1) * a) * e1) / (e1 * en * en)
-        # κτ is NaN only at λ = 0 with στ past the float range, where every
-        # other κτ is inf: no point of that call takes a branch, nor does a NaN minimum.
-        if m * a.min() < SERIES_BELOW:
-            small = m * a < SERIES_BELOW
-            held[small] = _held_series(a[small], n) / (decay[small] * decay[small])
-        if stiffness.min() == 0:
-            linear = stiffness == 0
-            traded[linear] = 1 / n
-            held[linear] = (n - 1) * (2 * n - 1) / (6 * n)
-        x_m, x_exp = math.frexp(x_total)
-        (q, q_exp), (held, held_exp) = np.frexp(decay), np.frexp(held)
-        scaled = x_m * q  # in [1/4, 1)
-        return x_total * (x_total * traded), scaled * (scaled * held), 2 * (x_exp + q_exp) + held_exp
+    if n == 1:  # one trade of X, after which nothing is held
+        return np.full_like(a, x_m * x_m), 2 * x_exp, np.zeros_like(a), 0
+    decay = 2 / ((2 + stiffness) + root * np.sqrt(stiffness + 4))
+    e1 = np.expm1(-2 * a)
+    en = np.expm1(-2 * n * a)
+    traded = np.tanh(a / 2) / -en * ((2 + en) + 2 * n * np.exp(-m * a) * (e1 / en))
+    held = (np.expm1(-2 * m * a) - m * np.exp(-(m - 1) * a) * e1) / (e1 * en * en)
+    if m * a.min() < SERIES_BELOW:
+        small = m * a < SERIES_BELOW
+        held[small] = _held_series(a[small], n) / (decay[small] * decay[small])
+    if stiffness.min() == 0:
+        linear = stiffness == 0
+        traded[linear] = 1 / n
+        held[linear] = (n - 1) * (2 * n - 1) / (6 * n)
+    (q, q_exp), (held, held_exp) = np.frexp(decay), np.frexp(held)
+    scaled = x_m * q  # in [1/4, 1)
+    return (x_m * (x_m * traded), 2 * x_exp,
+            scaled * (scaled * held), 2 * (x_exp - 2 * k + q_exp) + held_exp)
 
 
 def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPoint]:
     """Evaluate the efficient frontier at the given risk-aversion values: each
     point's E and V from the closed-form sums of _optimal_sums, in
-    O(len(lambdas)) work and memory at any number of periods. lambdas is one
-    flat, non-empty sequence or array of finite, nonnegative ints or floats,
-    as numpy reads it; each point holds its λ as a Python float."""
+    O(len(lambdas)) work and memory at any number of periods, and inf, never
+    NaN, only where it is past the float range. lambdas is one flat,
+    non-empty sequence or array of finite, nonnegative ints or floats, as
+    numpy reads it; each point holds its λ as a Python float."""
     if len(lambdas) == 0:
         raise FrontierError("lambdas must be non-empty")
     values = np.asarray(lambdas)
@@ -262,7 +263,8 @@ def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPo
     values = values.astype(float, copy=False)
     if not 0 <= values.min() <= values.max() < math.inf:  # a NaN fails every comparison
         raise FrontierError("risk aversion must be finite and nonnegative")
-    expected, variance = _costs(model, *_optimal_sums(model, values))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        expected, variance = _costs(model, *_optimal_sums(model, *_kappa_tau(model, values)))
     # Each slot's member descriptor fills a frozen point without its
     # __setattr__, which raises, or its __init__, a frame per point; any()
     # drains each map. A point's risk aversion is the float it was priced at.

@@ -147,11 +147,10 @@ def simulate_disposition(
     burn event of what ledger.burn_sats burns; the adversarial switch dumps
     the full position at the trigger epoch. Patient liquidation ignores the
     switch and releases amounts[i] at epochs[i] in tranche order, which the
-    TrancheProgram record keeps in epoch order, its amounts nonnegative; any
-    other (epochs, amounts) pair is first built into that checked record. The
-    replay checks only that the amounts sum to the position in satoshis. Only
-    events at or before clock_horizon are returned; amounts are whole
-    satoshis, from btc_to_sats(position_btc).
+    TrancheProgram record keeps in epoch order, its amounts nonnegative; it
+    takes no other form of program. The replay checks only that the amounts
+    sum to the position in satoshis. Only events at or before clock_horizon
+    are returned; amounts are whole satoshis, from btc_to_sats(position_btc).
     """
     if not (math.isfinite(position_btc) and position_btc >= 0):
         raise MechanismError(f"position must be finite and nonnegative, got {position_btc}")
@@ -160,10 +159,9 @@ def simulate_disposition(
         raise MechanismError(f"clock horizon must be nonnegative, got {clock_horizon}")
     kind = terminal.kind
     if kind is _PATIENT_LIQUIDATION:
-        if tranche_program is None:
-            raise MechanismError("patient liquidation requires a tranche program")
         if not isinstance(tranche_program, TrancheProgram):
-            tranche_program = TrancheProgram(*tranche_program)
+            raise MechanismError("patient liquidation requires a schedule.TrancheProgram, "
+                                 f"not {type(tranche_program).__name__}")
         epochs, amounts = tranche_program
         if sum(amounts) != position_sats:
             raise MechanismError(f"tranche amounts sum to {sum(amounts)} sats, "

@@ -502,24 +502,26 @@ def test_nonfinite_frontier_exits_4_without_printing_it(argv):
     assert text == ""
 
 
-# total_units**2 in the frontier's cost leaves the float range
+# the expected cost γX²/2 + (η̃/τ)·Σn² is past the float range: the output check's one line
 @pytest.mark.parametrize(
     "argv", [("frontier", "--total", "1e200"), ("frontier", "--total", "1e160", "--lambdas", "0")]
 )
 def test_float_overflow_exits_4_with_one_readable_line(argv):
     code, text, err, _ = _run_captured(argv)
     assert (code, text) == (EXIT_COMPUTATION, "")
-    assert err == "error: a value overflowed the float range\n"
+    assert err == "error: a computed value is not finite; nothing printed\n"
 
 
 OVERFLOWING_FRONTIERS = [
-    # σ²τ would overflow to inf, but the variance's factor Σx² is 0: exactly 0, exit 0
+    # σ²τ and the stiffness, about 1e311, are past the float range, but e^−κτ ≈ 5e-311 is
+    # taken from the stiffness over 4^k: the variance, 2.5e-308, and x_1 = 5e-309 are floats
     (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_OK,
-     "da0532fd67b28ea240e7a66e0b737f7e"),
-    # the stiffness overflows to inf: the immediate-liquidation limit; at λ = 1 Σx² ≈ 9e-597
-    # is past the float range, but the variance, 9.025e-297, is a float
+     "c53bf9a56ad288cfad23a9f818fd9372"),
+    # at λ = 1e10 the stiffness, about 1e310, is past the float range, but the variance,
+    # 9.025e-317, is a float; at λ = 1 Σx² ≈ 9e-597 is past the float range, but the
+    # variance, 9.025e-297, is a float
     (("frontier", "--sigma", "1e150", "--lambdas", "1e10,1", "--json"), EXIT_OK,
-     "a0e945afffc16bcc77aef00119e44b21"),
+     "050e0404c5f67b78da7fc39c53a08d00"),
     # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
     (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
      "d2ecc05ece158950f7f17febbebf5880"),
@@ -592,14 +594,18 @@ def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():
 
 
 def test_single_lambda_frontier_evaluates_the_kernel_once(monkeypatch):
-    # the holdings and the closed-form sums, once each
+    # κτ, the holdings and the closed-form sums, once each for the one row;
+    # κτ once for the frontier() of a list of λ
     calls = []
-    for name in ("_optimal_holdings", "_optimal_sums"):
+    for name in ("_kappa_tau", "_optimal_holdings", "_optimal_sums"):
         kernel = getattr(frontier, name)
         monkeypatch.setattr(frontier, name,
                             lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
     assert run_cli("frontier", "--lambdas", "1e-6")[0] == EXIT_OK
-    assert sorted(calls) == ["_optimal_holdings", "_optimal_sums"]
+    assert sorted(calls) == ["_kappa_tau", "_optimal_holdings", "_optimal_sums"]
+    calls.clear()
+    assert run_cli("frontier", "--lambdas", "0,1e-6,1e-5")[0] == EXIT_OK
+    assert sorted(calls) == ["_kappa_tau", "_optimal_sums"]
 
 
 def test_decision_map_first_row():

@@ -250,6 +250,25 @@ GOLDEN = [
     (('frontier', '--tau', '1e300', '--gamma', '0', '--sigma', '1e-200', '--total', '1e10',
       '--lambdas', '0', '--json'), 0,
      "64b8917167e3cbe1155998ce3e9d7eb996865a412cc200b7eb860ea3494347af"),
+    # στ = 1e400 is past the float range, but λ = 0 is zero stiffness: the linear
+    # path, whose variance, 2.85e300, is a float
+    (('frontier', '--total', '1e-150', '--sigma', '1e200', '--tau', '1e200', '--gamma', '0',
+      '--lambdas', '0', '--json'), 0,
+     "b393f153ff64b238ca71ec12762e42befac0bbefe58bf62af0ec66989517afae"),
+    # (στ)² alone is subnormal, but the stiffness λ(στ)²/η̃ is a normal float, to the last bit
+    (('frontier', '--sigma', '1e-156', '--lambdas', '1e308', '--periods', '200', '--json'), 0,
+     "736b3e754969370acd51f9b6002d0f30e4b3e1862fb1b607925eff2f2a645db0"),
+    # X² alone underflows, but the expected cost, 1e-101, is a float
+    (('frontier', '--total', '1e-200', '--tau', '1e-300', '--gamma', '0', '--lambdas', '0,1e-9',
+      '--json'), 0, "03c5f4b622a1d7592f8351b860336784bf960e33304eb2e8ee1d6775d0823edb"),
+    # X² alone overflows, but the expected cost, 1e99, is a float
+    (('frontier', '--total', '1e200', '--tau', '1e300', '--gamma', '0', '--sigma', '0',
+      '--lambdas', '0', '--json'), 0,
+     "f316a6a34db1dba351d8e49185aa4c9430371004b45a930c8014b4fb1a318427"),
+    # the expected cost and the variance are past the float range
+    (('frontier', '--total', '1e200'), 4,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "f4458dd7322dcaf26f2660f03ac104f0de814921f97a2f354a1893531763b0c3"),
     (('decision-map',), 0,
      "142cf685663ed2561bb663b179d5506e1aaeec1eb590e6c4326a2d04255f586d"),
     (('decision-map', '--json'), 0,

@@ -23,7 +23,6 @@ from overhang.frontier import (
     ExecutionModel,
     FrontierError,
     FrontierPoint,
-    _optimal_holdings,
     cost_of,
     frontier,
     optimal_trajectory,
@@ -291,8 +290,9 @@ def ulps_apart(model, got, want):
 
 def assert_frontier_matches_exact(model, lambdas):
     """Each point's E and V lie within 32 ulps of the 50-digit closed form at
-    its λ and are bit-identical to its λ's point alone, so duplicates agree,
-    and to the optimal trajectory's at that λ, which lie within 1e-12 of
+    its λ, or are inf where that is past the float range, never NaN; they are
+    bit-identical to its λ's point alone, so duplicates agree, and to the
+    optimal trajectory's at that λ, and where both are finite they are near
     cost_of's sums over the trajectory's holdings."""
     points = frontier(model, lambdas)
     assert [p.risk_aversion for p in points] == lambdas
@@ -304,22 +304,38 @@ def assert_frontier_matches_exact(model, lambdas):
         if lam in checked:
             continue
         variant = model._replace(risk_aversion=lam)
-        _, expected, variance = exact_trajectory(variant)
-        assert max(ulps_apart(variant, g, w) for g, w in zip(got, [expected, variance])) <= 32, (
-            lam, got, [expected, variance])
+        _, *exact = exact_trajectory(variant)
+        for g, want in zip(got, exact):
+            assert g == want if math.isinf(want) else ulps_apart(variant, g, want) <= 32, (
+                lam, got, exact)
         trajectory = optimal_trajectory(variant)
         assert bits(got) == bits([trajectory.expected_cost, trajectory.cost_variance]), lam
-        assert_close(variant, got, cost_of(trajectory.holdings, variant))
+        if all(map(math.isfinite, got)):
+            assert_near_the_summed_path(variant, got, trajectory.holdings)
         checked[lam] = got
+
+
+def assert_near_the_summed_path(model, got, holdings):
+    """E and V within 1e-12 of cost_of's sums over the holdings, give or take
+    the holdings' own rounding: where np.exp is subnormal or 0, a holding is
+    up to d = (X + 1)·2^-1074 off, which moves Σn_k² by up to 4(X + n·d)·d
+    and Σx_k² by up to (2·Σx_k + n·d)·d; and the two roundings of a subnormal."""
+    n, tau, x_total = model.periods, Fraction(model.period_length), Fraction(model.total_units)
+    off = (x_total + 1) / 2**1074
+    slack = (Fraction(model.adjusted_temporary) / tau * 4 * (x_total + n * off) * off,
+             Fraction(model.volatility) ** 2 * tau * (2 * sum(map(Fraction, holdings[1:]))
+                                                      + n * off) * off)
+    for g, summed, extra in zip(got, cost_of(holdings, model), map(rounded, slack)):
+        assert abs(g - summed) <= 1e-12 * abs(summed) + extra + 2**-1073, (got, summed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     periods=st.sampled_from([1, 2, 10, 200, 2000]) | st.integers(1, 400),
-    total=st.floats(1.0, 1e4),
+    total=st.floats(1.0, 1e4) | st.floats(-300, 300).map(lambda e: 10.0**e),
     volatility=(st.sampled_from([0.0, 1.0, 1600.0, 1.041180171578257e-161]) | st.floats(0.0, 5e3)
-                | st.floats(-161, 3).map(lambda e: 10.0**e)),
-    tau=st.floats(0.25, 4.0) | st.floats(-100, 100).map(lambda e: 10.0**e),
+                | st.floats(-300, 300).map(lambda e: 10.0**e)),
+    tau=st.floats(0.25, 4.0) | st.floats(-300, 300).map(lambda e: 10.0**e),
     lambdas=st.lists(st.just(0.0) | st.floats(-12, 0).map(lambda e: 10.0**e),
                      min_size=1, max_size=30),
     repeats=st.integers(0, 5),
@@ -363,6 +379,31 @@ def assert_frontier_matches_exact(model, lambdas):
 # λ(στ)² = 1e310 overflows: κτ = inf, the immediate-liquidation limit; at λ = 1,
 # Σx² ≈ 9e-597 is past the float range, but the variance, 9.025e-297, is a float
 @example(periods=10, total=100.0, volatility=1e150, tau=1.0, lambdas=[1e10, 1.0, 0.0], repeats=0,
+         order=random.Random(0))
+# λ = 0 where στ = 1e400 is past the float range: zero stiffness, not NaN, and
+# the linear path, whose variance, 2.85e300, is a float
+@example(periods=10, total=1e-150, volatility=1e200, tau=1e200, lambdas=[0.0], repeats=0,
+         order=random.Random(0))
+# (στ)² = 1e-312 alone is subnormal, but the stiffness λ(στ)²/η̃ is a normal float
+@example(periods=200, total=100.0, volatility=1e-156, tau=1.0, lambdas=[1e308], repeats=0,
+         order=random.Random(0))
+# X² = 1e-400 alone underflows, but E ≈ 1e-101 is a normal float
+@example(periods=10, total=1e-200, volatility=1600.0, tau=1e-300, lambdas=[0.0, 1e-9],
+         repeats=0, order=random.Random(0))
+# X² = 1e400 alone overflows, but E ≈ 1e99 is a float
+@example(periods=10, total=1e200, volatility=0.0, tau=1e300, lambdas=[0.0], repeats=0,
+         order=random.Random(0))
+# E and V are past the float range: inf, not NaN
+@example(periods=10, total=1e200, volatility=1600.0, tau=1.0, lambdas=[0.0, 1e-6], repeats=0,
+         order=random.Random(0))
+# the stiffness, about 1e310, is past the float range, but the variance, 9.025e-315
+# here and 3.5e-168 below, is a float: e^−κτ is taken from the stiffness over 4^k
+@example(periods=2, total=1.0, volatility=1e151, tau=1e4, lambdas=[1.0], repeats=0,
+         order=random.Random(0))
+@example(periods=2, total=1e146, volatility=1600.0, tau=1e151, lambdas=[1.0], repeats=0,
+         order=random.Random(0))
+# x·expm1(−2κτ) ≈ 2e-318 would be subnormal: the holdings take the expm1 ratio first
+@example(periods=2, total=1e-158, volatility=1.0, tau=1e-160, lambdas=[1.0], repeats=0,
          order=random.Random(0))
 def test_frontier_matches_the_50_digit_closed_form_and_the_summed_path(
     periods, total, volatility, tau, lambdas, repeats, order
@@ -572,20 +613,18 @@ def test_trajectory_matches_50_digit_closed_form(periods, total, volatility, tau
 
 
 def reference_optimal_holdings(model, lambdas):
-    """The optimal holdings as one expression, one row per risk aversion, into
-    fresh arrays: the reference for _optimal_holdings at each λ alone."""
+    """The optimal holdings as one expression at _kappa_tau's κτ, one row per
+    risk aversion, into fresh arrays: the reference for optimal_trajectory's
+    holdings at each λ alone. The stiffness itself is checked by the 50-digit
+    tests of the costs."""
     n = model.periods
     x_total = model.total_units
-    tau = model.period_length
     j = np.arange(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma_tau = np.float64(model.volatility * tau)
-        square = sigma_tau**2
-        scaled = lambdas * square if np.isfinite(square) else lambdas * sigma_tau * sigma_tau
-        stiffness = scaled / model.adjusted_temporary
-        kappa_tau = 2 * np.arcsinh(np.sqrt(stiffness) / 2)[:, np.newaxis]
-        holdings = (x_total * np.exp(-kappa_tau * j) * np.expm1(-2 * kappa_tau * (n - j))
-                    / np.expm1(-2 * kappa_tau * n))
+        stiffness, _, kappa_tau, _ = overhang.frontier._kappa_tau(model, lambdas)
+        kappa_tau = kappa_tau[:, np.newaxis]
+        holdings = (x_total * np.exp(-kappa_tau * j)
+                    * (np.expm1(-2 * kappa_tau * (n - j)) / np.expm1(-2 * kappa_tau * n)))
     holdings[stiffness == 0] = x_total * (1 - j / n)
     holdings[:, 0] = x_total
     holdings[:, -1] = 0.0
@@ -599,7 +638,7 @@ def assert_holdings_match_the_reference(model, lambdas):
     values = np.array(lambdas, dtype=float)
     underflowed = 0
     for lam, row in zip(values, reference_optimal_holdings(model, values)):
-        path = _optimal_holdings(model._replace(risk_aversion=lam))
+        path = np.array(optimal_trajectory(model._replace(risk_aversion=float(lam))).holdings)
         assert path.tobytes() == row.tobytes(), lam
         underflowed += bool(row[1:-1].size) and row[-2] == 0.0 < row[1]
     return underflowed
@@ -647,36 +686,40 @@ def test_optimal_holdings_match_the_reference_on_random_models_either_side_of_ex
 
 
 def reference_row_costs(holdings, model):
-    """The costs of each row of a (rows, periods + 1) holdings array: the
-    expected cost with trades as -np.diff and sums as np.sum along each row,
-    the reference for cost_of's on each row alone, and the variance
-    σ²τ·Σx_k² as one exact product over exact squares, rounded once: inf
-    past the float range."""
-    tau = model.period_length
-    with np.errstate(over="ignore", invalid="ignore"):
-        trades = -np.diff(holdings, axis=1)
-        expected = (
-            0.5 * model.permanent_coeff * model.total_units**2
-            + model.adjusted_temporary / tau * np.sum(trades**2, axis=1)
-        )
-    scale = Fraction(model.volatility) ** 2 * Fraction(tau)
-    variance = []
-    for row in holdings[:, 1:].tolist():
-        try:
-            variance.append(float(scale * sum(Fraction(x) ** 2 for x in row)))
-        except OverflowError:
-            variance.append(math.inf)
-    return expected, variance
+    """The costs of each row of a (rows, periods + 1) holdings array, the
+    reference for cost_of's on each row alone: the expected cost
+    γX²/2 + (η̃/τ)·Σn_k² and the variance σ²τ·Σx_k², each exact over the
+    row's floats and rounded once, inf past the float range."""
+    gamma, eta, tau, sigma, x_total = map(Fraction, (
+        model.permanent_coeff, model.adjusted_temporary, model.period_length, model.volatility,
+        model.total_units))
+    fixed, rate, scale = gamma * x_total**2 / 2, eta / tau, sigma**2 * tau
+    costs = []
+    for row in holdings.tolist():
+        row = list(map(Fraction, row))
+        exact = (fixed + rate * sum((a - b) ** 2 for a, b in zip(row, row[1:])),
+                 scale * sum(x**2 for x in row[1:]))
+        costs.append([rounded(value) for value in exact])
+    return zip(*costs)
+
+
+def rounded(value):
+    """An exact value as the nearest float: inf past the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_path_costs_match_the_diff_and_sum_reference(seed):
     """Random models, among them 200-period paths whose large risk aversions
     underflow the holdings and volatilities near the float range, give
-    cost_of the reference's expected cost bit for bit and its variance within
-    periods + 8 ulps (a rounding per square and per sum of nonnegative terms,
-    at most eight in the factors' product and its scaling), optimal paths and
-    arbitrary ones alike, or raise where those costs are not finite."""
+    cost_of the reference's expected cost and variance within periods + 8
+    ulps (a rounding per trade, per square and per sum of nonnegative terms,
+    at most eight in the factors' products, their scaling and E's one sum),
+    optimal paths and arbitrary ones alike, or raise where those costs are
+    not finite."""
     rng = np.random.default_rng(seed)
     for periods in (1, 10, 50, 200):
         for volatility in (0.0, 1.0, 1600.0, rng.uniform(0, 5e3), 1e150, 1e155, 1e300):
@@ -690,10 +733,8 @@ def test_path_costs_match_the_diff_and_sum_reference(seed):
                 holdings[:, 0], holdings[:, -1] = model.total_units, 0.0
                 for path, expected, variance in zip(holdings, *reference_row_costs(holdings, model)):
                     if math.isfinite(expected) and math.isfinite(variance):
-                        got_expected, got_variance = cost_of(path, model)
-                        assert bits([got_expected]) == bits([expected])
-                        bound = (periods + 8) * math.ulp(variance)
-                        assert abs(got_variance - variance) <= bound, (got_variance, variance)
+                        for got, want in zip(cost_of(path, model), (expected, variance)):
+                            assert abs(got - want) <= (periods + 8) * math.ulp(want), (got, want)
                     else:
                         with pytest.raises(FrontierError, match="not a finite float"):
                             cost_of(path, model)

@@ -798,21 +798,19 @@ def test_liquidation_replay_of_a_nondecreasing_program_matches_epoch_scan(pairs,
     assert events == scanned_releases(program, horizon)
 
 
-def test_a_bare_pair_is_checked_as_a_tranche_program():
-    """A pair that is not a TrancheProgram is built into one first: out of
-    epoch order it raises the record's error, where its release at epoch 9,
-    past the horizon, once came before the one at epoch 4."""
+def test_a_bare_pair_is_not_a_tranche_program():
+    """A liquidation replays only a TrancheProgram: an (epochs, amounts) pair,
+    in order or not, raises MechanismError, as a missing program does."""
     replay = dict(terminal=TerminalState(TerminalStateKind.PATIENT_LIQUIDATION), config=cfg(),
                   clock_horizon=5, position_btc=3e-8)
-    with pytest.raises(ScheduleError, match="^unlock epochs must not decrease$"):
-        simulate_disposition(tranche_program=((9, 4), (1, 2)), **replay)
-    with pytest.raises(ScheduleError, match="^tranche program columns must be tuples$"):
-        simulate_disposition(tranche_program=([4, 9], [2, 1]), **replay)
-    with pytest.raises(ScheduleError, match="^tranche epochs and amounts must be ints$"):
-        simulate_disposition(tranche_program=((np.int64(3), 4.5), (1, 2)), **replay)
-    in_order = ((4, 9), (2, 1))
-    assert simulate_disposition(tranche_program=in_order, **replay) == simulate_disposition(
-        tranche_program=TrancheProgram((4, 9), (2, 1)), **replay) == [SimEvent(4, "release", 2)]
+    for pair in (((9, 4), (1, 2)), ([4, 9], [2, 1]), ((4, 9), (2, 1))):
+        with pytest.raises(MechanismError, match="^patient liquidation requires a "
+                                                 "schedule.TrancheProgram, not (tuple|list)$"):
+            simulate_disposition(tranche_program=pair, **replay)
+    with pytest.raises(MechanismError, match="TrancheProgram, not NoneType$"):
+        simulate_disposition(**replay)
+    assert simulate_disposition(tranche_program=TrancheProgram((4, 9), (2, 1)),
+                                **replay) == [SimEvent(4, "release", 2)]
 
 
 @pytest.mark.parametrize(
