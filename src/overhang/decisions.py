@@ -89,48 +89,41 @@ class ConsistencyMatrix(NamedTuple):
         return self.entries[(preference, state)]
 
 
-_DORMANCY_CONSISTENT = {
-    PreferenceSet.IDEOLOGICAL_NON_INTERVENTION,
-    PreferenceSet.PRIVACY_ABOVE_ALL,
-    PreferenceSet.MYTH_PRESERVATION,
-    PreferenceSet.SATISFICING_HABIT,
-    PreferenceSet.KEY_LOSS_INCAPACITY,
-    PreferenceSet.GROUP_STALEMATE,
-    PreferenceSet.LEGAL_CAUTION,
+_C, _W, _I = Mark.CONSISTENT, Mark.WEAK, Mark.INCONSISTENT
+# Each preference set's marks, in TerminalStateKind order: dormancy, silent
+# burn, adversarial switch, patient liquidation.
+_MARKS = {
+    PreferenceSet.IDEOLOGICAL_NON_INTERVENTION: (_C, _C, _I, _I),
+    PreferenceSet.PRIVACY_ABOVE_ALL: (_C, _I, _I, _I),
+    PreferenceSet.SATISFICING_HABIT: (_C, _I, _I, _I),
+    PreferenceSet.KEY_LOSS_INCAPACITY: (_C, _I, _I, _I),
+    PreferenceSet.GROUP_STALEMATE: (_C, _I, _I, _I),
+    PreferenceSet.MYTH_PRESERVATION: (_C, _C, _I, _I),
+    PreferenceSet.LEGAL_CAUTION: (_C, _I, _I, _I),
+    # Weak rather than consistent: the record argues against both as dominant.
+    PreferenceSet.ADVERSARIAL: (_I, _I, _W, _I),
+    PreferenceSet.PURE_WEALTH_MAX: (_I, _I, _I, _W),
 }
-_BURN_CONSISTENT = {
-    PreferenceSet.IDEOLOGICAL_NON_INTERVENTION,
-    PreferenceSet.MYTH_PRESERVATION,
-}
-_BURN_RETENTION_WEAK = {
-    PreferenceSet.SATISFICING_HABIT,
-    PreferenceSet.LEGAL_CAUTION,
+# The rows the retention variant replaces: partial burn is weak for these.
+_RETENTION_MARKS = {
+    PreferenceSet.SATISFICING_HABIT: (_C, _W, _I, _I),
+    PreferenceSet.LEGAL_CAUTION: (_C, _W, _I, _I),
 }
 
 
 @functools.cache
 def consistency_matrix(retention_variant: bool = False) -> ConsistencyMatrix:
-    """The built-in preference-set x terminal-state consistency map.
+    """The built-in preference-set x terminal-state consistency map, read from
+    one table of marks, a row per preference set.
 
     With retention_variant, the partial-burn variant earns weak marks from
     the satisficing and legal-caution preference sets. The matrix is built
     once per variant and shared by every caller, so its entries are a
     read-only mapping.
     """
-    entries: dict[tuple[PreferenceSet, TerminalStateKind], Mark] = {}
-    for p in PreferenceSet:
-        for t in TerminalStateKind:
-            entries[(p, t)] = Mark.INCONSISTENT
-    for p in _DORMANCY_CONSISTENT:
-        entries[(p, TerminalStateKind.DORMANCY_NON_RECOVERY)] = Mark.CONSISTENT
-    for p in _BURN_CONSISTENT:
-        entries[(p, TerminalStateKind.SILENT_BURN)] = Mark.CONSISTENT
-    if retention_variant:
-        for p in _BURN_RETENTION_WEAK:
-            entries[(p, TerminalStateKind.SILENT_BURN)] = Mark.WEAK
-    # Weak rather than consistent: the record argues against both as dominant.
-    entries[(PreferenceSet.ADVERSARIAL, TerminalStateKind.ADVERSARIAL_SWITCH)] = Mark.WEAK
-    entries[(PreferenceSet.PURE_WEALTH_MAX, TerminalStateKind.PATIENT_LIQUIDATION)] = Mark.WEAK
+    rows = {**_MARKS, **_RETENTION_MARKS} if retention_variant else _MARKS
+    entries = {(p, t): mark for p, marks in rows.items()
+               for t, mark in zip(TerminalStateKind, marks, strict=True)}
     return ConsistencyMatrix(entries=MappingProxyType(entries))
 
 

@@ -99,22 +99,36 @@ _SET_POINT_FIELDS = tuple(getattr(FrontierPoint, field).__set__
                           for field in FrontierPoint.__dataclass_fields__)
 
 
+def _reals(values: Sequence[float], name: str, items: str) -> np.ndarray:
+    """values as a float array if numpy reads them as one flat, non-empty array
+    of ints or floats; a str, bytes, object, complex or bool array raises FrontierError."""
+    array = np.asarray(values)
+    if array.ndim != 1:
+        raise FrontierError(f"{name} must be a flat sequence of {items}")
+    if array.size == 0:
+        raise FrontierError(f"{name} must be non-empty")
+    if array.dtype.kind not in "iuf":
+        raise FrontierError(f"{items} must be real numbers, not {array.dtype}")
+    return array.astype(float, copy=False)
+
+
 def cost_of(holdings: Sequence[float], model: ExecutionModel) -> tuple[float, float]:
     """Expected cost and variance of an arbitrary admissible holdings path:
-    finite holdings from total_units down to zero, whose cost and variance
-    are finite floats too.
+    periods + 1 finite holdings, read as frontier() reads its risk aversions,
+    from total_units down to zero, each endpoint within 1e-8·total_units, whose
+    cost and variance are finite floats too.
 
     E = (gamma/2) X^2 + (eta_tilde/tau) sum n_k^2,  V = sigma^2 tau sum x_k^2
     where n_k are period trades and x_k the post-trade holdings.
     """
-    x = np.asarray(holdings, dtype=float)
+    x = _reals(holdings, "holdings", "holdings values")
     if x.shape != (model.periods + 1,):
         raise FrontierError(f"expected {model.periods + 1} holdings values, got {x.shape}")
     if not np.isfinite(x).all():
         raise FrontierError("holdings must be finite")
-    if not np.isclose(x[0], model.total_units) or not np.isclose(x[-1], 0.0):
-        raise FrontierError("trajectory must start at total_units and end at zero")
     with np.errstate(over="ignore"):
+        if max(abs(x[0] - model.total_units), abs(x[-1])) > 1e-8 * model.total_units:
+            raise FrontierError("trajectory must start at total_units and end at zero")
         costs = tuple(map(float, _costs(model, *_squares(np.diff(x)), *_squares(x[1:]))))
     if not all(map(math.isfinite, costs)):
         raise FrontierError(f"the path's cost or variance is not a finite float: {costs}")
@@ -142,15 +156,32 @@ def _costs(model: ExecutionModel, traded: np.ndarray | float, traded_exp: int,
     return expected, variance
 
 
-def _kappa_tau(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each risk aversion's stiffness s = λ(στ)²/η̃ as t·4^k, √t, κτ =
+def _priced(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, ...]:
+    """κτ, E and V of the optimal path at each risk aversion, in closed form
+    (Almgren & Chriss, 2000), with no path built.
+
+    The stiffness s = λ(στ)²/η̃ is the product of the mantissas of λ, σ, τ and
+    η̃, scaled as _costs scales its terms, so λ = 0 gives s = 0 at any στ. It is
+    carried as t·4^k: k is 0 below s = 2^1000 and keeps t below 2^1001 above
+    it, so that t, and the e^−κτ taken from it, stay in range. κτ =
     2·arcsinh(√s/2), which is arccosh(1 + s/2) without rounding a small s
-    away, and k. s is the product of the mantissas of λ, σ, τ and η̃, scaled
-    as _costs scales its terms, so λ = 0 gives s = 0 at any στ. k is 0 below
-    s = 2^1000 and keeps t below 2^1001 above it, so that t, and the e^−κτ
-    taken from it, stay in range; κτ is inf only past √s = 2^1024."""
-    (sigma_m, sigma_exp), (tau_m, tau_exp), (eta_m, eta_exp) = map(
-        math.frexp, (model.volatility, model.period_length, model.adjusted_temporary))
+    away, is inf only past √s = 2^1024. With a = κτ, n = periods and M = 2n − 1:
+
+        Σn_k²/X² = tanh(a/2)·[coth(na) + n·sinh(a)/sinh²(na)]
+        Σx_k²/X² = [sinh(Ma) − M·sinh(a)] / [4·sinh(a)·sinh²(na)]
+
+    each written in decaying exponentials, so that they stay finite for every
+    κτ, and with no product of two small numbers, so that a tiny κτ keeps its
+    digits. Σx_k² is (X·q)² times the rest, with q = e^−κτ = p/4^k and p, the
+    decay, taken from t as 2/(2 + t + √t·√(t + 4)), the root of p + 1/p = 2 + t:
+    exp(−κτ) would scale κτ's own rounding by κτ. Zero stiffness gives the
+    linear path's X²/n and X²(n − 1)(2n − 1)/(6n), and one period one trade
+    of X. Each sum goes to _costs as a product of mantissas and its exponent:
+    Σn_k² as X·(X·Σ), Σx_k² as (X·p)·((X·p)·Σ).
+    """
+    (x_m, x_exp), (sigma_m, sigma_exp), (tau_m, tau_exp), (eta_m, eta_exp) = map(
+        math.frexp, (model.total_units, model.volatility, model.period_length,
+                     model.adjusted_temporary))
     lambda_m, lambda_exp = np.frexp(lambdas)
     sigma_tau = sigma_m * tau_m
     product = lambda_m * (sigma_tau * sigma_tau) / eta_m
@@ -158,38 +189,28 @@ def _kappa_tau(model: ExecutionModel, lambdas: np.ndarray) -> tuple[np.ndarray, 
     k = np.where(product == 0, 0, np.maximum(exp - 999, 0) >> 1) if exp.max() > 999 else 0
     stiffness = np.ldexp(product, exp - 2 * k)
     root = np.sqrt(stiffness)
-    return stiffness, root, 2 * np.arcsinh(np.ldexp(root, k - 1)), k
-
-
-def _optimal_holdings(model: ExecutionModel, kappa_tau: float) -> np.ndarray:
-    """Closed-form optimal holdings at one κτ:
-    x·sinh(κτ(n−j))/sinh(κτn) written with decaying exponentials,
-    x·exp(−κτj)·(expm1(−2κτ(n−j))/expm1(−2κτn)), finite for every κτ, the
-    ratio first so that no product of x and a tiny expm1 goes subnormal;
-    where −κτj falls below about −745.13, np.exp is +0.0. κτ = 0, zero
-    stiffness, gives the linear path."""
+    a = 2 * np.arcsinh(np.ldexp(root, k - 1))
+    decay = 2 / ((2 + stiffness) + root * np.sqrt(stiffness + 4))
     n = model.periods
-    x_total = model.total_units
-    j = np.arange(n + 1)
-    if kappa_tau == 0:
-        holdings = x_total * (1 - j / n)
-    else:  # immediate liquidation's NaN endpoints are overwritten
-        minus_2kt = -2 * kappa_tau
-        holdings = (x_total * np.exp(-kappa_tau * j)
-                    * (np.expm1(minus_2kt * (n - j)) / np.expm1(minus_2kt * n)))
-    holdings[0] = x_total
-    holdings[-1] = 0.0
-    return holdings
-
-
-def optimal_trajectory(model: ExecutionModel) -> Trajectory:
-    """Closed-form minimizer of expected cost + risk_aversion * variance,
-    priced as frontier() prices its point at the model's risk aversion."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stiffness, root, kappa_tau, k = _kappa_tau(model, np.array([model.risk_aversion]))
-        costs = _costs(model, *_optimal_sums(model, stiffness, root, kappa_tau, k))
-        holdings = _optimal_holdings(model, kappa_tau[0])
-    return Trajectory(tuple(holdings.tolist()), *(c.item() for c in costs))
+    m = 2 * n - 1
+    if n == 1:  # one trade of X, after which nothing is held
+        traded, held = np.ones_like(a), np.zeros_like(a)
+    else:
+        e1 = np.expm1(-2 * a)
+        en = np.expm1(-2 * n * a)
+        traded = np.tanh(a / 2) / -en * ((2 + en) + 2 * n * np.exp(-m * a) * (e1 / en))
+        held = (np.expm1(-2 * m * a) - m * np.exp(-(m - 1) * a) * e1) / (e1 * en * en)
+        if m * a.min() < SERIES_BELOW:
+            small = m * a < SERIES_BELOW
+            held[small] = _held_series(a[small], n) / (decay[small] * decay[small])
+        if stiffness.min() == 0:
+            linear = stiffness == 0
+            traded[linear] = 1 / n
+            held[linear] = (n - 1) * (2 * n - 1) / (6 * n)
+    (q, q_exp), (held, held_exp) = np.frexp(decay), np.frexp(held)
+    scaled = x_m * q  # in [1/4, 1)
+    return a, *_costs(model, x_m * (x_m * traded), 2 * x_exp,
+                      scaled * (scaled * held), 2 * (x_exp - 2 * k + q_exp) + held_exp)
 
 
 def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:
@@ -206,65 +227,44 @@ def _held_series(kappa_tau: np.ndarray, n: int) -> np.ndarray:
     return series / (4 * (np.sinh(kappa_tau) / kappa_tau) * (np.sinh(n * kappa_tau) / kappa_tau) ** 2)
 
 
-def _optimal_sums(model: ExecutionModel, stiffness: np.ndarray, root: np.ndarray,
-                  a: np.ndarray, k: np.ndarray | int) -> tuple[np.ndarray, ...]:
-    """Σn_k² and Σx_k² of the optimal path at each stiffness s = t·4^k from
-    _kappa_tau, in closed form (Almgren & Chriss, 2000). With a = κτ, n = periods and M = 2n − 1:
-
-        Σn_k²/X² = tanh(a/2)·[coth(na) + n·sinh(a)/sinh²(na)]
-        Σx_k²/X² = [sinh(Ma) − M·sinh(a)] / [4·sinh(a)·sinh²(na)]
-
-    each written in decaying exponentials, so that they stay finite for every
-    κτ, and with no product of two small numbers, so that a tiny κτ keeps its
-    digits. Σx_k² is (X·q)² times the rest, with q = e^−κτ = p/4^k and p, the
-    decay, taken from t as 2/(2 + t + √t·√(t + 4)), the root of p + 1/p = 2 + t:
-    exp(−κτ) would scale κτ's own rounding by κτ. Zero stiffness gives the
-    linear path's X²/n and X²(n − 1)(2n − 1)/(6n), and one period one trade
-    of X. Each sum goes to _costs as a product of mantissas and its exponent:
-    Σn_k² as X·(X·Σ), Σx_k² as (X·p)·((X·p)·Σ).
-    """
-    x_m, x_exp = math.frexp(model.total_units)
+def optimal_trajectory(model: ExecutionModel) -> Trajectory:
+    """Closed-form minimizer of expected cost + risk_aversion * variance,
+    priced by _priced as frontier() prices its point at the model's risk
+    aversion. At positive κτ its holdings are x·sinh(κτ(n−j))/sinh(κτn)
+    written with decaying exponentials, x·exp(−κτj)·(expm1(−2κτ(n−j))/expm1(−2κτn)),
+    finite for every κτ, the ratio first so that no product of x and a tiny
+    expm1 goes subnormal; where −κτj falls below about −745.13, np.exp is
+    +0.0. κτ = 0, zero stiffness, gives the linear path."""
     n = model.periods
-    m = 2 * n - 1
-    if n == 1:  # one trade of X, after which nothing is held
-        return np.full_like(a, x_m * x_m), 2 * x_exp, np.zeros_like(a), 0
-    decay = 2 / ((2 + stiffness) + root * np.sqrt(stiffness + 4))
-    e1 = np.expm1(-2 * a)
-    en = np.expm1(-2 * n * a)
-    traded = np.tanh(a / 2) / -en * ((2 + en) + 2 * n * np.exp(-m * a) * (e1 / en))
-    held = (np.expm1(-2 * m * a) - m * np.exp(-(m - 1) * a) * e1) / (e1 * en * en)
-    if m * a.min() < SERIES_BELOW:
-        small = m * a < SERIES_BELOW
-        held[small] = _held_series(a[small], n) / (decay[small] * decay[small])
-    if stiffness.min() == 0:
-        linear = stiffness == 0
-        traded[linear] = 1 / n
-        held[linear] = (n - 1) * (2 * n - 1) / (6 * n)
-    (q, q_exp), (held, held_exp) = np.frexp(decay), np.frexp(held)
-    scaled = x_m * q  # in [1/4, 1)
-    return (x_m * (x_m * traded), 2 * x_exp,
-            scaled * (scaled * held), 2 * (x_exp - 2 * k + q_exp) + held_exp)
+    x_total = model.total_units
+    j = np.arange(n + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # Python floats: unpacking a one-element array costs about 0.5 µs a value
+        kappa_tau, expected, variance = (
+            v.item() for v in _priced(model, np.array([model.risk_aversion])))
+        if kappa_tau == 0:
+            holdings = x_total * (1 - j / n)
+        else:  # immediate liquidation's NaN endpoints are overwritten
+            minus_2kt = -2 * kappa_tau
+            holdings = (x_total * np.exp(-kappa_tau * j)
+                        * (np.expm1(minus_2kt * (n - j)) / np.expm1(minus_2kt * n)))
+    holdings[0] = x_total
+    holdings[-1] = 0.0
+    return Trajectory(tuple(holdings.tolist()), expected, variance)
 
 
 def frontier(model: ExecutionModel, lambdas: Sequence[float]) -> list[FrontierPoint]:
     """Evaluate the efficient frontier at the given risk-aversion values: each
-    point's E and V from the closed-form sums of _optimal_sums, in
-    O(len(lambdas)) work and memory at any number of periods, and inf, never
-    NaN, only where it is past the float range. lambdas is one flat,
-    non-empty sequence or array of finite, nonnegative ints or floats, as
-    numpy reads it; each point holds its λ as a Python float."""
-    if len(lambdas) == 0:
-        raise FrontierError("lambdas must be non-empty")
-    values = np.asarray(lambdas)
-    if values.ndim != 1:
-        raise FrontierError("lambdas must be a flat sequence of risk aversions")
-    if values.dtype.kind not in "iuf":  # a str, bytes, object, complex or all-bool array
-        raise FrontierError(f"risk aversions must be real numbers, not {values.dtype}")
-    values = values.astype(float, copy=False)
+    point's E and V from _priced's closed forms, in O(len(lambdas)) work and
+    memory at any number of periods, and inf, never NaN, only where it is past
+    the float range. lambdas is one flat, non-empty sequence or array of
+    finite, nonnegative ints or floats, as numpy reads it; each point holds
+    its λ as a Python float."""
+    values = _reals(lambdas, "lambdas", "risk aversions")
     if not 0 <= values.min() <= values.max() < math.inf:  # a NaN fails every comparison
         raise FrontierError("risk aversion must be finite and nonnegative")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        expected, variance = _costs(model, *_optimal_sums(model, *_kappa_tau(model, values)))
+        _, expected, variance = _priced(model, values)
     # Each slot's member descriptor fills a frozen point without its
     # __setattr__, which raises, or its __init__, a frame per point; any()
     # drains each map. A point's risk aversion is the float it was priced at.

@@ -594,18 +594,17 @@ def test_frontier_past_sinh_overflow_prints_finite_falling_holdings():
 
 
 def test_single_lambda_frontier_evaluates_the_kernel_once(monkeypatch):
-    # κτ, the holdings and the closed-form sums, once each for the one row;
-    # κτ once for the frontier() of a list of λ
+    # the one row prices its κτ, E and V once, for its holdings and its
+    # costs; the frontier() of a list of λ prices them all in one call
     calls = []
-    for name in ("_kappa_tau", "_optimal_holdings", "_optimal_sums"):
-        kernel = getattr(frontier, name)
-        monkeypatch.setattr(frontier, name,
-                            lambda *a, name=name, kernel=kernel: calls.append(name) or kernel(*a))
+    priced = frontier._priced
+    monkeypatch.setattr(frontier, "_priced",
+                        lambda model, lambdas: calls.append(len(lambdas)) or priced(model, lambdas))
     assert run_cli("frontier", "--lambdas", "1e-6")[0] == EXIT_OK
-    assert sorted(calls) == ["_kappa_tau", "_optimal_holdings", "_optimal_sums"]
+    assert calls == [1]
     calls.clear()
     assert run_cli("frontier", "--lambdas", "0,1e-6,1e-5")[0] == EXIT_OK
-    assert sorted(calls) == ["_kappa_tau", "_optimal_sums"]
+    assert calls == [3]
 
 
 def test_decision_map_first_row():
@@ -833,7 +832,7 @@ def _run_captured(argv):
     return code, text, stderr.getvalue(), caught
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(argv=_ARGV)
 def test_fuzzed_argv_exits_cleanly(argv, config_dir):
     argv = [str(config_dir / arg) if arg.endswith((".ini", ".json")) else arg for arg in argv]

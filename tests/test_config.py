@@ -57,13 +57,13 @@ def ini_text(doc: dict[str, dict]) -> str:
     )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(cfg=configs(st.text(printable, min_size=1)))
 def test_dumped_config_loads_back_to_the_same_run(cfg):
     assert load_config(json.dumps(dump_config(cfg))) == cfg
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(cfg=configs(ini_names))
 def test_dumped_config_loads_back_from_ini(cfg):
     assert load_config(ini_text(dump_config(cfg))) == cfg
@@ -110,7 +110,7 @@ def _outcome(text):
         return str(exc)
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(text=grammar_documents())
 @example(text=INI_CONFIG)
 @example(text=LEDGER_CONFIG.replace("\n", "\r\n"))

@@ -153,7 +153,7 @@ def _total_matrices(draw):
     return ConsistencyMatrix({key: entries[key] for key in order})
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(matrix=_total_matrices())
 def test_ranking_matches_the_mark_count_oracle(matrix):
     assert rank_terminal_states(matrix) == _mark_count_ranking(matrix)
@@ -286,7 +286,7 @@ def test_bear_case_summary_zero_position(matrix):
         assert effect.market_sign is MarketSign.NEUTRAL
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     position=st.floats(1e4, 2e6),
     epsilons=st.lists(st.floats(0.3, 1.5), min_size=1, max_size=4),

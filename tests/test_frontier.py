@@ -170,9 +170,13 @@ def test_cost_of_immediate_liquidation():
 
 
 def test_cost_of_rejects_bad_endpoints():
-    model = desk_model(periods=3)
-    with pytest.raises(FrontierError):
-        cost_of([90, 50, 20, 0], model)
+    # The tolerance is relative to the total: an absolute 1e-8 once priced a
+    # path of zeros at a total of 1e-200, and a path that ends at 5e-9.
+    for holdings, model in [([90, 50, 20, 0], desk_model(periods=3)),
+                            ([0.0, 0.0, 0.0], ExecutionModel(1e-200, 2, volatility=1.0)),
+                            ([1e-9, 5e-10, 5e-9], ExecutionModel(1e-9, 2, volatility=1.0))]:
+        with pytest.raises(FrontierError, match="^trajectory must start at total_units and end at zero$"):
+            cost_of(holdings, model)
 
 
 def test_cost_of_rejects_a_path_of_the_wrong_length():
@@ -329,7 +333,7 @@ def assert_near_the_summed_path(model, got, holdings):
         assert abs(g - summed) <= 1e-12 * abs(summed) + extra + 2**-1073, (got, summed)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     periods=st.sampled_from([1, 2, 10, 200, 2000]) | st.integers(1, 400),
     total=st.floats(1.0, 1e4) | st.floats(-300, 300).map(lambda e: 10.0**e),
@@ -512,12 +516,18 @@ def test_frontier_rejects_nonfinite_or_negative_lambdas(lambdas):
         frontier(desk_model(), lambdas)
 
 
+# frontier() reads its risk aversions, and cost_of its holdings, one way
+READERS = {"frontier": lambda values: frontier(ExecutionModel(100.0, 2), values),
+           "cost_of": lambda values: cost_of(values, ExecutionModel(100.0, 2))}
+
+
 @pytest.mark.parametrize("lambdas", [[[1e-6], [1e-5]], [[1e-6, 1e-5]], "12", {1e-6}])
-def test_frontier_rejects_lambdas_that_are_not_one_flat_sequence(lambdas):
+@pytest.mark.parametrize("read", READERS)
+def test_frontier_rejects_lambdas_that_are_not_one_flat_sequence(lambdas, read):
     # a column of risk aversions once gave points whose costs were lists, and
     # a set raised a bare TypeError
     with pytest.raises(FrontierError, match="flat sequence"):
-        frontier(desk_model(), lambdas)
+        READERS[read](lambdas)
 
 
 @pytest.mark.parametrize("lambdas", [
@@ -530,10 +540,12 @@ def test_frontier_rejects_lambdas_that_are_not_one_flat_sequence(lambdas):
     np.array([1e-6, 1j]),
     [True, False],
     np.array([True]),
+    ["100", "50", "0"],  # cost_of once priced these holdings as numbers
 ])
-def test_frontier_rejects_lambdas_that_are_not_real_numbers(lambdas):
+@pytest.mark.parametrize("read", READERS)
+def test_frontier_rejects_lambdas_that_are_not_real_numbers(lambdas, read):
     with pytest.raises(FrontierError, match="must be real numbers"):
-        frontier(desk_model(), lambdas)
+        READERS[read](lambdas)
 
 
 def test_a_mixed_call_takes_the_linear_and_the_series_branches(monkeypatch):
@@ -584,7 +596,7 @@ def test_many_lambdas_at_a_century_of_periods_stay_in_bounded_memory():
     assert peak_mb < 60
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     periods=st.sampled_from([1, 10, 200, 2000]),
     total=st.floats(1.0, 1e4),
@@ -613,19 +625,20 @@ def test_trajectory_matches_50_digit_closed_form(periods, total, volatility, tau
 
 
 def reference_optimal_holdings(model, lambdas):
-    """The optimal holdings as one expression at _kappa_tau's κτ, one row per
+    """The optimal holdings as one expression at _priced's κτ, one row per
     risk aversion, into fresh arrays: the reference for optimal_trajectory's
-    holdings at each λ alone. The stiffness itself is checked by the 50-digit
-    tests of the costs."""
+    holdings at each λ alone. κτ itself is checked by the 50-digit tests of
+    the costs."""
     n = model.periods
     x_total = model.total_units
     j = np.arange(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        stiffness, _, kappa_tau, _ = overhang.frontier._kappa_tau(model, lambdas)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kappa_tau, _, _ = overhang.frontier._priced(model, lambdas)
+        linear = kappa_tau == 0
         kappa_tau = kappa_tau[:, np.newaxis]
         holdings = (x_total * np.exp(-kappa_tau * j)
                     * (np.expm1(-2 * kappa_tau * (n - j)) / np.expm1(-2 * kappa_tau * n)))
-    holdings[stiffness == 0] = x_total * (1 - j / n)
+    holdings[linear] = x_total * (1 - j / n)
     holdings[:, 0] = x_total
     holdings[:, -1] = 0.0
     return holdings
@@ -644,7 +657,7 @@ def assert_holdings_match_the_reference(model, lambdas):
     return underflowed
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     periods=st.sampled_from([1, 2, 10, 200, 2000]),
     total=st.floats(1.0, 1e4),

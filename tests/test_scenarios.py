@@ -257,7 +257,7 @@ _HORIZONS = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(
     position=st.floats(1e4, 2e6),
     epsilons=st.lists(_EPSILONS, min_size=1, max_size=5),

@@ -231,7 +231,7 @@ def test_negative_start_rejected_after_the_schedule_checks():
         to_tranche_program(make_schedule(MAX_TRANCHES + 1), granularity=1, start=-1)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 @given(
     horizon=st.floats(min_value=1, max_value=30),
     granularity=st.integers(min_value=1, max_value=DAYS_PER_YEAR),
@@ -325,7 +325,7 @@ def test_one_satoshi_position_accepted():
     assert build_uniform_schedule(ScheduleParams(position=1e-8, horizon=10)).position_sats == 1
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(
     horizon=st.floats(min_value=1, max_value=30),
     granularity=st.integers(min_value=1, max_value=DAYS_PER_YEAR),
@@ -355,7 +355,7 @@ _PACE_HORIZONS = st.one_of(
 )
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=500)
 @given(
     position=st.floats(1e-8, 2.1e7),
     horizon=_PACE_HORIZONS,
