@@ -50,6 +50,19 @@ JSON_CONFIG = """{
 
 BAD_KEY_CONFIG = "[ledger]\nbogus_key = 1\n"
 
+# Each config file the rows below read from "{dir}", by name. The last four
+# each hold a number that float() reads and RFC 8259's grammar does not.
+CONFIG_FILES = {
+    "run.ini": INI_CONFIG,
+    "ledger.ini": LEDGER_CONFIG,
+    "run.json": JSON_CONFIG,
+    "bad.ini": BAD_KEY_CONFIG,
+    "underscore.ini": "[run]\nvolume = 1_5e9\n",
+    "digits.ini": INI_CONFIG.replace("epsilon = 0.5", "epsilon = \u0660.\u0667"),
+    "padded.json": '{"run": {"volume": " 15e9 "}}\n',
+    "nan.json": '{"run": {"volume": NaN}}\n',
+}
+
 # A 1,000-cell sweep: 20 ε by 25 fractional horizons, several of them on each
 # side of the disciplined-OTC participation step, which falls between 11.125
 # and 11.25 years at the default ledger and volume.
@@ -480,6 +493,26 @@ GOLDEN = [
     (('scenario', 'Z', '--config', '{dir}/run.ini'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "b50262df7922c493ef9d02f8daab1e14a7d3af5594d2265a39132782fdf3eb2c"),
+    (('frontier', '--sigma', ' 16_00 '), 0,
+     "2bcdaf83e07f251fb7425f22c56263151f82e5c2ffb3e0adbe5a7babbf00a09a"),
+    (('frontier', '--lambdas', ' 1e-6, 1e-5'), 0,
+     "47d70ce1d2a6616042869fda425b4c37b481f2af6061b79b5c09e1ef8d6a9dff"),
+    (('impact', '--share', '.05'), 0,
+     "9d88ee8b9357cd6ba01bba604a32a89b0e72e9905ea5b5450b449d3b18bd99d6"),
+    (('impact', '--share', '+0.05'), 0,
+     "9d88ee8b9357cd6ba01bba604a32a89b0e72e9905ea5b5450b449d3b18bd99d6"),
+    (('impact', '--share', 'nan'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "fee911f2304fa57c162a790f661b813ad004857f1d54a0c67abd3b4c606e8e36"),
+    (('scenario', 'B', '--config', '{dir}/underscore.ini'), 0,
+     "574dab7bde0310b2c3166968f7b38bd50579f5ac198be6d734faa55725700e3d"),
+    (('scenario', '--config', '{dir}/digits.ini'), 0,
+     "3215161cef80cc26e5e1300c7b132bfe0149a60c2b0628884397866ed4fc9ac1"),
+    (('scenario', 'B', '--config', '{dir}/padded.json'), 0,
+     "574dab7bde0310b2c3166968f7b38bd50579f5ac198be6d734faa55725700e3d"),
+    (('scenario', 'B', '--config', '{dir}/nan.json'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "b9b02278347749d8de27473db94fb3583b83d9687620340a4f8fde0de9ca77a1"),
 ]
 
 
@@ -550,10 +583,8 @@ def outputs_with_avx512_kernels_off(argvs):
 def test_cli_golden(argv, code, digest, stderr_digest, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("OVERHANG_SEED", raising=False)
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal
-    (tmp_path / "run.ini").write_text(INI_CONFIG)
-    (tmp_path / "ledger.ini").write_text(LEDGER_CONFIG)
-    (tmp_path / "run.json").write_text(JSON_CONFIG)
-    (tmp_path / "bad.ini").write_text(BAD_KEY_CONFIG)
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
     out = io.StringIO()
     try:
         got = main([arg.format(dir=tmp_path) for arg in argv], out=out)
