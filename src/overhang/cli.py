@@ -7,24 +7,28 @@ and for a named scenario --emit-config, the run's RunConfig as JSON that
 so --json, --csv and --emit-config print the same bytes for any --seed: the
 one flag accepted where it changes nothing. The seed comes from --seed or the
 OVERHANG_SEED environment variable. An integer, in a flag or OVERHANG_SEED, is
-ASCII digits after at most one leading '-': int()'s other forms (non-ASCII
-digits, '_' separators, '+', spaces) exit 2. A scenario run resolves into one
-RunConfig: the config file or the defaults, then --volume, then the scenario
-name, which a config [scenario] section excludes. A frontier of one λ prints
-one row from optimal_trajectory: its holdings, each `.6g`, joined by ", ",
-and its cost and variance, which are frontier()'s at that λ bit for bit.
+ASCII digits after at most one leading '-' (config.integer); any other
+number, in a flag, a list item or a config value, is RFC 8259's JSON number,
+-?(0|[1-9][0-9]*)([.][0-9]+)?([eE][+-]?[0-9]+)? in ASCII (config.number).
+The other forms of int() and float() exit 2: non-ASCII digits, '_', '+',
+spaces (an INI line is still stripped), '.5', '5.', inf and nan; 1e400 is
+inf. A scenario run resolves into one RunConfig: the config file or the
+defaults, then --volume, then the scenario name, which a config [scenario]
+section excludes. A frontier of one λ prints one row from
+optimal_trajectory: its holdings, each `.6g`, joined by ", ", and its cost
+and variance, which are frontier()'s at that λ bit for bit.
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
-ValueError: a missing config file, a share line that is not ASCII digits,
-one colon and an even number of ASCII hex digits, a --secret-hex that is not
-such hex, a share beyond the first k off the polynomial through them, a
-NaN, infinite or out-of-domain number, a flag given outside the forms
-FLAG_FORMS lists for it); 3 an unknown or missing scenario; 4 a NaN or
-infinite result (NonFiniteError, or any other ArithmeticError); 1 stdout
-closed by its reader before all of it was written (a broken pipe), or closed
-when the process started, with nothing on stderr.
-stdout is written on exit 0, and cut short on exit 1; any other exit leaves
-it empty. Output is deterministic per (config, seed) pair.
+ValueError: a missing config file, a number outside its grammar, a share
+line that is not ASCII digits, one colon and an even number of ASCII hex
+digits, a --secret-hex that is not such hex, a share beyond the first k off
+the polynomial through them, an infinite or out-of-domain number, a flag
+given outside the forms FLAG_FORMS lists for it); 3 an unknown or missing
+scenario; 4 a NaN or infinite result (NonFiniteError, or any other
+ArithmeticError); 1 stdout closed by its reader before all of it was
+written (a broken pipe), or closed when the process started, with nothing
+on stderr. stdout is written on exit 0, and cut short on exit 1; any other
+exit leaves it empty. Output is deterministic per (config, seed) pair.
 
 `python -m overhang` and the `overhang` script enter through run(), which
 flushes stdout and stderr after main() and ends the process with os._exit,
@@ -47,7 +51,7 @@ from functools import cache
 from typing import NoReturn, Optional, Sequence
 
 from overhang import decisions, frontier, impact, ledger, mechanisms, scenarios, schedule, shamir
-from overhang.config import RunConfig, dump_config, load_config, parse_quality
+from overhang.config import RunConfig, dump_config, integer, load_config, number, parse_quality
 from overhang.ledger import ShareBasis, format_percent
 
 EXIT_OK = 0
@@ -131,17 +135,9 @@ def _format_flag(parser: argparse.ArgumentParser, *extra: tuple[str, str, str]) 
                            default=argparse.SUPPRESS, help=text)
 
 
-def integer(text: str) -> int:
-    """The int that text spells as ASCII digits after at most one leading '-'.
-    int() also takes other Unicode digits, '_' separators, '+' and spaces."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not an integer")
-    return int(text)
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
+def numbers(text: str) -> tuple[float, ...]:
+    """Comma-separated numbers, with nothing around a comma."""
+    return tuple(map(number, text.split(",")))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,10 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_impact = sub.add_parser("impact", help="permanent impact and friction bands")
-    p_impact.add_argument("--share", type=float, default=0.07)
-    p_impact.add_argument("--epsilon", type=float, default=None, help="default 0.7")
+    p_impact.add_argument("--share", type=number, default=0.07)
+    p_impact.add_argument("--epsilon", type=number, default=None, help="default 0.7")
     p_impact.add_argument("--quality", default="disciplined-otc")
-    p_impact.add_argument("--participation", type=float, default=0.0017)
+    p_impact.add_argument("--participation", type=number, default=0.0017)
     p_impact.add_argument("--table", action="store_true", help="all reference elasticities")
     p_impact.set_defaults(run=_cmd_impact,
                           form=lambda a: "impact --table" if a.table else "impact")
@@ -166,22 +162,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_scen = sub.add_parser("scenario", help="run a named scenario or a sweep")
     p_scen.add_argument("name", nargs="?", default=None, help="A, B, C, or 'sweep'")
     p_scen.add_argument("--config", help="config file (INI sections or JSON)")
-    p_scen.add_argument("--volume", type=float, default=None,
+    p_scen.add_argument("--volume", type=number, default=None,
                         help="reference daily volume, USD; overrides the config's [run] volume")
     p_scen.add_argument("--nominal", action="store_true", help="use the nominal share basis")
-    p_scen.add_argument("--epsilons", type=_float_list, help="comma-separated elasticity grid")
-    p_scen.add_argument("--horizons", type=_float_list, help="comma-separated horizon grid, years")
+    p_scen.add_argument("--epsilons", type=numbers, help="comma-separated elasticity grid")
+    p_scen.add_argument("--horizons", type=numbers, help="comma-separated horizon grid, years")
     p_scen.add_argument("--allow-out-of-range", action="store_true", help="allow ε out of range")
     p_scen.set_defaults(run=_cmd_scenario, form=lambda a: "scenario sweep" if a.name == "sweep"
                         else "scenario NAME" + " --emit-config" * (a.fmt == "config"))
     _format_flag(p_scen, ("--emit-config", "config", "emit the run's config"))
 
     p_sched = sub.add_parser("schedule", help="uniform selldown schedule and tranches")
-    p_sched.add_argument("--position", type=float, default=ledger.DEFAULT_POSITION_BTC)
-    p_sched.add_argument("--horizon", type=float, default=10)
-    p_sched.add_argument("--volume", type=float,
+    p_sched.add_argument("--position", type=number, default=ledger.DEFAULT_POSITION_BTC)
+    p_sched.add_argument("--horizon", type=number, default=10)
+    p_sched.add_argument("--volume", type=number,
                          help=f"daily volume, USD (default {schedule.DEFAULT_DAILY_VOLUME_USD:g})")
-    p_sched.add_argument("--price", type=float,
+    p_sched.add_argument("--price", type=number,
                          help=f"BTC price, USD (default {ledger.DEFAULT_REFERENCE_PRICE_USD:g})")
     p_sched.add_argument("--tranches-per-year", type=integer, default=None)
     p_sched.add_argument("--start", type=integer, help="first unlock epoch (default 0)")
@@ -190,20 +186,20 @@ def build_parser() -> argparse.ArgumentParser:
     _format_flag(p_sched)
 
     p_front = sub.add_parser("frontier", help="optimal-execution frontier")
-    p_front.add_argument("--lambdas", type=_float_list, default="0",
+    p_front.add_argument("--lambdas", type=numbers, default="0",
                          help="comma-separated risk aversions")
-    p_front.add_argument("--total", type=float, default=100.0)
+    p_front.add_argument("--total", type=number, default=100.0)
     p_front.add_argument("--periods", type=integer, default=10)
-    p_front.add_argument("--tau", type=float, default=1.0)
-    p_front.add_argument("--sigma", type=float, default=1600.0)
-    p_front.add_argument("--gamma", type=float, default=0.1)
-    p_front.add_argument("--eta", type=float, default=1.0)
+    p_front.add_argument("--tau", type=number, default=1.0)
+    p_front.add_argument("--sigma", type=number, default=1600.0)
+    p_front.add_argument("--gamma", type=number, default=0.1)
+    p_front.add_argument("--eta", type=number, default=1.0)
     p_front.set_defaults(run=_cmd_frontier)
     _format_flag(p_front)
 
     p_dec = sub.add_parser("decision-map", help="terminal-state ranking and matrix")
     p_dec.add_argument("--retention-variant", action="store_true")
-    p_dec.add_argument("--bear-bound", type=float, default=None)
+    p_dec.add_argument("--bear-bound", type=number, default=None)
     p_dec.set_defaults(run=_cmd_decision_map)
     _format_flag(p_dec)
 
@@ -211,12 +207,12 @@ def build_parser() -> argparse.ArgumentParser:
     mech_sub = p_mech.add_subparsers(dest="action", required=True)
     p_sim = mech_sub.add_parser("simulate")
     p_sim.add_argument("--terminal", required=True, choices=list(TERMINALS))
-    p_sim.add_argument("--retention", type=float, default=0.0)
+    p_sim.add_argument("--retention", type=number, default=0.0)
     p_sim.add_argument("--interval", type=integer, default=30)
     p_sim.add_argument("--grace", type=integer, default=3)
-    p_sim.add_argument("--position", type=float, help=f"default {ledger.DEFAULT_POSITION_BTC:g}")
+    p_sim.add_argument("--position", type=number, help=f"default {ledger.DEFAULT_POSITION_BTC:g}")
     p_sim.add_argument("--horizon", type=integer, default=3650, help="clock horizon, epochs")
-    p_sim.add_argument("--program-years", type=float, help="default 10")
+    p_sim.add_argument("--program-years", type=number, help="default 10")
     p_sim.add_argument("--tranches-per-year", type=integer, help="default 1")
     p_sim.set_defaults(run=_cmd_simulate, form=lambda a: _SIMULATE + a.terminal)
     p_split = mech_sub.add_parser("split")

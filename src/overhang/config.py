@@ -4,7 +4,8 @@ The same schema parses from a JSON object keyed by section or from INI-style
 lines, each stripped: blank and `#` or `;` comment lines are skipped, `[name]`
 opens a section, and `key = value`, split at the first `=`, adds a key new to
 its section; any other line is rejected. Keys are case-sensitive and values
-literal. `dump_config` writes every key `load_config` reads and the loader
+literal, and `number` reads each but `name` and `quality`, a JSON number by
+its text. `dump_config` writes every key `load_config` reads and the loader
 accepts exactly those, so a dumped run loads back to an equal `RunConfig`.
 Defaults are the built-in calibration parameters.
 """
@@ -12,6 +13,7 @@ Defaults are the built-in calibration parameters.
 from __future__ import annotations
 
 import json
+import re
 from typing import NamedTuple, Optional
 
 from overhang.impact import ElasticityModel, ExecutionQuality
@@ -25,6 +27,25 @@ class ConfigError(ValueError):
 
 
 _QUALITIES = {q.value: q for q in ExecutionQuality}
+_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def number(text: str) -> float:
+    """The float that text spells in RFC 8259's number grammar (section 6), in
+    ASCII. float() also takes spaces, '_', '+', '.5', '5.', other Unicode
+    digits, inf and nan."""
+    if not _NUMBER.fullmatch(text):
+        raise ValueError(f"invalid number value: {text!r}")
+    return float(text)
+
+
+def integer(text: str) -> int:
+    """The int that text spells as ASCII digits after at most one leading '-'.
+    int() also takes other Unicode digits, '_' separators, '+' and spaces."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an integer")
+    return int(text)
 
 
 class RunConfig(NamedTuple):
@@ -81,30 +102,26 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def load_config(text: str) -> RunConfig:
     """Parse a config document (INI-style sections or a JSON object)."""
     if text.lstrip().startswith("{"):
-        try:
-            sections = json.loads(text, object_pairs_hook=_unique_keys)
+        try:  # a number, NaN and Infinity too, as its text, which number reads as a string
+            sections = json.loads(text, object_pairs_hook=_unique_keys,
+                                  parse_float=str, parse_int=str, parse_constant=str)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from exc
-        # Exact types, as a bool is an int; str() would turn null or true into a name.
         if not isinstance(sections, dict) or not all(
-            isinstance(body, dict) and all(type(v) in (str, int, float) for v in body.values())
+            isinstance(body, dict) and all(type(v) is str for v in body.values())
             for body in sections.values()
         ):
             raise ConfigError("JSON config must be an object of sections of strings and numbers")
-        sections = {
-            name: {k: str(v) for k, v in body.items()}
-            for name, body in sections.items()
-        }
     else:
         sections = {}
-        for number, line in enumerate(map(str.strip, text.split("\n")), 1):
+        for lineno, line in enumerate(map(str.strip, text.split("\n")), 1):
             key, equals, value = line.partition("=")
             if line[:1] == "[" and line[-1] == "]" and line[1:-1] not in sections:
                 body = sections[line[1:-1]] = {}
             elif equals and sections and line[0] not in "[#;" and key.strip() not in body:
                 body[key.strip()] = value.strip()
             elif line[:1] not in "#;":  # neither a comment nor blank: "" is in every string
-                raise ConfigError(f"invalid config line {number}: {line!r}")
+                raise ConfigError(f"invalid config line {lineno}: {line!r}")
 
     for name, body in sections.items():
         if name not in _KNOWN_KEYS:
@@ -112,14 +129,17 @@ def load_config(text: str) -> RunConfig:
         unknown = set(body) - _KNOWN_KEYS[name]
         if unknown:
             raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+        for key, value in body.items():
+            try:
+                body[key] = value if key in ("name", "quality") else number(value)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {key}: {exc}") from None
 
     try:
         return RunConfig(
-            ledger=SupplyLedger.from_btc(
-                **{key: float(value) for key, value in sections.get("ledger", {}).items()}
-            ),
+            ledger=SupplyLedger.from_btc(**sections.get("ledger", {})),
             scenario=_build_scenario(sections["scenario"]) if "scenario" in sections else None,
-            volume=float(sections.get("run", {}).get("volume", DEFAULT_DAILY_VOLUME_USD)),
+            volume=sections.get("run", {}).get("volume", DEFAULT_DAILY_VOLUME_USD),
         )
     except ConfigError:
         raise
@@ -127,13 +147,13 @@ def load_config(text: str) -> RunConfig:
         raise ConfigError(f"bad config value: {exc}") from exc
 
 
-def _build_scenario(body: dict[str, str]) -> Scenario:
+def _build_scenario(body: dict) -> Scenario:
     missing = _KNOWN_KEYS["scenario"] - set(body)
     if missing:
         raise ConfigError(f"scenario config missing keys: {sorted(missing)}")
     return Scenario(
         name=body["name"],
-        elasticity=ElasticityModel(float(body["epsilon"])),
+        elasticity=ElasticityModel(body["epsilon"]),
         quality=parse_quality(body["quality"]),
-        horizon=float(body["horizon"]),
+        horizon=body["horizon"],
     )

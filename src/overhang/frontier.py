@@ -102,9 +102,12 @@ _SET_POINT_FIELDS = tuple(getattr(FrontierPoint, field).__set__
 def _reals(values: Sequence[float], name: str, items: str) -> np.ndarray:
     """values as a float array if numpy reads them as one flat, non-empty array
     of ints or floats; a str, bytes, object, complex or bool array raises FrontierError."""
-    array = np.asarray(values)
-    if array.ndim != 1:
-        raise FrontierError(f"{name} must be a flat sequence of {items}")
+    try:
+        array = np.asarray(values)
+        if array.ndim != 1:
+            raise ValueError
+    except ValueError:  # nested, or ragged: numpy reads no array from rows of unequal length
+        raise FrontierError(f"{name} must be a flat sequence of {items}") from None
     if array.size == 0:
         raise FrontierError(f"{name} must be non-empty")
     if array.dtype.kind not in "iuf":

@@ -25,10 +25,9 @@ from overhang.cli import (
     FLAG_FORMS,
     TERMINALS,
     build_parser,
-    integer,
     main,
 )
-from overhang.config import _KNOWN_KEYS, load_config
+from overhang.config import _KNOWN_KEYS, ConfigError, integer, load_config
 from overhang.frontier import ExecutionModel
 from test_cli_golden import ON_BASELINE_KERNELS, outputs_with_avx512_kernels_off, pinned
 from test_frontier import assert_close, exact_trajectory
@@ -236,38 +235,38 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("mechanism", "reconstruct", "-k", "0", "1:00"),
         ("mechanism", "reconstruct", "-k", "1", "1:zz"),
         ("mechanism", "reconstruct", "-k", "1", "nocolon"),
-        # a replay of a non-finite or negative position, or a negative horizon
-        ("mechanism", "simulate", "--terminal", "adversarial", "--position", "inf"),
-        ("mechanism", "simulate", "--terminal", "burn", "--position", "nan"),
+        # a replay of an infinite or negative position, or a negative horizon
+        ("mechanism", "simulate", "--terminal", "adversarial", "--position", "1e400"),
+        ("mechanism", "simulate", "--terminal", "burn", "--position", "1e400"),
         ("mechanism", "simulate", "--terminal", "adversarial", "--position", "-5"),
         ("mechanism", "simulate", "--terminal", "dormancy", "--horizon", "-1"),
         # an infinite BTC amount
-        ("schedule", "--position", "inf"),
-        ("mechanism", "simulate", "--terminal", "liquidation", "--position", "inf"),
+        ("schedule", "--position", "1e400"),
+        ("mechanism", "simulate", "--terminal", "liquidation", "--position", "1e400"),
         # a retention other than with burn, rejected by the terminal state
         ("mechanism", "simulate", "--terminal", "dormancy", "--retention", "0.03"),
         # a share beyond the first k with another payload length, an empty payload
         ("mechanism", "reconstruct", "-k", "2", "1:3943598e", "2:0b6a6b2d", "3:ff"),
         ("mechanism", "reconstruct", "-k", "1", "1:"),
-        # a non-finite frontier model parameter or risk aversion
-        ("frontier", "--total", "inf"),
-        ("frontier", "--sigma", "inf"),
-        ("frontier", "--eta", "nan"),
-        ("frontier", "--tau", "nan"),
-        ("frontier", "--gamma", "nan"),
-        ("frontier", "--lambdas", "nan"),
-        ("frontier", "--lambdas", "inf"),
-        ("frontier", "--total", "nan"),
-        # a non-finite or out-of-domain value, rejected by the type that owns it
+        # an infinite frontier model parameter or risk aversion: 1e400 reads as inf
+        ("frontier", "--total", "1e400"),
+        ("frontier", "--sigma", "1e400"),
+        ("frontier", "--eta", "1e400"),
+        ("frontier", "--tau", "1e400"),
+        ("frontier", "--gamma", "1e400"),
+        ("frontier", "--lambdas", "1e400"),
+        ("frontier", "--lambdas", "0,1e400"),
+        ("frontier", "--total", "1e400", "--lambdas", "0,1"),
+        # an infinite or out-of-domain value, rejected by the type that owns it
         ("impact", "--epsilon", "-1"),
-        ("scenario", "sweep", "--horizons", "inf"),
-        ("scenario", "B", "--volume", "inf"),
-        ("schedule", "--volume", "inf"),
-        ("schedule", "--price", "nan"),
-        ("schedule", "--horizon", "inf"),
-        ("decision-map", "--bear-bound", "nan"),
+        ("scenario", "sweep", "--horizons", "1e400"),
+        ("scenario", "B", "--volume", "1e400"),
+        ("schedule", "--volume", "1e400"),
+        ("schedule", "--price", "1e400"),
+        ("schedule", "--horizon", "1e400"),
+        ("decision-map", "--bear-bound", "1e400"),
         ("decision-map", "--bear-bound", "0.5"),
-        ("impact", "--share", "inf"),
+        ("impact", "--share", "1e400"),
         # no tranche a year, or more tranches a year than days
         ("schedule", "--tranches-per-year", "0"),
         ("schedule", "--tranches-per-year", "730"),
@@ -298,7 +297,7 @@ def test_volume_flag_over_config_over_default(tmp_path):
         ("mechanism", "simulate", "--terminal", "liquidation", "--program-years", "0"),
         ("schedule", "--tranches-per-year", "4", "--start", "-1"),
         ("impact", "--quality", "bogus"),
-        ("impact", "--participation", "nan"),
+        ("impact", "--participation", "1e400"),
         ("frontier", "--periods", "0"),
         ("scenario", "sweep", "--epsilons", "0.2"),
         ("scenario", "B", "--volume", "0"),
@@ -706,6 +705,71 @@ def test_every_other_text_int_takes_exits_2(text):
     code, out, err, _ = _run_captured(["frontier", f"--periods={text}"])
     assert (code, out) == (EXIT_VALIDATION, "")
     assert err.endswith(f"error: argument --periods: invalid integer value: {text!r}\n")
+
+
+# RFC 8259's number grammar, written here apart from the reader's own copy.
+_GRAMMAR = r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?"
+_NUMBERS = st.from_regex(_GRAMMAR, fullmatch=True)
+# What float() takes besides the grammar: spaces around, '_' between digits,
+# other Unicode digits, a '+', a leading zero, '.5', '5.', inf and nan
+_FLOAT_FORMS = st.one_of(
+    st.builds("{}{}{}".format, st.sampled_from(["", " ", "\t", "\u3000"]), _NUMBERS,
+              st.sampled_from(["", " ", "\r"])),
+    st.from_regex(r"-?[0-9]+(_[0-9]+)+(\.[0-9]+)?", fullmatch=True),
+    st.builds("{}.{}".format, st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3),
+              st.text(st.characters(categories=["Nd"]), min_size=1, max_size=3)),
+    _NUMBERS.map(lambda text: "+" + text.removeprefix("-")),
+    st.from_regex(r"-?0[0-9]+(\.[0-9]+)?", fullmatch=True),
+    st.from_regex(r"-?\.[0-9]+([eE][+-]?[0-9]+)?", fullmatch=True),
+    st.from_regex(r"-?[0-9]+\.([eE][+-]?[0-9]+)?", fullmatch=True),
+    st.sampled_from(["inf", "-inf", "+inf", "INF", "infinity", "Infinity", "nan", "-nan", "NaN"]),
+).filter(lambda text: not re.fullmatch(_GRAMMAR, text))
+
+
+def _same(value, text):
+    """value is float(text) exactly: a -0 keeps its sign."""
+    return repr(value) == repr(float(text))
+
+
+@given(text=_NUMBERS)
+def test_every_number_in_the_grammar_reads_as_float_does(text):
+    """A flag, a list flag, an INI value and a JSON value, as a string or as
+    a number literal, each read float(text); past the float range that is inf."""
+    args = build_parser().parse_args(["frontier", f"--sigma={text}", f"--lambdas={text},0"])
+    assert _same(args.sigma, text) and _same(args.lambdas[0], text) and args.lambdas[1] == 0
+    for doc in (f"[run]\nvolume = {text}\n", json.dumps({"run": {"volume": text}}),
+                f'{{"run": {{"volume": {text}}}}}'):
+        assert _same(load_config(doc).volume, text)
+
+
+@given(text=_FLOAT_FORMS)
+def test_every_other_text_float_takes_exits_2(text):
+    float(text)  # _FLOAT_FORMS draws only text that float() takes
+    for argv in (["frontier", f"--sigma={text}"], ["frontier", f"--lambdas=0,{text}"]):
+        code, out, err, _ = _run_captured(argv)
+        assert (code, out) == (EXIT_VALIDATION, "")
+        flag, value = argv[1].split("=", 1)
+        kind = "numbers" if flag == "--lambdas" else "number"
+        assert err.endswith(f"error: argument {flag}: invalid {kind} value: {value!r}\n")
+    # an INI line is stripped before its value is read, a JSON string is not
+    ini, stripped = f"[run]\nvolume = {text}\n", text.strip()
+    if re.fullmatch(_GRAMMAR, stripped):
+        assert _same(load_config(ini).volume, stripped)
+    else:
+        with pytest.raises(ConfigError) as raised:
+            load_config(ini)
+        assert str(raised.value) == f"[run] volume: invalid number value: {stripped!r}"
+    with pytest.raises(ConfigError) as raised:
+        load_config(json.dumps({"run": {"volume": text}}))
+    assert str(raised.value) == f"[run] volume: invalid number value: {text!r}"
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_json_number_literals_outside_rfc_8259_are_rejected(literal):
+    # json.loads takes these; each once loaded as a NaN or infinite value
+    with pytest.raises(ConfigError) as raised:
+        load_config(f'{{"ledger": {{"position": {literal}}}}}')
+    assert str(raised.value) == f"[ledger] position: invalid number value: {literal!r}"
 
 
 def test_csv_output_is_parseable():

@@ -493,26 +493,33 @@ GOLDEN = [
     (('scenario', 'Z', '--config', '{dir}/run.ini'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "b50262df7922c493ef9d02f8daab1e14a7d3af5594d2265a39132782fdf3eb2c"),
-    (('frontier', '--sigma', ' 16_00 '), 0,
-     "2bcdaf83e07f251fb7425f22c56263151f82e5c2ffb3e0adbe5a7babbf00a09a"),
-    (('frontier', '--lambdas', ' 1e-6, 1e-5'), 0,
-     "47d70ce1d2a6616042869fda425b4c37b481f2af6061b79b5c09e1ef8d6a9dff"),
-    (('impact', '--share', '.05'), 0,
-     "9d88ee8b9357cd6ba01bba604a32a89b0e72e9905ea5b5450b449d3b18bd99d6"),
-    (('impact', '--share', '+0.05'), 0,
-     "9d88ee8b9357cd6ba01bba604a32a89b0e72e9905ea5b5450b449d3b18bd99d6"),
+    (('frontier', '--sigma', ' 16_00 '), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "5a27320e0ba47ae77f770dd1464d04637731cd3c52b6506c63537700d34b2309"),
+    (('frontier', '--lambdas', ' 1e-6, 1e-5'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e160fc796ca9bbea53b23a2578ee54962604b8fd3da546cd28d729001d8dbfcf"),
+    (('impact', '--share', '.05'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "42a7ac40a411b125124cf4d29bfb20242548689d43b2f8d5c4704e3a4de94c05"),
+    (('impact', '--share', '+0.05'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "e22084b6af2b818e80cf8b60457a5f3fd59b1497c867347daca5a811048f39ce"),
     (('impact', '--share', 'nan'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "fee911f2304fa57c162a790f661b813ad004857f1d54a0c67abd3b4c606e8e36"),
-    (('scenario', 'B', '--config', '{dir}/underscore.ini'), 0,
-     "574dab7bde0310b2c3166968f7b38bd50579f5ac198be6d734faa55725700e3d"),
-    (('scenario', '--config', '{dir}/digits.ini'), 0,
-     "3215161cef80cc26e5e1300c7b132bfe0149a60c2b0628884397866ed4fc9ac1"),
-    (('scenario', 'B', '--config', '{dir}/padded.json'), 0,
-     "574dab7bde0310b2c3166968f7b38bd50579f5ac198be6d734faa55725700e3d"),
+     "0c476e3a378d80878bd980643a21ef108a026483ee7f81299736cce232a83e45"),
+    (('scenario', 'B', '--config', '{dir}/underscore.ini'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "70b24e409256044189438b090b62c24f69b53d56dfe7804d52c6fcb71249e15f"),
+    (('scenario', '--config', '{dir}/digits.ini'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "89d118225ed96e9d861c0b026bdf034687e85654586322a88a8a32eaef9daac8"),
+    (('scenario', 'B', '--config', '{dir}/padded.json'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "1e8eefbcc4138ef78099b495594680f7d970d3b44d150f1eb03b8a7a7475f494"),
     (('scenario', 'B', '--config', '{dir}/nan.json'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "b9b02278347749d8de27473db94fb3583b83d9687620340a4f8fde0de9ca77a1"),
+     "122b7401a9500f95ba11486bbe6f8857dfd175ede5fd3cf51a7e5fb8a33b4919"),
 ]
 
 

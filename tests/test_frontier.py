@@ -521,11 +521,12 @@ READERS = {"frontier": lambda values: frontier(ExecutionModel(100.0, 2), values)
            "cost_of": lambda values: cost_of(values, ExecutionModel(100.0, 2))}
 
 
-@pytest.mark.parametrize("lambdas", [[[1e-6], [1e-5]], [[1e-6, 1e-5]], "12", {1e-6}])
+@pytest.mark.parametrize("lambdas", [[[1e-6], [1e-5]], [[1e-6, 1e-5]], "12", {1e-6},
+                                     [[1e-6], [1e-5, 1.0]]])
 @pytest.mark.parametrize("read", READERS)
 def test_frontier_rejects_lambdas_that_are_not_one_flat_sequence(lambdas, read):
-    # a column of risk aversions once gave points whose costs were lists, and
-    # a set raised a bare TypeError
+    # a column of risk aversions once gave points whose costs were lists, a
+    # set raised a bare TypeError, and a ragged list numpy's bare ValueError
     with pytest.raises(FrontierError, match="flat sequence"):
         READERS[read](lambdas)
 

@@ -364,3 +364,32 @@ def test_no_integer_is_converted_through_operator_index(module):
         and any(alias.name == "index" for alias in node.names)
     ]
     assert not converting, f"{module}.py lines {converting} use operator.index"
+
+
+# The float() calls of the modules that read outside text, by the function
+# each sits in and its argument: config.number's on text, and the CLI's on a
+# schedule's Fraction fields.
+FLOAT_CALLS = {
+    "config": {("number", "text")},
+    "cli": {(function, f"sched.{field}") for function in ("_pace_cells", "_cmd_schedule")
+            for field in ("annual_btc", "daily_btc")},
+}
+
+
+@pytest.mark.parametrize("module", sorted(FLOAT_CALLS))
+def test_text_becomes_a_float_only_through_config_number(module):
+    """float() takes spaces, '_', '+', other Unicode digits, inf and nan, so
+    no flag, config value or list item reaches it but through config.number:
+    no float is passed as a function (type=float, map(float, ...)) but to
+    isinstance, and float() is called only where named above."""
+    passed, calls = [], set()
+    for function in ast.parse(MODULES[module].read_text()).body:
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call) or ast.unparse(node.func) == "isinstance":
+                continue
+            passed += [node.lineno for arg in (*node.args, *(kw.value for kw in node.keywords))
+                       if isinstance(arg, ast.Name) and arg.id == "float"]
+            if isinstance(node.func, ast.Name) and node.func.id == "float":
+                calls.add((getattr(function, "name", None), *map(ast.unparse, node.args)))
+    assert not passed, f"{module}.py lines {passed} pass float as a function"
+    assert calls == FLOAT_CALLS[module]
