@@ -306,6 +306,10 @@ GOLDEN = [
      "d6be43d0612bd34eaf311a373df9c72259b3034945c3bbe20c49ae3e83ba513b"),
     (('decision-map', '--bear-bound', '-0.1', '--markdown'), 0,
      "f583fd57e97125f6ba108e7f711c5b2abedeaeb94e8916ce67bcc3d0e8282d4f"),
+    # a negative number with an exponent, as its own argument
+    (('decision-map', '--bear-bound', '-1e-3'), 2,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+     "23cb76b65b80e1d4788a840415ed91a3100016c193898b6d8c4c188b10554db2"),
     (('anchors',), 0,
      "efecb0fc5500f928005120da60fd6f05bcd36f2e0c5d0669b9ce81e33b35c576"),
     (('anchors', '--json'), 0,
