@@ -3,20 +3,20 @@ mechanism, anchors.
 
 Output formats: an aligned table (the default), --markdown, --json, --csv,
 and for a named scenario --emit-config, the run's RunConfig as JSON that
---config loads back. Only the table and markdown start with a `# seed` line,
-so --json, --csv and --emit-config print the same bytes for any --seed: the
-one flag accepted where it changes nothing. The seed comes from --seed or the
-OVERHANG_SEED environment variable. An integer, in a flag or OVERHANG_SEED, is
+--config loads back. Only `mechanism split` draws at random, from --seed or
+else the OVERHANG_SEED environment variable; elsewhere --seed is the one flag
+accepted where it changes nothing. An integer, in a flag or OVERHANG_SEED, is
 ASCII digits after at most one leading '-' (config.integer); any other
 number, in a flag, a list item or a config value, is RFC 8259's JSON number,
 -?(0|[1-9][0-9]*)([.][0-9]+)?([eE][+-]?[0-9]+)? in ASCII (config.number).
 The other forms of int() and float() exit 2: non-ASCII digits, '_', '+',
 spaces (an INI line is still stripped), '.5', '5.', inf and nan; 1e400 is
-inf. A scenario run resolves into one RunConfig: the config file or the
-defaults, then --volume, then the scenario name, which a config [scenario]
-section excludes. A frontier of one λ prints one row from
-optimal_trajectory: its holdings, each `.6g`, joined by ", ", and its cost
-and variance, which are frontier()'s at that λ bit for bit.
+inf. An argument of '-' and a digit is a value (_Parser): `--bear-bound
+-1e-3` is `--bear-bound=-1e-3`. A scenario run resolves into one RunConfig:
+the config file or the defaults, then --volume, then the scenario name,
+which a config [scenario] section excludes. A frontier of one λ prints one
+row from optimal_trajectory: its holdings, each `.6g`, joined by ", ", and
+its cost and variance, which are frontier()'s at that λ bit for bit.
 
 Exit codes: 0 success; 2 an invalid flag, config file or domain input (any
 ValueError: a missing config file, a number outside its grammar, a share
@@ -46,6 +46,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from functools import cache
 from typing import NoReturn, Optional, Sequence
@@ -140,12 +141,21 @@ def numbers(text: str) -> tuple[float, ...]:
     return tuple(map(number, text.split(",")))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that starts '-' and a digit, or '-.' and a digit, as
+    a value, as newer CPython does; add_subparsers makes each subparser one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?[0-9]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="overhang",
         description="Disposition-space scenario toolkit for a large dormant position.",
     )
-    parser.add_argument("--seed", type=integer, default=None, help="deterministic seed")
+    parser.add_argument("--seed", type=integer, help="the seed of mechanism split's draws")
     parser.set_defaults(fmt="table")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -403,10 +413,14 @@ def _cmd_decision_map(args: argparse.Namespace, out) -> None:
 
 def _cmd_split(args: argparse.Namespace, out) -> None:
     try:
+        seed = integer(os.environ.get("OVERHANG_SEED", "0")) if args.seed is None else args.seed
+    except ValueError as exc:
+        raise ValueError(f"OVERHANG_SEED {exc}") from None
+    try:
         secret = shamir.parse_hex(args.secret_hex)
     except ValueError:
         raise shamir.ShamirError(f"--secret-hex {args.secret_hex!r} is not hex") from None
-    shares = shamir.split(secret, args.threshold, args.shares, random.Random(args.seed))
+    shares = shamir.split(secret, args.threshold, args.shares, random.Random(seed))
     for share in shares:
         out.write(share.serialize() + "\n")
 
@@ -467,13 +481,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     rendered = io.StringIO()
     try:
-        if args.seed is None:
-            try:
-                args.seed = integer(os.environ.get("OVERHANG_SEED", "0"))
-            except ValueError as exc:
-                raise ValueError(f"OVERHANG_SEED {exc}") from None
-        if args.fmt in ("table", "markdown"):
-            rendered.write(f"# seed {args.seed}\n")
         for flag, forms in FLAG_FORMS.get(args.command, {}).items():
             value = (args.fmt == "config" if flag == "--emit-config"  # it stores a format
                      else getattr(args, flag[2:].replace("-", "_"), None))

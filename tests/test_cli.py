@@ -27,7 +27,7 @@ from overhang.cli import (
     build_parser,
     main,
 )
-from overhang.config import _KNOWN_KEYS, ConfigError, integer, load_config
+from overhang.config import _KNOWN_KEYS, _NUMBER, ConfigError, integer, load_config
 from overhang.frontier import ExecutionModel
 from test_cli_golden import ON_BASELINE_KERNELS, outputs_with_avx512_kernels_off, pinned
 from test_frontier import assert_close, exact_trajectory
@@ -371,32 +371,40 @@ _FLAG_VALUES = {
 _FLAG_CONTEXT = {"--allow-out-of-range": ["--epsilons", "0.2"]}
 
 
-def _flag_cases():
-    parser = build_parser()
+def _all_forms(parser):
+    """(command, subparser, form) for each form of _FORMS, and for each one
+    that takes a format, that form under --json and under --csv."""
     for command, sub in _subcommands(parser):
         forms = _FORMS.get(command, [])
         if "--json" in _option_flags(sub):
             forms = forms + [f + [fmt] for f in forms if "--emit-config" not in f
                              for fmt in ("--json", "--csv")]
         for form in forms:
-            for flag in sorted(_option_flags(parser) | _option_flags(sub, required=False)):
-                if flag in form:
-                    continue
-                marks = []
-                if flag == "--seed" and {"--json", "--csv", "--emit-config"} & set(form):
-                    marks = pytest.mark.skip(reason="--seed prints only in the # seed header")
-                if command == "mechanism simulate" and form[-1] == "liquidation" and flag in (
-                        "--interval", "--grace"):
-                    marks = pytest.mark.xfail(strict=True, reason=(
-                        "the cli bench deck sends these flags; reject them after the benchmark "
-                        "revision (ROADMAP item 1)"))
-                yield pytest.param(command, form, flag, marks=marks,
-                                   id=" ".join([command, *form, "|", flag]))
+            yield command, sub, form
+
+
+def _flag_cases():
+    """Each optional flag on each form; --seed only on mechanism split, the one
+    form that draws from it (test_seed_changes_only_mechanism_split)."""
+    parser = build_parser()
+    for command, sub, form in _all_forms(parser):
+        for flag in sorted(_option_flags(parser) | _option_flags(sub, required=False)):
+            if flag in form or flag == "--seed" and command != "mechanism split":
+                continue
+            marks = []
+            if command == "mechanism simulate" and form[-1] == "liquidation" and flag in (
+                    "--interval", "--grace"):
+                marks = pytest.mark.xfail(strict=True, reason=(
+                    "the cli bench deck sends these flags; reject them after the benchmark "
+                    "revision (ROADMAP item 1)"))
+            yield pytest.param(command, form, flag, marks=marks,
+                               id=" ".join([command, *form, "|", flag]))
 
 
 @pytest.fixture(scope="module")
 def flag_outcome(tmp_path_factory):
-    """The exit code, stdout and error lines of an argv, each argv run once."""
+    """The exit code, stdout and error lines of an argv, each argv run once,
+    with OVERHANG_SEED unset: mechanism split without --seed reads it."""
     config = tmp_path_factory.mktemp("flags") / "ledger.ini"
     config.write_text("[ledger]\nposition = 1000000\n")
     outcomes = {}
@@ -408,7 +416,9 @@ def flag_outcome(tmp_path_factory):
             outcomes[argv] = code, text, [line for line in err.splitlines() if "error:" in line]
         return outcomes[argv]
 
-    return outcome
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("OVERHANG_SEED", raising=False)
+        yield outcome
 
 
 def test_every_subcommand_has_forms():
@@ -427,6 +437,22 @@ def test_every_flag_changes_the_output_or_exits_2(command, form, flag, flag_outc
         assert text == "" and len(errors) == 1
     else:
         assert (code, text) != flag_outcome(base)[:2], f"{flag} changes nothing"
+
+
+_EVERY_FORM = [(command, form) for command, _, form in _all_forms(build_parser())]
+
+
+@pytest.mark.parametrize("command, form", _EVERY_FORM,
+                         ids=[" ".join([command, *form]) for command, form in _EVERY_FORM])
+def test_seed_changes_only_mechanism_split(command, form, flag_outcome):
+    """--seed is accepted on every form, since the cli bench deck sends it to
+    each (ROADMAP item 1), but only mechanism split reads it."""
+    base = [*command.split(), *form]
+    unseeded, seeded = flag_outcome(base)[:2], flag_outcome(["--seed", "5", *base])[:2]
+    if command == "mechanism split":
+        assert seeded[0] == EXIT_OK and seeded != unseeded
+    else:
+        assert seeded == unseeded
 
 
 def test_readme_lists_exactly_the_flags_of_some_forms():
@@ -515,7 +541,7 @@ OVERFLOWING_FRONTIERS = [
     # σ²τ and the stiffness, about 1e311, are past the float range, but e^−κτ ≈ 5e-311 is
     # taken from the stiffness over 4^k: the variance, 2.5e-308, and x_1 = 5e-309 are floats
     (("frontier", "--sigma", "1e154", "--tau", "10", "--lambdas", "1"), EXIT_OK,
-     "c53bf9a56ad288cfad23a9f818fd9372"),
+     "2ff6e028a0f949dadfa3c17d5caee4b7"),
     # at λ = 1e10 the stiffness, about 1e310, is past the float range, but the variance,
     # 9.025e-317, is a float; at λ = 1 Σx² ≈ 9e-597 is past the float range, but the
     # variance, 9.025e-297, is a float
@@ -523,7 +549,7 @@ OVERFLOWING_FRONTIERS = [
      "050e0404c5f67b78da7fc39c53a08d00"),
     # λσ² overflows and τ² underflows, but λ(στ)² = 1e-91: the linear limit, exit 0
     (("frontier", "--sigma", "1e154", "--tau", "1e-200", "--lambdas", "10"), EXIT_OK,
-     "d2ecc05ece158950f7f17febbebf5880"),
+     "0f97bef4dda3a777168b92eb46f485aa"),
     # (στ)² overflows a float, but λ·στ is taken first: λ(στ)² = 1e20, exit 0
     (("frontier", "--sigma", "1e140", "--tau", "1e20", "--gamma", "0", "--lambdas",
       "1e-300,0", "--json"), EXIT_OK, "ef984593029afcf45b8a241868f66854"),
@@ -609,7 +635,7 @@ def test_single_lambda_frontier_evaluates_the_kernel_once(monkeypatch):
 def test_decision_map_first_row():
     code, text = run_cli("decision-map")
     assert code == EXIT_OK
-    first_data_row = text.splitlines()[2]
+    first_data_row = text.splitlines()[1]
     assert first_data_row.startswith("1")
     assert "dormancy-non-recovery" in first_data_row
 
@@ -634,7 +660,7 @@ def test_mechanism_split_reconstruct_round_trip():
         "--seed", "11", "mechanism", "split", "--secret-hex", "deadbeef", "-k", "2", "-n", "3"
     )
     assert code == EXIT_OK
-    lines = [l for l in text.splitlines() if ":" in l]
+    lines = text.splitlines()
     assert len(lines) == 3
     code, recovered = run_cli("mechanism", "reconstruct", "-k", "2", *lines[:2])
     assert code == EXIT_OK
@@ -660,22 +686,37 @@ def test_deterministic_output():
     assert first == second
 
 
-def test_seed_echoed_in_header():
-    _, text = run_cli("--seed", "42", "decision-map")
-    assert text.startswith("# seed 42")
+_SPLIT = ("mechanism", "split", "--secret-hex", "deadbeef", "-k", "2", "-n", "3")
 
 
-def test_seed_env_fallback(monkeypatch):
+def test_overhang_seed_seeds_mechanism_split(monkeypatch):
+    monkeypatch.delenv("OVERHANG_SEED", raising=False)
+    unseeded, seeded = run_cli(*_SPLIT), run_cli("--seed", "77", *_SPLIT)
     monkeypatch.setenv("OVERHANG_SEED", "77")
-    _, text = run_cli("anchors")
-    assert text.startswith("# seed 77")
+    assert run_cli(*_SPLIT) == seeded != unseeded
+
+
+@pytest.mark.parametrize("variable", ["77", "x"])
+def test_the_seed_flag_wins_over_overhang_seed(variable, monkeypatch):
+    monkeypatch.delenv("OVERHANG_SEED", raising=False)
+    seeded = run_cli("--seed", "5", *_SPLIT)
+    monkeypatch.setenv("OVERHANG_SEED", variable)
+    assert run_cli("--seed", "5", *_SPLIT) == seeded
+
+
+def test_every_other_form_ignores_overhang_seed(monkeypatch):
+    monkeypatch.delenv("OVERHANG_SEED", raising=False)
+    usual = run_cli("anchors")
+    monkeypatch.setenv("OVERHANG_SEED", "x")
+    assert run_cli("anchors") == usual
+    assert usual[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("seed", ["x", "\u0661", "1_0", "+1", " 1", ""])
 def test_a_seed_that_is_not_an_integer_exits_2_naming_the_variable(seed, monkeypatch, capsys):
     # int() takes all but "x" and "": "\u0661" once ran as seed 1
     monkeypatch.setenv("OVERHANG_SEED", seed)
-    assert run_cli("anchors") == (EXIT_VALIDATION, "")
+    assert run_cli(*_SPLIT) == (EXIT_VALIDATION, "")
     assert capsys.readouterr().err == f"error: OVERHANG_SEED {seed!r} is not an integer\n"
 
 
@@ -695,6 +736,14 @@ _INT_FORMS = st.builds(
 def test_every_ascii_integer_parses_as_int_does(text):
     assert integer(text) == int(text)
     assert build_parser().parse_args([f"--seed={text}", "anchors"]).seed == int(text)
+
+
+@given(text=st.from_regex(_NUMBER, fullmatch=True).map(lambda text: "-" + text.removeprefix("-")))
+def test_a_negative_number_as_its_own_argument_reads_as_after_an_equals_sign(text):
+    # argparse once took "-1e-3" for an option: `expected one argument`
+    parser = build_parser()
+    assert (parser.parse_args(["decision-map", "--bear-bound", text])
+            == parser.parse_args(["decision-map", f"--bear-bound={text}"]))
 
 
 @given(text=_INT_FORMS)
@@ -960,6 +1009,17 @@ def test_the_process_prints_and_exits_as_main_does(argv, code, process_env, caps
     captured = capsys.readouterr()
     assert process.returncode == in_process == code
     assert (stdout, stderr) == (captured.out.encode(), captured.err.encode())
+
+
+def test_split_output_goes_straight_into_reconstruct(process_env):
+    split = ["--seed", "7", "mechanism", "split", "--secret-hex", "00ff10", "-k", "2", "-n", "3"]
+    with _overhang_process(split, process_env) as process:
+        shares, err = process.communicate(timeout=60)
+    assert (process.returncode, err) == (EXIT_OK, b"")
+    reconstruct = ["mechanism", "reconstruct", "-k", "2", *shares.decode().splitlines()]
+    with _overhang_process(reconstruct, process_env) as process:
+        assert process.communicate(timeout=60) == (b"00ff10\n", b"")
+    assert process.returncode == EXIT_OK
 
 
 def test_a_process_started_with_stdout_closed_still_reports_its_error(process_env):

@@ -76,173 +76,173 @@ WIDE_SWEEP = ('scenario', 'sweep', '--epsilons', WIDE_EPSILONS, '--horizons', WI
 # so only a failing row pins its digest; the others pin it empty.
 GOLDEN = [
     (('impact',), 0,
-     "e333327a5100473f1230f4ad4481e5f758dab955a1b41ce5559228dd627daccf"),
+     "6b970a2848c08186764e132f93a79d17a683ee8476b7c272073a363bf802470f"),
     (('impact', '--json'), 0,
      "008782b95458b5f2fc5ff8cce29743e41a3f91b8013861226d6869f6c9bb58cb"),
     (('impact', '--csv'), 0,
      "cf131f1c2e587f9223ee6529f150ed51b96347990d885332e3425583939fa4c4"),
     (('impact', '--markdown'), 0,
-     "3983fb060a2acc30993e81d40110c93901b0b6c980117f37b50eee11f8742ecb"),
+     "0ef67ac9955b01b9b3f9f4e15d1648c57deacc8b08911f91ba00ab3cce64d05b"),
     (('impact', '--table'), 0,
-     "474ec8fbdaf975de5cb8ee12f6ddd6f5ae0b0b3f190dd08a560612128a9f52b2"),
+     "eeed5fa6c6e4c9d5b0b416ba6eb69b8e350bd919761d5fe28c69095362a46149"),
     (('impact', '--table', '--json'), 0,
      "177452f08d94972714ccc5a2d92bf29766d3ccf3cd3d37376aefd42d49674e0b"),
     (('impact', '--table', '--csv'), 0,
      "1af3727fc20cf14b042665afa13893ee3e8a995db132b49ac74defcf1b167557"),
     (('impact', '--table', '--markdown'), 0,
-     "acd5808b1fe1f7ab1a1234e41bcb8ee55f83ea522440a37e7655eb31849ede9c"),
+     "7b609f839974881e60819edaf30f3b50721dc56e642c0a5a0533de6016603a8e"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004'), 0,
-     "463aa769e3c9c10da3493084b00fff1b094f21956dbbcf7ad1c6eedd52161fae"),
+     "00b6bb49c80a33b5a5cb6d9ac74158bc4fb1f1a15b47ecd3a2880af591e0bb77"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004', '--json'), 0,
      "2711536f493c49ed12e5b9bb5ee1fbccf77d092f9f6265c44caa47e9e2c91716"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004', '--csv'), 0,
      "80b429b22eef6093fa31f040af2b6ba8935716edde5fc89faa388b500d09d4fd"),
     (('impact', '--table', '--share', '0.05', '--quality', 'public-venue', '--participation', '0.004', '--markdown'), 0,
-     "24bbe2fa2ac8e798a3965645e0624f58767b811653afc719f15f81b36b91a8ae"),
+     "17613da50fbfbde3232421934bd0c06acae7c4b47a2417bd7220b570442b6441"),
     (('impact', '--share', '0', '--epsilon', '0.7'), 0,
-     "e68850f8754a70a577d2deaf13e717ad4417f6901edee527e42cefb0f3dc06c4"),
+     "9bd8cb055d48cedc555308f38c86a245a0430cd2a5f6b16d9c51f4b626f09c10"),
     (('impact', '--share', '0', '--epsilon', '0.7', '--json'), 0,
      "127f9bba7348da25f73f2468d742ba01a8950cfdf9786a176fc72db796f3bb14"),
     (('impact', '--share', '0', '--epsilon', '0.7', '--csv'), 0,
      "fae09ccac766dbb20ff2e58479b86fb6d734245d03bc24f31d2bc390a1c72efe"),
     (('impact', '--share', '0', '--epsilon', '0.7', '--markdown'), 0,
-     "64683a524289d3dcd3c120706656995e1d69706ee8a1be7c77dd8747872093ba"),
+     "91b7054279fd3630360960f5b6e2fe0f0e0bb60e761b4e3df3feea28c7009437"),
     (('scenario', 'A'), 0,
-     "cbca3cc11821134a0dd7d195b437e14855f3509ca63443473648a337ec5949b8"),
+     "26e89bc14d57b476ca59875e425f3f546ce930c21462648dfbb4b0fec2b3cff6"),
     (('scenario', 'A', '--json'), 0,
      "5c6d70ea382bd66415471433e2ffa48b7d0f7098fb094ef33a529e3d25463fbd"),
     (('scenario', 'A', '--csv'), 0,
      "5f2f07f968d3e9ac2040e5bebd8b5543693c7c7483153a70fb9521660f99441d"),
     (('scenario', 'A', '--markdown'), 0,
-     "363bcd176b99d51f1ea0cefe121265cc17ef39204fe95f4f222af9584edce81e"),
+     "69ba07207c898e5479d6df72b7bfab3ede2762705fa2cb8b20bd822a88d5e584"),
     (('scenario', 'B'), 0,
-     "574dab7bde0310b2c3166968f7b38bd50579f5ac198be6d734faa55725700e3d"),
+     "e9d66ce87ba0a57596076f21e171120e7591f67e80febf348065d05d6444bed1"),
     (('scenario', 'B', '--json'), 0,
      "74fb91d835c78120eb40a1c1d5f65e51aa4ada8530345f6d5dc0b39875c98663"),
     (('scenario', 'B', '--csv'), 0,
      "dc0d77e244edaae8b903dfcb9d6a921e3f14195eeb2988a7d9464df3f3050ce8"),
     (('scenario', 'B', '--markdown'), 0,
-     "67d3eab70e66ea24d7e2b9f169c2c1ea61533970201d95229c12bd8fc8f793db"),
+     "a6bc09df22e42bcc1919c4255abacaa10683988f7b45bdda343e2f796850ca92"),
     (('scenario', 'C', '--nominal'), 0,
-     "64479fedc127db6558a8c6d19b641de4c94d66c337ee19f4857ac374c6543f59"),
+     "d26256294ddffbbe67cfeeab12aaadec47e21723184e3cf8c242731a6b72f7a8"),
     (('scenario', 'C', '--nominal', '--json'), 0,
      "c108861e841ed450899531864c563967cca4f113f3edad7437e508d9822dd2ca"),
     (('scenario', 'C', '--nominal', '--csv'), 0,
      "f6735812618580130aa3b904dab5654495167949e2f2a3b5c5dc2b77660948f1"),
     (('scenario', 'C', '--nominal', '--markdown'), 0,
-     "bedd7d46c494679a3dd651efc26cd8fea78844e2cc5ee5428ff3cde59bc29b28"),
+     "36d2678453d94d2d88fe464ac1210fb0ca58db4cf0bc9ebbf4613a98e37bfaf9"),
     (('scenario', 'B', '--volume', '20e9'), 0,
-     "9ffaf8e3ae643f88502c91a28dc09233a08a0dfcdce2fd762a38f1a0482fcc60"),
+     "a337a061d74477e0cdfc4b668d88f12750219d2876d38692ca28d05619586c9d"),
     (('scenario', 'B', '--volume', '20e9', '--json'), 0,
      "359874ceb00cb48bd877b49cbb46a63c0f952ca9f5d15bb0737afa58e647f548"),
     (('scenario', 'B', '--volume', '20e9', '--csv'), 0,
      "dd17968b4a733a2605906f46a3d67184d11bea9811cb751146a30c0eb2fb49fc"),
     (('scenario', 'B', '--volume', '20e9', '--markdown'), 0,
-     "4af9a3e4a49a16c70da36d84542256f560407f28e6ead61acd20c3c773ff2d03"),
+     "b6d88d8224e95dc31b800dbf97ae665189964b6fa033b88a85327b8aaec0b578"),
     (('scenario', 'sweep'), 0,
-     "e3f856003058db651c3ef8c482b82218bf48188f9f4606c4bf0e76d43fbfcad4"),
+     "73443c3bee68d4597b47622cfb51834194f1545b84038374acc44d9ca55417c0"),
     (('scenario', 'sweep', '--json'), 0,
      "401c610e596d1e400bf560015dfde01b76726158f974d22009bbaaa68f5d54f6"),
     (('scenario', 'sweep', '--csv'), 0,
      "409dab0f133186abdd1f520ca5d7464a6258acfe97b5640e7e3740b80517bd42"),
     (('scenario', 'sweep', '--markdown'), 0,
-     "a068026f25d73370cb343328010dd95bbf14dc3ba96f4f47a95f59ce6239b4a5"),
+     "17263d8594b75441b45b48ca17028c6b964c69d29fda73eedf2310d58f419bc7"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10'), 0,
-     "7544f3036462687d10b35220f64b296ecaf411671e2414fed23b2bc7c250c3fe"),
+     "3de24661c0271e9b7c66dd6d416982ece82be7bcc050c18bebf0809a1cbb1e52"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10', '--json'), 0,
      "1493a6cdf4034fa438bff4d426304601567c42068f118a8feea05010d7440aa5"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10', '--csv'), 0,
      "8d6273de0fb193827d6ab6bb86c14bfaaf375a7734cf44de908dc6804b1c3a2f"),
     (('scenario', 'sweep', '--epsilons', '0.5,1.0', '--horizons', '5,10', '--markdown'), 0,
-     "38b6abd3ee13a1afad4313f441618e2756794adfb8996ebb488071b28fa06005"),
+     "da269ad5934b782e4fb1f82fd38c7d3eb520a7fd0519d655d66a6679391cc109"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range'), 0,
-     "593f414c21e32f52eb57b22b23a913d4673523bc36a563cda61dacae1c6ebfd5"),
+     "e9d8212b84e8f844bf225d862ac51987d558bffbd31d9f05510adc118e3c22ec"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range', '--json'), 0,
      "b08cd96d68b2a7d193eecfacd0b213d30cb8d2f894aaaeda549902ee5716ae6b"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range', '--csv'), 0,
      "2d949b5b93094dc7a439c3e1c5e059cda0de5595d16dc4ab5f3025a5df81cf60"),
     (('scenario', 'sweep', '--epsilons', '0.2,2.5', '--allow-out-of-range', '--markdown'), 0,
-     "42388ebc4c426429513da37f118f7a5cac04eab43bcd1ac452aa722493b8dbcc"),
+     "1e2dff8c4d00890d5a6af8e14161a6e56b3bc57a99d6d63df2275d068325a26f"),
     (WIDE_SWEEP, 0,
-     "33bde036c9d4f2bbdaf805e86752d6edc2900342ca5943dea772c6713adf3a97"),
+     "1ff8dd1ce8dc2b29bedeed5bc0456f1b4c2e6809f9661d7ad1e8fcb8a68600b3"),
     ((*WIDE_SWEEP, '--json'), 0,
      "bfe7c4f9b44de8e677e9e619504ff0d14aa176842b176077fcc80953e5d1e19c"),
     ((*WIDE_SWEEP, '--csv'), 0,
      "430eb37d1c9d749202d3ae2ebe50355745e0a007337f1c4e4724d39b03d9719a"),
     ((*WIDE_SWEEP, '--markdown'), 0,
-     "3de6bbe846c8451ca0c302097abc93bb522a716722198a3389eed3f517cd2552"),
+     "42a66061d37ac0ea3e599a17aacdbce14da7a56b1b11af314502ef0088fba1b8"),
     (('scenario', '--config', '{dir}/run.ini'), 0,
-     "413aa923b91659ecf1f3ab7384673da72fd502367ab045e8f929608a3028c9a7"),
+     "06ded38d6c928ce9d7005b10c02bb9c957905644033ec3dba2231117769947af"),
     (('scenario', '--config', '{dir}/run.ini', '--json'), 0,
      "68a24ca8216809bc932b40973c927279e757dcbcb484f337cda4f15ac37399fe"),
     (('scenario', '--config', '{dir}/run.ini', '--csv'), 0,
      "fac08fec036051e99e3cb835c4440e2f11b62d050c5f1d30003439168bbce75b"),
     (('scenario', '--config', '{dir}/run.ini', '--markdown'), 0,
-     "b404cad5bc2ae16a7146a5a1539b018d74fe1471766eba3b7247dd24273a1a65"),
+     "e80eedeb5142c678696cb2008297c281a4d50cf2ea0744e0e20058eb81d811e9"),
     (('scenario', '--config', '{dir}/run.json'), 0,
-     "c9f865bf996e40c64629cf95e2e50a813c739419eca92e2cab7631c78c045d92"),
+     "80a28fcfe6a174b3cc5cc4dca968a5698859b93ab3944bd34fa318099f312079"),
     (('scenario', '--config', '{dir}/run.json', '--json'), 0,
      "2e103dc40219cdd8324b941152ff2940c27e57b0eb1e57e1c3e06f2cdf11c7b6"),
     (('scenario', '--config', '{dir}/run.json', '--csv'), 0,
      "3e60aadfb17b04f79201731d34b0a663843511487e06a9b9ff72f45bb16cdea1"),
     (('scenario', '--config', '{dir}/run.json', '--markdown'), 0,
-     "d37aa75302d5414128104ad41536c7efaa3b8ddc91c815444d4422188886267b"),
+     "898f0e2f42f43fb6d5471e810a528d1cdd888142f023caa1a0004ba5e1d144a0"),
     (('schedule',), 0,
-     "655d4c869887825f3e04adaea8eac8e2a48d6f079f9dfe365d50621ac1b447f3"),
+     "ce9ab3263c9481158eafa1343ff60be5aa9457109eca95018b8080bd44f56a87"),
     (('schedule', '--json'), 0,
      "636973817c7aa5bc61092b79d2d0bbdb95c6aec02eba8d6ae75bc6ecdbd8aa64"),
     (('schedule', '--csv'), 0,
      "7bba4500d900f2a0869c2801c91b4939ce3e88734895f074d9d2a1a8920218a8"),
     (('schedule', '--markdown'), 0,
-     "70352b091819df3b7cdcf6de420b3fc9e9a1647cafd507a69041e277af8d0fa2"),
+     "5c0053a24804579b8dd040cd2ec75543bc8f5fdd966360353649df1f146d01a0"),
     (('schedule', '--horizon', '10', '--tranches-per-year', '1'), 0,
-     "2a8bb7ca780878a23b7b52713e274a2f59e6704b86ef7647aff67baba33629ec"),
+     "cfbbe88f7f1451758239242e57bcd241274345cab0eb291d2ee103ef7f0484c8"),
     (('schedule', '--horizon', '10', '--tranches-per-year', '1', '--json'), 0,
      "93c0411c8797b6fb45f12db9663c3bf7e9b0e09497316aade4fb0f023b1fd4a1"),
     (('schedule', '--horizon', '10', '--tranches-per-year', '1', '--csv'), 0,
      "ae10db98a83429d69ba92cdebab88a90f2f16950b742b4f1d0da9ded319cb75d"),
     (('schedule', '--horizon', '10', '--tranches-per-year', '1', '--markdown'), 0,
-     "abbecc1f01f3aed2af8725c4f322d203e1e1dc5508e2e274d8a595b0731acc24"),
+     "fa09669538ee625e9ba992461d046a161fca0a090c8e0641c238cf0f03e5fcff"),
     (('schedule', '--horizon', '4', '--tranches-per-year', '4', '--start', '100'), 0,
-     "06e9be6c4f8ee123e060f0f18d765eb4162a57c01861775b4545848de7f314e7"),
+     "06d635d245f123f0fc9311d705e408f4aa0e63c83cf37de51fa3bb00b1d6f7d8"),
     (('schedule', '--horizon', '4', '--tranches-per-year', '4', '--start', '100', '--json'), 0,
      "1f3d6e6ea8bdb87f768a3e9b1a558c49fec2b50649b6ccae8c811c5ba1406b43"),
     (('schedule', '--horizon', '4', '--tranches-per-year', '4', '--start', '100', '--csv'), 0,
      "9259a8035c108d09a5c98c07e63e31bb6fe78a6726e46a9337f8514ac4007945"),
     (('schedule', '--horizon', '4', '--tranches-per-year', '4', '--start', '100', '--markdown'), 0,
-     "a20db36f7cd0b5388bbb07857706ded26ab6aab4ea39d16a54ce1a12fc563b23"),
+     "49bc747c207da6a2b3a77b889d0f161766a32dd0e6facfe9d36ffd80eb7dc34b"),
     # 182.5-day spacing: the odd tranches' unlock epochs fall on half-day ties
     (('schedule', '--horizon', '3', '--tranches-per-year', '2', '--start', '7', '--json'), 0,
      "f8ceb4b679420d424aaec9d5e2e37bb3de75f04d1be017b75c075bebd4ae2d83"),
     (('schedule', '--tranches-per-year', '365', '--horizon', '1', '--start', '3', '--csv'), 0,
      "7f48dd4d92788cc2a754591b4880068c6e452b1df2145870eeb91e2a9001c51b"),
     (('frontier',), 0,
-     "2bcdaf83e07f251fb7425f22c56263151f82e5c2ffb3e0adbe5a7babbf00a09a"),
+     "cfc0718897e562e48693f40c8102cca6f0ba5f0fff76dc9fb089fdcd5a1f8c7c"),
     (('frontier', '--json'), 0,
      "d6b3111d2613403d22e42b1863848175b6525303eddb0a0be4617adc5aaaabba"),
     (('frontier', '--csv'), 0,
      "e62117b55ec7dd78d25f53d26a80450cb444b8eb4cf8ddb6fb321fd24a6462c1"),
     (('frontier', '--markdown'), 0,
-     "d3f65d41a2e7f21d063956c2db9ebde12b80c0796eeeb7506450db086ecb0679"),
+     "9542ee479f0f9bfea066c84f5e577d5689d7ce8e71a0ce125383183c6102d2b7"),
     (('frontier', '--lambdas', '1e-6'), 0,
-     "6c0f9496d122fce36eedf1b4f806ceace77aafe94291b41878bfd09e6cf7e696"),
+     "b4a14d98663009e4e1d990a917868f678a4c9bd3017a0e77c66b8c6632ccb993"),
     (('frontier', '--lambdas', '1e-6', '--json'), 0,
      "45932acbbc3f84f197f2dbd440504bcb94b6753edbbf65e46cc6d2d014d455e2"),
     (('frontier', '--lambdas', '1e-6', '--csv'), 0,
      "b77c198f6c89d3630c63acd61615ee93c5483a69d9fea5f384eace0f3b87cf1c"),
     (('frontier', '--lambdas', '1e-6', '--markdown'), 0,
-     "08edd5e396887e1476d375b2733561bc4b3c471d426292d0d8b23efd9478d32c"),
+     "95cdfdc4d57a0b83ff9d2e42129f34765ce631b35275652b0f6c1d7a00bfcefa"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20'), 0,
-     "028719ca9986ed711e6500cc7d5616ff2cf9f221a3fb94a9ff5fc717c88646a2"),
+     "af45733b1b423bd2b7692cb9e3d800157508089f9d65bc32c2879e19d565d765"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--json'), 0,
      "70212b1fdc9b077eaf9fb6dd3e58b290d61ec1178b08e6a2bfb57155c415be33"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--csv'), 0,
      "fdc5914272c83bb2f55dc8190cf2daa773494c3a00899d77f2ad15f61d9bc024"),
     (('frontier', '--lambdas', '0,1e-6,1e-5', '--periods', '20', '--markdown'), 0,
-     "3267a33a4fa445ca433fc20f99b34a88a5d1c3556025908b50740c779ff66256"),
+     "2bed05fc8fdcd19a4946853d39dadf229efc29fe57d96b0013f5b5dd6eb60f2f"),
     # exp(−κτj) underflows: the holdings tail runs through subnormals to zeros
     (('frontier', '--periods', '200', '--lambdas', '1e-2', '--sigma', '1600'), 0,
-     "20906fa106a8a54438f510d874b9ccdccbfeef2b802b3a34ea08376772ffc38c"),
+     "851a230952f724066dfb1878d7093de14956f7a385148774ab5fbc3e0b6718ed"),
     (('frontier', '--periods', '200', '--lambdas', '1e-2', '--sigma', '1600', '--json'), 0,
      "a6ed26ab63c32c907edecf5041c94f45afe0d96bc396d0242f5fe40a1f5492e2"),
     (('frontier', '--periods', '200', '--lambdas', '1e-8,1e-5,1e-2', '--sigma', '1600', '--json'), 0,
@@ -283,43 +283,43 @@ GOLDEN = [
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "f4458dd7322dcaf26f2660f03ac104f0de814921f97a2f354a1893531763b0c3"),
     (('decision-map',), 0,
-     "142cf685663ed2561bb663b179d5506e1aaeec1eb590e6c4326a2d04255f586d"),
+     "1297f4f7ee8b631423ff774af68cec7773625123acbd49ead62063f23c8a6d23"),
     (('decision-map', '--json'), 0,
      "1c725a3bb09a217e08dd8e510466fd422d8b516a8e219a59d505401f858d969b"),
     (('decision-map', '--csv'), 0,
      "5196d3b9abb8f34f284cb3471b44cb365c0042833acf777ee408906456adee1e"),
     (('decision-map', '--markdown'), 0,
-     "a1cc354da8d164d860bb1cce601f344d7a124c95239181cf76f9d836fdc8695e"),
+     "1f5ee4e62ec2c755abeaa297f1dddbfa9258000df2ada71abc6faed10868b51a"),
     (('decision-map', '--retention-variant'), 0,
-     "c4acdb891fadd9348c0e96e1ca40c357eed244aeec3940db25a60e20c93b7465"),
+     "080a7f396c96aec7ee4624069e862a2834d4b24eb7f8fd767a4f84e09dfe4f02"),
     (('decision-map', '--retention-variant', '--json'), 0,
      "7403aa7ab23a1dbc42dba71b83d30cb341d33c10118ef66fdc0d8ae9ad8ffb1f"),
     (('decision-map', '--retention-variant', '--csv'), 0,
      "695de1ef5b32018a03b3a0e3e64b6266d0bba3871d2dd23663e1380389004a44"),
     (('decision-map', '--retention-variant', '--markdown'), 0,
-     "e2bb12c8ff3757b55b96aa70eb4c1f0f30728826819c4acf836d78251278dde7"),
+     "35a2104551cae6cdded01b8069d74ea0a7b6fd32e78574e8b194ec1b3fe913c6"),
     (('decision-map', '--bear-bound', '-0.1'), 0,
-     "138be1a5e3a9b7c91139ac1c6a081ac3955b48e7c21e1900ace4d34036101860"),
+     "1d3e732253b63ac0852e264c75aca1acfc4aad1d7b0cd0a9434dd0891681fbcb"),
     (('decision-map', '--bear-bound', '-0.1', '--json'), 0,
      "efd86030e08e8db0ae719acbb74912c00a635f0d8a47db829df76c5e1a70cac4"),
     (('decision-map', '--bear-bound', '-0.1', '--csv'), 0,
      "d6be43d0612bd34eaf311a373df9c72259b3034945c3bbe20c49ae3e83ba513b"),
     (('decision-map', '--bear-bound', '-0.1', '--markdown'), 0,
-     "f583fd57e97125f6ba108e7f711c5b2abedeaeb94e8916ce67bcc3d0e8282d4f"),
-    # a negative number with an exponent, as its own argument
-    (('decision-map', '--bear-bound', '-1e-3'), 2,
-     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-     "23cb76b65b80e1d4788a840415ed91a3100016c193898b6d8c4c188b10554db2"),
+     "0ed156e4f82d0ffb30212d906fff92d448d2844262d21a7f64f6146f7ebbcfed"),
+    # a negative number with an exponent, as its own argument: the bytes of
+    # --bear-bound=-1e-3
+    (('decision-map', '--bear-bound', '-1e-3'), 0,
+     "ad4f322f60d0617a6b521be71eb536797e20a60ff9fdc3745dae15f9be2682f5"),
     (('anchors',), 0,
-     "efecb0fc5500f928005120da60fd6f05bcd36f2e0c5d0669b9ce81e33b35c576"),
+     "9298799985ba1592776c72dedcae81f56c84b2c1fae97e564b25a5ec8fde752b"),
     (('anchors', '--json'), 0,
      "f95f5156d8f800bf7859d243bb63163a6a7d3a6e8b201181155f56ddaae90cd4"),
     (('anchors', '--csv'), 0,
      "f318d769d9cdf3245c8d9fd9b0ebe4dd982d215203076556fb962317f3a0219d"),
     (('anchors', '--markdown'), 0,
-     "d34ba8abf847689db39de34a4d29d5e3ffbd4384b64953a9a91d00e26254961a"),
+     "73fc6bf62706209664f10665143590ad565cbf7a3b15b3c8edec590b10ca1fea"),
     (('--seed', '5', 'scenario', 'B'), 0,
-     "454336caeddbfec1fade6f87485c5b61f8ead06b71bd9d5ec873d72048d4925f"),
+     "e9d66ce87ba0a57596076f21e171120e7591f67e80febf348065d05d6444bed1"),
     (('--seed', '5', 'decision-map', '--json'), 0,
      "1c725a3bb09a217e08dd8e510466fd422d8b516a8e219a59d505401f858d969b"),
     (('scenario', 'B', '--emit-config'), 0,
@@ -334,48 +334,48 @@ GOLDEN = [
     (('scenario', 'sweep', '--config', '{dir}/ledger.ini', '--json'), 0,
      "401c610e596d1e400bf560015dfde01b76726158f974d22009bbaaa68f5d54f6"),
     (('mechanism', 'simulate', '--terminal', 'dormancy'), 0,
-     "cb44c56a0ebc93233a3ed368c9507a464b1a60405103765ec993237f82e43c34"),
+     "3a27abe43179f34af6005d62c999f42022f45f4f892a23a364eda2964c09575d"),
     (('mechanism', 'simulate', '--terminal', 'burn'), 0,
-     "07d345e5b79661520e87bf0ed06ce7b78266498051ecfdfb7f1122f92609fdae"),
+     "ce4541aa0b3b0041213393756f3e6551a8389954c483c358dbb6de5c40373948"),
     (('mechanism', 'simulate', '--terminal', 'burn', '--retention', '0.02'), 0,
-     "91433102d4d936a627faa0b87e4737cec9ac2e77f9f567bb9feb888bb62b8ef8"),
+     "d5ce64b4b136b7ee415d2dc2ee191e48d9bd6d2a295c37cda3e2c3b4fd060b51"),
     # amounts in whole satoshis: a burn of 1147770.4, 987.12185184 and a dump of 1000.12345679
     (('mechanism', 'simulate', '--terminal', 'burn', '--retention', '0.0002'), 0,
-     "0a923f9e8c1c63ecace6bb62875637efa00c993ba09a72e907e27638413988cf"),
+     "d71ce1ce6ab2ae86173bca6671542c21ca798025d54498cc64fa481fdb512b30"),
     (('mechanism', 'simulate', '--terminal', 'burn', '--retention', '0.013', '--position', '1000.12345678'), 0,
-     "4759151bf5f265d3f7a734aafa60329def3961d45856e6362abf8395fb93d5c5"),
+     "f7c4f663cc7ef0daf1d9ae33cd9ba78cca94f97721edad55c79fa2e601a488dd"),
     (('mechanism', 'simulate', '--terminal', 'adversarial', '--position', '1000.123456789'), 0,
-     "b8919ac3dd0916be427a19e981b776a09de20ad31305d6d3ccfce55f93cd5a13"),
+     "dcab36ddb7642bcdb9a545f6343be1d7f8c18e3b76bc64def3b1b8a2530fdff0"),
     (('mechanism', 'simulate', '--terminal', 'adversarial', '--interval', '90', '--grace', '2'), 0,
-     "cf5a5220da332e88a8dc7b7b23a935bc3f7afe58fc87c37279943904ce52ee1a"),
+     "cdff35837105c0cf4ec2af368d840d9075f8d77f1a6a0de307d96b856ebcc7a3"),
     (('mechanism', 'simulate', '--terminal', 'liquidation'), 0,
-     "4a6565fe0c140faf2ed81934d00371fe6dbce55d756e2b669540bdb2a8b6278e"),
+     "2b524aacd58038b48fb6e03200a4a17212c24f6a83be5d498325faf869130886"),
     (('mechanism', 'simulate', '--terminal', 'liquidation', '--horizon', '4000', '--tranches-per-year', '4', '--program-years', '3'), 0,
-     "eeb99f78e71b9c8b6bc8b3fa4c10326b14f214ab5beeac1a58578b713be29047"),
+     "e3a0fc5785a8c6eb00857c64e6e140b71706e90fda7c440b7f55b831b0b7cbc1"),
     (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '52', '--program-years', '3'), 0,
-     "6f71633530da0b7aad0691b0b058c30436406c5be0a96719774c5b1678ed8cf8"),
+     "4893b93eaa2f86b4a463f6dfd6fdbebd37714932f44109f72aba72311d1575d2"),
     # daily tranches for a year, cut by the clock at epoch 100
     (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '365', '--program-years', '1', '--horizon', '100'), 0,
-     "5d74db4cc68c0807873489824ed81548761fcfff225083e0a226b41b8ac93a78"),
+     "cc057f4c9b873b565df4df6af0fa3372d667f8e7bdd1d13f324995b602024e31"),
     # simulate prints JSON lines already and takes no --json flag
     (('mechanism', 'simulate', '--terminal', 'liquidation', '--tranches-per-year', '365', '--program-years', '1', '--horizon', '100', '--json'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
      "a201ce37158b9427b33ca7b6174865d419366c16c1a741ee6b57ff125f7385ce"),
     (('--seed', '11', 'mechanism', 'split', '--secret-hex', 'deadbeef', '-k', '2', '-n', '3'), 0,
-     "745096c164b8d4e90e64e90694c125049428beac2bdf2fe4a52198f16dfcb1d2"),
+     "1e071c977b94d9e5bb104258d9a315f40329e799631b92ab637ed91e04e0f2d0"),
     (('--seed', '7', 'mechanism', 'split', '--secret-hex', '00ff10203040', '-k', '3', '-n', '5'), 0,
-     "c6afe0dff0e6564b806e4dd0d4fe03bdf6f1e69265af31998debd0079228b5a2"),
+     "3294b3b612d0e0bad3468856762c44748d3a88f7a372d9950a5f2800def2539e"),
     (('mechanism', 'split', '--secret-hex', 'aa', '-k', '1', '-n', '1'), 0,
-     "d9a39ddfa8d1c0856f222318c3a212523327289d8e86d246d249ce48702c2c7e"),
+     "2846bda411fa0a235a42248a5f673d07020e1dcce72a8d6973ed3ee8c33d2453"),
     (('mechanism', 'reconstruct', '-k', '2', '1:3943598e', '2:0b6a6b2d'), 0,
-     "d4071ed3dffdb434e2dddb8836baffee74ec34e8ca7c85806b295f0ea60bc47f"),
+     "f22136124cd3e1d65a48487cecf310771b2fd1e83dc032e3d19724160ac0ff71"),
     (('mechanism', 'reconstruct', '-k', '2', '3:ec848c4c', '1:3943598e'), 0,
-     "d4071ed3dffdb434e2dddb8836baffee74ec34e8ca7c85806b295f0ea60bc47f"),
+     "f22136124cd3e1d65a48487cecf310771b2fd1e83dc032e3d19724160ac0ff71"),
     (('mechanism', 'reconstruct', '-k', '3', '5:f6b3bc97ca4d', '2:7e109a39a64d', '4:1e61a931b4bf'), 0,
-     "0cf3a399c9089fcd0798f18febc9962632c675edf87abaa86bec2b8e08c23366"),
+     "8a37185c8b284990925f14dbadfe332cd921585ee3b88aaf76203ee6969521c1"),
     # a third share on the polynomial of the first two: the same secret
     (('mechanism', 'reconstruct', '-k', '2', '1:3943598e', '2:0b6a6b2d', '3:ec848c4c'), 0,
-     "d4071ed3dffdb434e2dddb8836baffee74ec34e8ca7c85806b295f0ea60bc47f"),
+     "f22136124cd3e1d65a48487cecf310771b2fd1e83dc032e3d19724160ac0ff71"),
     # sharding errors, a malformed share line among them
     (('mechanism', 'split', '--secret-hex', '', '-k', '1', '-n', '1'), 2,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
